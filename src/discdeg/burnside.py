@@ -19,14 +19,16 @@ lattices whose ``weyl_order`` is a normalization convention rather than
 the plain normalizer quotient only whole-element products of marks of
 honest elements are guaranteed integral.
 
-The lattice object must provide: ``classes`` (sequence with ``cid``,
+The numbers n(L, H) * |W(H)| are the table of marks of the lattice.  The
+lattice object must provide: ``classes`` (sequence with ``cid``,
 ``weyl_order``, ``name``), ``n_count(l, h)``, ``down_closure(h)``,
 ``full_cid`` (class of the whole group, the ring identity) and optionally
-``fold_class(cid, nu)``.
+``fold_class(cid, nu)``.  The product catalog answers ``n_count`` by
+counting the group elements that conjugate a few generators of L into H,
+memoized per pair, and ``down_closure`` once per class; nothing is
+precomputed when a catalog is loaded.
 """
 from __future__ import annotations
-
-from functools import lru_cache
 
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 

@@ -2,71 +2,36 @@
 
 Every such subgroup is an amalgamated product  H ^Z x_L^R K'  glued from a
 closed subgroup H <= O(2) and a subgroup K' <= K along a common finite
-quotient L; classes with dihedral head H = D_h are represented as explicit
-element sets on the grid model (see o2model), while SO(2)- and O(2)-headed
-classes are K-determined and handled by their membership masks.
+quotient L.  Every class, whatever its head (D_h, SO(2) or O(2)), is
+represented by its element set on the grid model D_P x K (see o2model)
+together with a membership mask and a small generating set, found once by
+greedy closure when the catalog is built.
 
 The catalog covers heads D_h for h in a divisor-closed set ``heads``,
 plus all SO(2)- and O(2)-headed classes.  Within that scope it supplies
 the complete lattice data the Burnside-ring recurrences need: Weyl group
-orders, the counts n(L, H) of conjugates of H containing L, conjugacy
-tests, and the nu-fold covering maps between classes.
+orders, the counts n(L, H) of conjugates of H containing L, and the
+nu-fold covering maps between classes.  All of them rest on one
+primitive: a conjugate gLg^-1 lies in H exactly when the conjugates of
+the generators of L do, so
+
+    n(L, H) = #{g : g gens(L) g^-1 in H} / |N(H)|,
+    |N(H)|  = #{g : g gens(H) g^-1 in H},
+
+counted over g in D_P x K.  The grid normalizes every SO(2)- and
+O(2)-headed class, so for those heads the count is the one over K alone.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .o2model import O2Model
-from .permgroup import FiniteGroup, Perm, pidentity, pmul
+from .permgroup import FiniteGroup, Perm, perm_order, pidentity, pmul
 from .permgroup import SubgroupClassTable
 from .naming import name_subgroup_classes
-
-
-# ---------------------------------------------------------------------------
-# closed subgroups of O(2)
-
-@dataclass(frozen=True)
-class O2Closed:
-    """A closed subgroup of O(2): Z_n, D_n, SO(2) or O(2)."""
-    kind: str          # "Z", "D", "SO2", "O2"
-    n: int = 0
-
-    def __str__(self):
-        if self.kind in ("Z", "D"):
-            return f"{self.kind}{self.n}"
-        return "SO(2)" if self.kind == "SO2" else "O(2)"
-
-
-def finite_epimorphism_targets(h: O2Closed) -> list[tuple[O2Closed, str, int]]:
-    """Kernel/quotient pairs for epimorphisms of h onto finite groups.
-
-    Returns (kernel, quotient_kind, q) triples where the quotient is:
-    ``("C", q)`` cyclic of order q, or ``("D", q)`` dihedral-type of order
-    2q (q = 1 gives Z2, q = 2 the Klein group).  Kernels D_{n/2} come in
-    two O(2)-conjugate flavours; only one representative is listed.
-    """
-    out: list[tuple[O2Closed, str, int]] = []
-    if h.kind == "Z":
-        for d in range(1, h.n + 1):
-            if h.n % d == 0:
-                out.append((O2Closed("Z", d), "C", h.n // d))
-    elif h.kind == "D":
-        for d in range(1, h.n + 1):
-            if h.n % d == 0:
-                out.append((O2Closed("Z", d), "D", h.n // d))
-        if h.n % 2 == 0:
-            out.append((O2Closed("D", h.n // 2), "C", 2))
-        out.append((O2Closed("D", h.n), "C", 1))
-    elif h.kind == "SO2":
-        out.append((O2Closed("SO2"), "C", 1))
-    else:
-        out.append((O2Closed("O2"), "C", 1))
-        out.append((O2Closed("SO2"), "C", 2))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +47,7 @@ class ProductClass:
     o2_idx: np.ndarray          # element data on the grid model
     k_idx: np.ndarray
     mask: np.ndarray            # (2P, nK) membership
+    gens: np.ndarray            # (2, g): o2 and k indices of a generating set
     size: int                   # number of grid elements
     weyl_order: int             # reported Weyl order (coefficient normalization)
     name: str
@@ -168,8 +134,11 @@ class ProductCatalog:
         self.P = P
         self._kidx = K.index_of
         self._kcls_of_elem = K.class_index_of_element()
+        self._eidx = K.index_of[pidentity(K.degree)]
+        self._k_order = np.array([perm_order(g) for g in K.elements])
         self.classes: list[ProductClass] = []
         self._ncount: dict[tuple[int, int], int] = {}
+        self._down: dict[int, tuple[int, ...]] = {}
         self._build()
 
     # -- construction -------------------------------------------------------
@@ -323,17 +292,16 @@ class ProductCatalog:
                    rec["bucket"], rec["fp"])
             buckets.setdefault(key, []).append(rec)
 
+        # records in one bucket have the same size, so a conjugate of a kept
+        # representative inside a record is the whole record
         kept: list[dict] = []
         for key, group in sorted(buckets.items()):
             reps: list[dict] = []
             for rec in group:
                 rec["mask"] = self._mask_of(rec["o2_idx"], rec["k_idx"])
-                dup = False
-                for other in reps:
-                    if self._conjugate(rec, other):
-                        dup = True
-                        break
-                if not dup:
+                if not any(self.model.count_conj_into(*o["gens"], rec["mask"])
+                           for o in reps):
+                    rec["gens"] = self._generators(rec)
                     reps.append(rec)
             kept.extend(reps)
 
@@ -347,27 +315,22 @@ class ProductCatalog:
             k = tally.get(base, 0) + 1
             tally[base] = k
             rec["unique_name"] = base if k == 1 else f"{base} ~{k}"
-        eidx = self.K.index_of[pidentity(self.K.degree)]
         for cid, rec in enumerate(kept):
+            n_model = self.model.count_conj_into(*rec["gens"], rec["mask"])
             if rec["kind"] == "D":
-                n_model = self.model.count_conj_into(
-                    rec["o2_idx"], rec["k_idx"], rec["mask"])
                 nw = n_model // rec["size"]
                 # reported convention: classes whose O(2)-side kernel is
                 # rotation-only get half the plain normalizer quotient (the
                 # central coset is not counted)
-                m2 = np.asarray(rec["mask"]).reshape(2 * self.P, self.model.nK)
-                kernel_has_reflection = bool(m2[self.P:, eidx].any())
-                weyl = nw if kernel_has_reflection else nw // 2
+                has_reflection = bool(rec["mask"][self.P:, self._eidx].any())
+                weyl = nw if has_reflection else nw // 2
             else:
-                n_conj = len(self.model.conjugates_k_side(rec["mask"]))
-                n_model = 2 * self.P * self.model.nK // n_conj
                 nw = weyl = rec["weyl"]
             self.classes.append(ProductClass(
                 cid=cid, kind=rec["kind"], head=rec["head"],
                 kp_cid=rec["kp_cid"], bucket=rec["bucket"],
                 o2_idx=rec["o2_idx"], k_idx=rec["k_idx"], mask=rec["mask"],
-                size=rec["size"], weyl_order=weyl,
+                gens=rec["gens"], size=rec["size"], weyl_order=weyl,
                 name=rec["unique_name"], fingerprint=rec["fp"],
                 r_k=rec["r_k"], n_model=n_model, normalizer_weyl_order=nw))
         self.by_name = {c.name: c.cid for c in self.classes}
@@ -380,16 +343,47 @@ class ProductCatalog:
     def _kname(self, cid: int) -> str:
         return self.ktable.classes[cid].name
 
-    def _conjugate(self, a: dict, b: dict) -> bool:
-        if a["size"] != b["size"] or a["fp"] != b["fp"]:
-            return False
-        if a["kind"] == "D":
-            return self.model.count_conj_into(
-                a["o2_idx"], a["k_idx"], b["mask"]) > 0
-        for m in self.model.conjugates_k_side(b["mask"]):
-            if m[a["o2_idx"], a["k_idx"]].all():
-                return True
-        return False
+    def _generators(self, rec: dict) -> np.ndarray:
+        """A few elements generating the record's subgroup, as a (2, g) array.
+
+        Greedy: elements are tried in order of decreasing element order, and
+        each one outside the closure so far becomes a generator.  The closure
+        grows by right cosets of the previous closure C: right multiplication
+        by a generator maps C r to C rs, so visiting cosets from C by every
+        generator reaches all of <C, x>.
+        """
+        o2_mul, k_mul, P = self.model.o2_mul, self.model.k_mul, self.P
+        o2_idx, k_idx = rec["o2_idx"], rec["k_idx"]
+        t = np.arange(P)
+        o2_order = np.concatenate([P // np.gcd(t, P), np.full(P, 2)])
+        order = np.lcm(o2_order[o2_idx], self._k_order[k_idx])
+        seen = np.zeros_like(rec["mask"])
+        seen[0, self._eidx] = True
+        sub_o2, sub_k = np.array([0]), np.array([self._eidx])
+        gens: list[tuple[int, int]] = []
+        for i in np.argsort(-order, kind="stable"):
+            if len(sub_o2) == rec["size"]:
+                break
+            x = (int(o2_idx[i]), int(k_idx[i]))
+            if seen[x]:
+                continue
+            gens.append(x)
+            parts_o2, parts_k = [sub_o2], [sub_k]
+            pending = [x]
+            while pending:
+                r = pending.pop()
+                if seen[r]:
+                    continue
+                co2, ck = o2_mul[sub_o2, r[0]], k_mul[sub_k, r[1]]
+                seen[co2, ck] = True
+                parts_o2.append(co2)
+                parts_k.append(ck)
+                pending.extend((int(o2_mul[r[0], s0]), int(k_mul[r[1], s1]))
+                               for s0, s1 in gens)
+            sub_o2, sub_k = np.concatenate(parts_o2), np.concatenate(parts_k)
+        if len(sub_o2) != rec["size"] or not rec["mask"][sub_o2, sub_k].all():
+            raise AssertionError("generators do not close to the class")
+        return np.array(gens, dtype=np.intp).reshape(-1, 2).T
 
     def _format_name(self, rec: dict) -> str:
         kname = self._kname(rec["kp_cid"])
@@ -416,24 +410,12 @@ class ProductCatalog:
         """Number of conjugates of class-h subgroups containing a fixed
         class-l subgroup."""
         key = (l, h)
-        if key in self._ncount:
-            return self._ncount[key]
-        cl, ch = self.classes[l], self.classes[h]
-        val = 0
-        if not self._maybe_leq(cl, ch):
-            val = 0
-        elif ch.kind == "D":
-            if cl.kind == "D":
-                cnt = self.model.count_conj_into(cl.o2_idx, cl.k_idx, ch.mask)
-                val = cnt // ch.n_model
-            else:
-                val = 0
-        else:
-            for m in self.model.conjugates_k_side(ch.mask):
-                if m[cl.o2_idx, cl.k_idx].all():
-                    val += 1
-        self._ncount[key] = val
-        return val
+        if key not in self._ncount:
+            cl, ch = self.classes[l], self.classes[h]
+            self._ncount[key] = (
+                self.model.count_conj_into(*cl.gens, ch.mask) // ch.n_model
+                if self._maybe_leq(cl, ch) else 0)
+        return self._ncount[key]
 
     def _maybe_leq(self, cl: ProductClass, ch: ProductClass) -> bool:
         if cl.cid == ch.cid:
@@ -452,14 +434,12 @@ class ProductCatalog:
     def leq(self, l: int, h: int) -> bool:
         return self.n_count(l, h) > 0
 
-    def conjugacy_test(self, l: int, h: int) -> bool:
-        return l == h
-
-    def down_closure(self, h: int) -> list[int]:
-        return [l for l in range(len(self.classes)) if self.n_count(l, h) > 0]
-
-    def weyl(self, cid: int) -> int:
-        return self.classes[cid].weyl_order
+    def down_closure(self, h: int) -> tuple[int, ...]:
+        """Classes subconjugate to class h, computed once per class."""
+        if h not in self._down:
+            self._down[h] = tuple(l for l in range(len(self.classes))
+                                  if self.n_count(l, h) > 0)
+        return self._down[h]
 
     # -- folding -------------------------------------------------------------
 
@@ -487,6 +467,21 @@ class ProductCatalog:
         for cand in self.classes:
             if (cand.kind == "D" and cand.size == size and cand.fingerprint == fp
                     and cand.head == c.head * nu and cand.kp_cid == c.kp_cid
-                    and self.model.count_conj_into(o2s, ks, cand.mask) > 0):
+                    and self.model.count_conj_into(*cand.gens, new) > 0):
                 return cand.cid
         raise AssertionError("folded class not found in catalog")
+
+
+def cached_catalog(K: FiniteGroup, heads: list[int], cache,
+                   make_ktable=None) -> ProductCatalog:
+    """The catalog of O(2) x K on ``heads``, looked up through ``cache``.
+
+    ``cache(tag, build)`` returns the object stored under ``tag``, or
+    builds, stores and returns it.  The tag names the group and the head
+    set, so every caller asking for the same catalog shares one entry.
+    ``make_ktable``, when given, returns a subgroup table of K already
+    built, for use on a cache miss.
+    """
+    heads = sorted(set(heads))
+    return cache(f"catalog|{K.name}|{heads}", lambda: ProductCatalog(
+        K, heads, ktable=make_ktable() if make_ktable else None))

@@ -1,12 +1,14 @@
 """Exact integer character tables for the supported group constructors.
 
-Symmetric groups get the Murnaghan-Nakayama rule (via beta-sets), cyclic
-groups of order <= 2 are hardwired, and direct products are tensored.
+Groups that are the full symmetric group on their points (S_n, and Z1,
+Z2, D3 as built here) get the Murnaghan-Nakayama rule (via beta-sets),
+and direct products are tensored; any other group is refused.
 All values are exact integers, which is all the downstream fixed-point
 dimension bookkeeping needs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -97,8 +99,9 @@ def character_table(G: FiniteGroup) -> CharacterTable:
                     v *= t.value(i, project(g, f, off))
                 row.append(v)
             rows.append(tuple(row))
-    elif G.name.startswith("S") or G.order <= 2:
-        # symmetric group (Z1, Z2 are S1, S2 in disguise)
+    elif G.order == math.factorial(G.degree):
+        # the full symmetric group on its points (Z1, Z2, D3 are S1, S2, S3
+        # in disguise); a smaller group on as many points, like A2, is not
         n = G.degree
         types = [cycle_type(r) for r in reps]
         rows = [tuple(symmetric_character(lam, mu) for mu in types)
@@ -126,15 +129,6 @@ def _validate_orthogonality(t: CharacterTable) -> None:
 def fixed_dim(table: CharacterTable, irrep: int, subgroup) -> int:
     """dim of the fixed-point space of a subgroup in the given irrep."""
     total = sum(table.value(irrep, h) for h in subgroup)
-    d = Fraction(total, len(subgroup))
-    if d.denominator != 1:
-        raise AssertionError("non-integral fixed-point dimension")
-    return int(d)
-
-
-def fixed_dim_of_values(values_of, subgroup) -> int:
-    """Same, for an arbitrary integer character given as a callable on elements."""
-    total = sum(values_of(h) for h in subgroup)
     d = Fraction(total, len(subgroup))
     if d.denominator != 1:
         raise AssertionError("non-integral fixed-point dimension")

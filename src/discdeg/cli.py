@@ -16,6 +16,8 @@ from fractions import Fraction
 
 SCHEMA = 1
 CACHE_ENV = "DISCDEG_CACHE_DIR"
+# layout of the cached objects; a ProductClass without generators is format 1
+CACHE_FORMAT = 2
 
 
 class Refusal(Exception):
@@ -37,30 +39,32 @@ def _build_group(descriptor: str):
 
 
 def _cached(tag: str, build):
-    """Build-or-load an expensive object keyed by tag in the cache dir."""
+    """Build-or-load an expensive object keyed by tag in the cache dir.
+
+    The key holds ``CACHE_FORMAT``, so an object pickled in another layout
+    is never loaded.  A new file is written aside and renamed into place,
+    so no reader sees a partly written one.
+    """
     cache_dir = os.environ.get(CACHE_ENV)
-    key = None
-    if cache_dir:
-        key = os.path.join(
-            cache_dir,
-            hashlib.sha256(f"{tag}|v{SCHEMA}".encode()).hexdigest() + ".pkl")
-        if os.path.exists(key):
-            with open(key, "rb") as fh:
-                return pickle.load(fh)
+    if not cache_dir:
+        return build()
+    key = hashlib.sha256(
+        f"{tag}|v{SCHEMA}|format{CACHE_FORMAT}".encode()).hexdigest()
+    path = os.path.join(cache_dir, key + ".pkl")
+    if os.path.exists(path):
+        with open(path, "rb") as fh:
+            return pickle.load(fh)
     obj = build()
-    if key:
-        os.makedirs(cache_dir, exist_ok=True)
-        with open(key, "wb") as fh:
+    os.makedirs(cache_dir, exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
             pickle.dump(obj, fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
     return obj
-
-
-def _catalog(descriptor: str, heads: list[int]):
-    """Product catalog for O(2) x K, with optional on-disk cache."""
-    from .catalog import ProductCatalog
-    heads = sorted(set(heads))
-    return _cached(f"catalog|{descriptor}|{heads}",
-                   lambda: ProductCatalog(_build_group(descriptor), heads))
 
 
 def _parse_heads(s: str) -> list[int]:
@@ -78,7 +82,9 @@ def _parse_heads(s: str) -> list[int]:
 
 def cmd_ccs(args) -> int:
     if args.heads:
-        cat = _catalog(args.group, _parse_heads(args.heads))
+        from .catalog import cached_catalog
+        cat = cached_catalog(_build_group(args.group),
+                             _parse_heads(args.heads), _cached)
         recs = [{"record": "class", "cid": c.cid, "name": c.name,
                  "kind": c.kind, "weyl": c.weyl_order} for c in cat.classes]
         text = [f"{c.cid:5d}  W={c.weyl_order:<4d} ({c.name})"
@@ -110,12 +116,17 @@ def cmd_chartab(args) -> int:
 
 
 def _context(args):
+    """Catalog, ring and rep data for ``--group Gamma*Z2``, built as solve does."""
     from .burnside import BurnsideRing
+    from .catalog import cached_catalog
+    from .permgroup import cyclic_group, direct_product
     from .reps import RepContext
-    cat = _catalog(args.group, _parse_heads(args.heads))
-    if not cat.K.factors or len(cat.K.factors) < 2:
+    gamma_desc, _, z2 = args.group.rpartition("*")
+    if not gamma_desc or z2.strip() != "Z2":
         raise ValueError("group must be a direct product Gamma*Z2")
-    gamma = cat.K.factors[0][0]
+    gamma = _build_group(gamma_desc)
+    cat = cached_catalog(direct_product(gamma, cyclic_group(2)),
+                         _parse_heads(args.heads), _cached)
     return cat, BurnsideRing(cat), RepContext(cat, gamma)
 
 
@@ -139,7 +150,11 @@ def cmd_burnside_mul(args) -> int:
         b = ring.generator(cat.by_name[args.right])
     except KeyError as e:
         raise ValueError(f"unknown class name {e.args[0]!r}")
-    el = a * b
+    try:
+        el = a * b
+    except AssertionError as e:
+        raise Refusal(f"{e}: this product of two generators is not integral "
+                      "under the catalog's Weyl-order convention")
     _emit(args.format, _element_records(el, "term"), [repr(el)])
     return 0
 
@@ -251,35 +266,10 @@ def _report_text(rep):
     return out
 
 
-def _solve_pipeline(problem):
-    """PipelineContext for a problem, using the catalog cache if enabled."""
-    from .bessel import ModeTable
-    from .burnside import BurnsideRing
-    from .catalog import ProductCatalog
-    from .elliptic import (PipelineContext, isotypic_spectrum, required_heads)
-    from .permgroup import SubgroupClassTable, cyclic_group, direct_product
-    from .reps import RepContext
-
-    spec = isotypic_spectrum(problem)
-    mu_max = max((float(e.mu) for e in spec if float(e.mu) > 0), default=0.0)
-    if mu_max == 0.0:
-        return None
-    modes = ModeTable(mu_max)
-    K = direct_product(problem.gamma, cyclic_group(2))
-    ktable = SubgroupClassTable(K)
-    active = {m for m, c in modes.counts.items() if m >= 1 and c > 0}
-    heads = required_heads(ktable, active)
-    cat = _cached(f"catalog|{K.name}/{K.order}|{heads}",
-                  lambda: ProductCatalog(K, heads, ktable=ktable))
-    return PipelineContext(catalog=cat, ring=BurnsideRing(cat),
-                           ctx=RepContext(cat, problem.gamma))
-
-
 def cmd_solve(args) -> int:
     from .elliptic import existence_report
     problem = _load_problem(args.problem)
-    rep = existence_report(problem, pipeline=_solve_pipeline(problem),
-                           max_mode=args.max_mode)
+    rep = existence_report(problem, max_mode=args.max_mode, cache=_cached)
     if not rep.condition_D:
         _emit(args.format, _report_records(rep), _report_text(rep))
         raise Refusal("condition (D) violated: eigenvalue collides with a "
@@ -382,7 +372,8 @@ def main(argv=None) -> int:
     except Refusal as e:
         print(f"refused: {e}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, KeyError, OSError, json.JSONDecodeError,
+            NotImplementedError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

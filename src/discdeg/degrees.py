@@ -20,7 +20,8 @@ from .reps import IrrDescriptor, RepContext, orbit_types
 def basic_degree(ring: BurnsideRing, ctx: RepContext,
                  rep: IrrDescriptor) -> BurnsideElement:
     cat = ctx.catalog
-    domain = orbit_types(ctx, rep) + [cat.full_cid]
+    # the full class is an orbit type of the trivial rep; visit it once
+    domain = set(orbit_types(ctx, rep)) | {cat.full_cid}
     order = sorted(domain, key=lambda c: (cat.classes[c].size, c), reverse=True)
     n: dict[int, int] = {}
     for h in order:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bessel import ModeTable
 from .burnside import BurnsideElement, BurnsideRing
-from .catalog import ProductCatalog
+from .catalog import ProductCatalog, cached_catalog
 from .characters import isotypic_multiplicities
 from .degrees import SpectralAssignment, basic_degree, gdeg_field
 from .permgroup import (FiniteGroup, Perm, closure, cyclic_group,
@@ -404,15 +404,24 @@ class PipelineContext:
 
 
 def build_context(problem: CouplingProblem, modes: ModeTable,
-                  heads: list[int] | None = None) -> PipelineContext:
+                  heads: list[int] | None = None,
+                  cache=None) -> PipelineContext:
+    """Catalog, ring and representation data for ``problem``.
+
+    The head list (keyed by K and the active modes) and the catalog go
+    through ``cache(tag, build)`` when one is given, so a stored catalog is
+    found without building the subgroup table of K.
+    """
     from .permgroup import SubgroupClassTable
 
+    cache = cache or (lambda tag, build: build())
     K = direct_product(problem.gamma, cyclic_group(2))
-    ktable = SubgroupClassTable(K)
+    ktable = lru_cache(maxsize=1)(lambda: SubgroupClassTable(K))
     if heads is None:
-        active = {m for m, c in modes.counts.items() if m >= 1 and c > 0}
-        heads = required_heads(ktable, active)
-    cat = ProductCatalog(K, heads, ktable=ktable)
+        active = sorted(m for m, c in modes.counts.items() if m >= 1 and c > 0)
+        heads = cache(f"heads|{K.name}|{active}",
+                      lambda: required_heads(ktable(), set(active)))
+    cat = cached_catalog(K, heads, cache, make_ktable=ktable)
     return PipelineContext(catalog=cat, ring=BurnsideRing(cat),
                            ctx=RepContext(cat, problem.gamma))
 
@@ -474,8 +483,13 @@ def spectral_assignment(spec, modes) -> SpectralAssignment:
 
 def existence_report(problem: CouplingProblem,
                      pipeline: PipelineContext | None = None,
-                     max_mode: int | None = None) -> DegreeReport:
-    """Run the full pipeline and collect every reportable conclusion."""
+                     max_mode: int | None = None,
+                     cache=None) -> DegreeReport:
+    """Run the full pipeline and collect every reportable conclusion.
+
+    Without a ``pipeline`` one is built by ``build_context``, through
+    ``cache`` when given.
+    """
     spec = isotypic_spectrum(problem)
     mu_max = max((float(e.mu) for e in spec if float(e.mu) > 0), default=0.0)
     modes = ModeTable(mu_max)
@@ -497,7 +511,7 @@ def existence_report(problem: CouplingProblem,
                             non_radial=[], radial=[])
 
     if pipeline is None:
-        pipeline = build_context(problem, modes)
+        pipeline = build_context(problem, modes, cache=cache)
     cat, ring, ctx = pipeline.catalog, pipeline.ring, pipeline.ctx
 
     mode_counts = {m: m_counter(spec, modes, m)

@@ -9,7 +9,13 @@ their counterparts in D_P x K.  Rotations are indices t in Z_P (the angle
 2*pi*t/P), reflections carry a flip bit; the axis of reflection (1, t) is
 t*pi/P, so conjugating by the rotation c sends it to (1, t + 2c).
 
-Elements of D_P x K are packed as  idx = (flip*P + t) * |K| + k.
+An element of D_P x K is a pair (o2, k) of indices, o2 = flip*P + t into
+the D_P tables and k into ``K.elements``; a subgroup is a (2P, |K|)
+boolean membership mask.  The one lattice primitive is
+``count_conj_into``: it counts the g in D_P x K that conjugate a list of
+elements into a subgroup.  Called on a generating set of L, it counts the
+g with gLg^-1 <= H, from which the catalog reads off both n(L, H) and the
+normalizer order |N(H)|.
 """
 from __future__ import annotations
 
@@ -53,15 +59,13 @@ class O2Model:
         for i in range(self.nK):
             self.k_conj[i] = self.k_mul[self.k_mul[i], kinv[i]]
 
-    # -- packing helpers ----------------------------------------------------
-    def pack(self, o2: np.ndarray, k: np.ndarray) -> np.ndarray:
-        return o2.astype(np.int64) * self.nK + k
-
     def count_conj_into(self, Lo2: np.ndarray, Lk: np.ndarray,
                         Hmask: np.ndarray) -> int:
-        """Number of g in D_P x K with g L g^{-1} contained in H.
+        """Number of g in D_P x K with g x g^{-1} in H for every listed x.
 
-        ``Hmask`` is a (2P, nK) boolean membership table for H.
+        ``Lo2``, ``Lk`` list the elements x (a generating set of L suffices:
+        then the count is #{g : g L g^{-1} <= H}); ``Hmask`` is a (2P, nK)
+        boolean membership table for H.
         """
         n = len(Lo2)
         total = 0
@@ -72,15 +76,3 @@ class O2Model:
             ok = Hmask[co2[:, None, :], ck[None, :, :]]       # (c, nK, n)
             total += int(ok.all(axis=2).sum())
         return total
-
-    def conjugates_k_side(self, Hmask: np.ndarray) -> list[np.ndarray]:
-        """Distinct images of H under conjugation by 1 x K (as masks)."""
-        seen: dict[bytes, np.ndarray] = {}
-        for kg in range(self.nK):
-            m = np.zeros_like(Hmask)
-            o2s, ks = np.nonzero(Hmask)
-            m[o2s, self.k_conj[kg, ks]] = True
-            key = m.tobytes()
-            if key not in seen:
-                seen[key] = m
-        return list(seen.values())

@@ -89,9 +89,6 @@ class RepContext:
         self._dim_cache[key] = int(r)
         return int(r)
 
-    def fixed_dims(self, rep: IrrDescriptor) -> list[int]:
-        return [self.fixed_dim(rep, cid) for cid in range(len(self.catalog))]
-
 
 def orbit_types(ctx: RepContext, rep: IrrDescriptor) -> list[int]:
     """Classes arising as isotropy groups of nonzero vectors in the rep.

@@ -2,8 +2,8 @@
 import pytest
 
 from discdeg.catalog import ProductCatalog
-from discdeg.permgroup import (cyclic_group, direct_product, pmul, pinv,
-                               symmetric_group)
+from discdeg.permgroup import (cyclic_group, direct_product, pidentity, pinv,
+                               pmul, symmetric_group)
 
 # the 33 subgroup class names of S4 x Z2, as published
 S4Z2_NAMES = [
@@ -131,3 +131,54 @@ def test_small_catalog_matches_sub_catalog():
             A, B = big.by_name[a.name], big.by_name[b.name]
             assert small.leq(a.cid, b.cid) == big.leq(A, B)
             assert small.n_count(a.cid, b.cid) == big.n_count(A, B)
+
+
+# -- the generator-based lattice queries against element-wise brute force -------
+
+def _dp_mul(P, a, b):
+    """Product in D_P of elements given as indices flip*P + t."""
+    fa, ta = divmod(a, P)
+    fb, tb = divmod(b, P)
+    return (fa ^ fb) * P + (ta - tb if fa else ta + tb) % P
+
+
+def _dp_inv(P, a):
+    f, t = divmod(a, P)
+    return a if f else (-t) % P
+
+
+@pytest.mark.parametrize("heads", [[1, 2], [1, 3]])
+def test_generators_and_counts_match_brute_force(heads):
+    """Each class is the closure of its generators; n(L, H) is the number of
+    distinct conjugates of H containing L and n_model = |N(H)|, all counted
+    element by element in the grid model D_P x K."""
+    K = direct_product(symmetric_group(3), cyclic_group(2))
+    cat = ProductCatalog(K, heads)
+    P = cat.P
+    assert {c.kind for c in cat.classes} == {"D", "SO2", "O2", "O2amalg"}
+    G = [(o2, k) for o2 in range(2 * P) for k in K.elements]
+
+    def mul(x, y):
+        return _dp_mul(P, x[0], y[0]), pmul(x[1], y[1])
+
+    def conj(g, x):
+        return mul(mul(g, x), (_dp_inv(P, g[0]), pinv(g[1])))
+
+    elems = [frozenset(zip(c.o2_idx.tolist(),
+                           (K.elements[k] for k in c.k_idx.tolist())))
+             for c in cat.classes]
+    conjugates = []
+    for c, E in zip(cat.classes, elems):
+        gens = [(int(o2), K.elements[k]) for o2, k in c.gens.T.tolist()]
+        closure, frontier = {(0, pidentity(K.degree))}, [(0, pidentity(K.degree))]
+        while frontier:
+            frontier = [y for y in {mul(x, s) for x in frontier for s in gens}
+                        if y not in closure]
+            closure.update(frontier)
+        assert closure == E, c.name
+        images = [frozenset(conj(g, x) for x in E) for g in G]
+        assert c.n_model == sum(1 for im in images if im == E), c.name
+        conjugates.append(set(images))
+    for l, L in enumerate(elems):
+        for h, Hs in enumerate(conjugates):
+            assert cat.n_count(l, h) == sum(1 for H in Hs if L <= H), (l, h)

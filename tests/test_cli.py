@@ -1,10 +1,14 @@
 """End-to-end command-line tests: output formats, exit codes, caching."""
+import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 
 import pytest
+
+from discdeg import cli, permgroup
 
 CUBE_PROBLEM = {"cube": {"c": 4, "d": 1},
                 "growth": {"alpha": 0.5, "beta": 2.0}}
@@ -109,6 +113,14 @@ def test_basic_degree_trivial_mode1(run):
     assert terms == {"O(2) x S4p": 1, "D2^{D1} x_{Z2}^{S4} S4p": -1}
 
 
+def test_basic_degree_trivial_rep(run):
+    # the full class is the only orbit type; counting it twice cancelled it
+    r = run("--format", "json", "basic-degree", "0", "0", "1")
+    assert r.returncode == 0, r.stderr
+    terms = {rec["name"]: rec["coeff"] for rec in jlines(r.stdout)}
+    assert terms == {"O(2) x S4p": -1}
+
+
 def test_burnside_mul(run):
     r = run("--format", "json", "burnside-mul",
             "O(2) x S4p", "D6 x_{D6} D3p")
@@ -135,6 +147,30 @@ def test_unknown_class_name_exits_2(run):
     r = run("fold", "2", "no such class")
     assert r.returncode == 2
     assert "no such class" in r.stderr
+
+
+@pytest.mark.parametrize("atom",
+                         [f"{k}{n}" for k in "SAZD" for n in range(1, 6)])
+def test_every_group_atom_exits_with_a_documented_status(atom, tmp_path):
+    n_gens = len(permgroup.build_group(atom).generators)
+    prob = tmp_path / "trivial.json"
+    prob.write_text(json.dumps({"group": atom,
+                                "action_generators": [[0]] * n_gens,
+                                "matrix": [["-1"]]}))
+    assert cli.main(["chartab", atom]) in (0, 2, 3)
+    assert cli.main(["solve", str(prob)]) in (0, 2, 3)
+
+
+def test_unsupported_character_table_exits_2(capsys):
+    assert cli.main(["chartab", "D4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_non_integral_generator_product_refused_exit_3(run):
+    r = run("burnside-mul", "D1 x_{Z2}^{D4d} D4p", "D4 x_{D4}^{Z2m} D4p")
+    assert r.returncode == 3
+    assert r.stderr.startswith("refused:") and len(r.stderr.splitlines()) == 1
 
 
 def test_missing_problem_file_exits_2(run, tmp_path):
@@ -232,3 +268,40 @@ def test_catalog_cache_roundtrip(run, cache_dir):
     r1 = run("--format", "json", "basic-degree", "1", "0", "-1")
     r2 = run("--format", "json", "basic-degree", "1", "0", "-1")
     assert r1.stdout == r2.stdout and r1.returncode == r2.returncode == 0
+
+
+# -- the catalog cache ----------------------------------------------------------
+
+def test_cache_key_is_versioned_and_write_leaves_no_temp_file(tmp_path,
+                                                              monkeypatch):
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    # a file under the key of the layout without a format version
+    unversioned = hashlib.sha256(f"tag|v{cli.SCHEMA}".encode()).hexdigest()
+    (tmp_path / f"{unversioned}.pkl").write_bytes(pickle.dumps("stale"))
+    assert cli._cached("tag", lambda: "fresh") == "fresh"
+    assert cli._cached("tag", lambda: "rebuilt") == "fresh"
+    assert sorted(p.suffix for p in tmp_path.iterdir()) == [".pkl", ".pkl"]
+
+
+def test_catalog_shared_by_commands_and_warm_solve_skips_subgroup_table(
+        tmp_path, monkeypatch, capsys):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv(cli.CACHE_ENV, str(cache))
+    prob = os.path.join(os.path.dirname(__file__), "..", "examples_local",
+                        "swap.json")
+    assert cli.main(["--format", "json", "solve", prob]) == 0
+    cold = capsys.readouterr().out
+    stored = sorted(os.listdir(cache))
+    assert len(stored) == 2                    # the head list and the catalog
+    # the solve needed heads 1,2: the same catalog serves the other commands
+    assert cli.main(["ccs", "S2*Z2", "--heads", "1,2"]) == 0
+    assert cli.main(["basic-degree", "1", "0", "-1", "--group", "S2*Z2",
+                     "--heads", "1,2"]) == 0
+    assert sorted(os.listdir(cache)) == stored
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("subgroup table built on a warm solve")
+    monkeypatch.setattr(permgroup.SubgroupClassTable, "__init__", no_table)
+    capsys.readouterr()
+    assert cli.main(["--format", "json", "solve", prob]) == 0
+    assert capsys.readouterr().out == cold
