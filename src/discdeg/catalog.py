@@ -2,10 +2,12 @@
 
 Every such subgroup is an amalgamated product  H ^Z x_L^R K'  glued from a
 closed subgroup H <= O(2) and a subgroup K' <= K along a common finite
-quotient L.  Every class, whatever its head (D_h, SO(2) or O(2)), is
-represented by its element set on the grid model D_P x K (see o2model)
-together with a membership mask and a small generating set, found once by
-greedy closure when the catalog is built.
+quotient L = H/Z = K'/R: the pairs (a, k) with a in H and k in the coset
+of R that the gluing assigns to a.  The catalog builds every class this
+way, whatever its head (D_h, SO(2) or O(2)), on the grid model D_P x K
+(see o2model).  A class is stored as its element set and a small
+generating set, found once by greedy closure when the catalog is built;
+its membership mask is a lookup table built on first use in a process.
 
 The catalog covers heads D_h for h in a divisor-closed set ``heads``,
 plus all SO(2)- and O(2)-headed classes.  Within that scope it supplies
@@ -18,8 +20,9 @@ the generators of L do, so
     n(L, H) = #{g : g gens(L) g^-1 in H} / |N(H)|,
     |N(H)|  = #{g : g gens(H) g^-1 in H},
 
-counted over g in D_P x K.  The grid normalizes every SO(2)- and
-O(2)-headed class, so for those heads the count is the one over K alone.
+counted over g in D_P x K, and the Weyl order is |N(H)| / |H|.  The grid
+normalizes every SO(2)- and O(2)-headed class, so for those heads the
+count is the one over K alone.
 """
 from __future__ import annotations
 
@@ -29,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .o2model import O2Model
-from .permgroup import FiniteGroup, Perm, perm_order, pidentity, pmul
-from .permgroup import SubgroupClassTable
+from .permgroup import (FiniteGroup, Perm, SubgroupClassTable, perm_order,
+                        pidentity, pmul)
 from .naming import name_subgroup_classes
 
 
@@ -46,7 +49,6 @@ class ProductClass:
     bucket: int                 # |U ^ (SO(2) x 1)|: d for D-kind kernels Z_d
     o2_idx: np.ndarray          # element data on the grid model
     k_idx: np.ndarray
-    mask: np.ndarray            # (2P, nK) membership
     gens: np.ndarray            # (2, g): o2 and k indices of a generating set
     size: int                   # number of grid elements
     weyl_order: int             # reported Weyl order (coefficient normalization)
@@ -57,61 +59,37 @@ class ProductClass:
     normalizer_weyl_order: int = 0  # |N(U)/U|, the plain normalizer quotient
 
 
-def _quotient_group(Kp: frozenset[Perm], R: frozenset[Perm], degree: int):
-    """Cosets of R in K' with multiplication table; returns (cosets, mul, eid)."""
-    cosets: list[frozenset[Perm]] = []
-    seen: set[Perm] = set()
+def _quotient(Kp: frozenset[Perm], R: frozenset[Perm]):
+    """Cosets of R in K', each a sorted list, and the multiplication table
+    of K'/R on their positions.  Coset 0 is R: the identity is the least
+    permutation, so it comes first."""
+    row_of: dict[Perm, int] = {}
+    cosets: list[list[Perm]] = []
     for g in sorted(Kp):
-        if g in seen:
-            continue
-        c = frozenset(pmul(g, r) for r in R)
-        seen |= c
-        cosets.append(c)
-    index = {g: i for i, c in enumerate(cosets) for g in c}
-    reps = [sorted(c)[0] for c in cosets]
-    mul = [[index[pmul(a, b)] for b in reps] for a in reps]
-    eid = index[pidentity(degree)]
-    return cosets, mul, eid
+        if g not in row_of:
+            c = sorted(pmul(g, r) for r in R)
+            row_of.update(dict.fromkeys(c, len(cosets)))
+            cosets.append(c)
+    mul = np.array([[row_of[pmul(a[0], b[0])] for b in cosets]
+                    for a in cosets])
+    return cosets, mul
 
 
-def _coset_orders(mul, eid):
-    n = len(mul)
-    orders = []
-    for i in range(n):
-        o, j = 1, i
-        while j != eid:
-            j = mul[j][i]
-            o += 1
-        orders.append(o)
-    return orders
-
-
-def _dihedral_isos(mul, eid, q):
-    """Isomorphisms from the dihedral-type group of order 2q onto the coset
-    group, given as (x, y) = images of the rotation and reflection generators."""
-    orders = _coset_orders(mul, eid)
-    n = len(mul)
-    if n != 2 * q:
-        return []
-    def power(i, k):
-        j = eid
-        for _ in range(k):
-            j = mul[j][i]
-        return j
-    out = []
-    for x in range(n):
-        if orders[x] != q and not (q == 1 and x == eid):
-            continue
-        if q == 1 and x != eid:
-            continue
-        cyc = {power(x, k) for k in range(q)}
-        for y in range(n):
-            if orders[y] != 2 or y in cyc:
-                continue
-            if mul[mul[y][x]][y] != power(x, q - 1):   # y x y = x^{-1}
-                continue
-            out.append((x, y))
-    return out
+def _dihedral_isos(mul: np.ndarray, q: int):
+    """Isomorphisms from the dihedral group of order 2q onto the group with
+    multiplication table ``mul`` (order 2q, identity 0).  Each is given as
+    (powers of x, y), x and y the images of the rotation and reflection
+    generators."""
+    powers = []                 # i^0, i^1, ... up to the order of i
+    for i in range(len(mul)):
+        p = [0]
+        while (j := int(mul[p[-1], i])) != 0:
+            p.append(j)
+        powers.append(p)
+    return [(np.array(px), y) for x, px in enumerate(powers) if len(px) == q
+            for y, py in enumerate(powers)
+            if len(py) == 2 and y not in px
+            and mul[mul[y, x], y] == px[-1]]            # y x y = x^-1
 
 
 class ProductCatalog:
@@ -139,6 +117,7 @@ class ProductCatalog:
         self.classes: list[ProductClass] = []
         self._ncount: dict[tuple[int, int], int] = {}
         self._down: dict[int, tuple[int, ...]] = {}
+        self._masks: dict[int, np.ndarray] = {}
         self._build()
 
     # -- construction -------------------------------------------------------
@@ -160,128 +139,71 @@ class ProductCatalog:
         m[o2_idx, k_idx] = True
         return m
 
+    def _mask(self, cid: int) -> np.ndarray:
+        """Membership table of class ``cid``, built on first use."""
+        if cid not in self._masks:
+            c = self.classes[cid]
+            self._masks[cid] = self._mask_of(c.o2_idx, c.k_idx)
+        return self._masks[cid]
+
     def _build(self):
-        K, P, ktable = self.K, self.P, self.ktable
+        P, ktable = self.P, self.ktable
         raw: list[dict] = []
 
+        def add(kind, head, bucket, o2, labels, zname="", lname=""):
+            """The class {(a, k) : a in o2, k in cosets[label of a]}, named
+            H^{Z} x_{L}^{R} K' (H x K' when L is trivial); K', R and the
+            cosets are those of the current step of the loop below."""
+            name = {"O2": "O(2)", "SO2": "SO(2)", "O2amalg": "O(2)"}.get(
+                kind, f"D{head}")
+            if lname:
+                name += (f"^{{{zname}}}" if zname else "") + f" x_{{{lname}}}"
+                name += f"^{{{rname}}}" if rname not in ("", "Z1") else ""
+                name += f" {kp.name}"
+            else:
+                name += f" x {kp.name}"
+            raw.append(dict(kind=kind, head=head, kp_cid=kp.cid, bucket=bucket,
+                            o2_idx=np.repeat(o2, len(r_elems)),
+                            k_idx=cosets[labels].ravel(),
+                            r_k=frozenset(r_elems.tolist()), name=name))
+
+        full = np.arange(2 * P)
         for kp in ktable.classes:
-            Kp = kp.representative
-            kp_elems = sorted(self._kidx[g] for g in Kp)
-            normals = ktable.normal_subgroups_of(Kp)
-
-            # O(2)- and SO(2)-headed classes (K-determined)
-            rots = np.arange(P)
-            refl = P + np.arange(P)
-            full = np.concatenate([rots, refl])
-            for kind, o2part in (("O2", full), ("SO2", rots)):
-                o2_idx = np.repeat(o2part, len(kp_elems))
-                k_idx = np.tile(np.array(kp_elems), len(o2part))
-                wk = kp.weyl_order
-                raw.append(dict(kind=kind, head=0, kp_cid=kp.cid,
-                                bucket=0, o2_idx=o2_idx, k_idx=k_idx,
-                                r_k=frozenset(kp_elems),
-                                weyl=wk if kind == "O2" else 2 * wk,
-                                zname="", lname="", rname=""))
-            for R in normals:
-                if 2 * len(R) != len(Kp):
-                    continue
-                r_elems = {self._kidx[g] for g in R}
-                o2s, ks = [], []
-                for k in kp_elems:
-                    part = rots if k in r_elems else refl
-                    o2s.append(part)
-                    ks.append(np.full(P, k))
-                nk = self._normalizing(Kp, R)
-                raw.append(dict(kind="O2amalg", head=0, kp_cid=kp.cid,
-                                bucket=0, o2_idx=np.concatenate(o2s),
-                                k_idx=np.concatenate(ks),
-                                r_k=frozenset(r_elems),
-                                weyl=2 * nk // len(Kp),
-                                zname="SO(2)", lname="Z2",
-                                rname=ktable.classes[ktable.cid_of(R)].name))
-
-            # dihedral-headed classes
-            for h in self.heads:
-                g = P // h
-                for R in normals:
-                    quo = len(Kp) // len(R)
-                    cosets, mul, eid = None, None, None
-                    # kernel Z_d with quotient of dihedral type, order 2q
-                    for d in [dd for dd in range(1, h + 1) if h % dd == 0]:
-                        q = h // d
-                        if quo != 2 * q:
-                            continue
-                        if cosets is None:
-                            cosets, mul, eid = _quotient_group(Kp, R, K.degree)
-                        for x, y in _dihedral_isos(mul, eid, q):
-                            o2_idx, k_idx = self._amalg_elements(
-                                h, q, cosets, mul, eid, x, y)
-                            raw.append(dict(
-                                kind="D", head=h, kp_cid=kp.cid, bucket=d,
-                                o2_idx=o2_idx, k_idx=k_idx,
-                                r_k=frozenset(self._kidx[e] for e in R),
-                                weyl=None,
-                                zname=f"Z{d}" if d > 1 else "",
-                                lname=f"D{q}" if q >= 2 else "Z2",
-                                rname=ktable.classes[ktable.cid_of(R)].name))
-                    # kernel D_{h/2}, quotient Z2
+            for R in ktable.normal_subgroups_of(kp.representative):
+                perm_cosets, mul = _quotient(kp.representative, R)
+                cosets = np.array([[self._kidx[g] for g in c]
+                                   for c in perm_cosets])
+                r_elems = cosets[0]
+                rname = ktable.classes[ktable.cid_of(R)].name
+                quo = len(cosets)
+                if quo == 1:
+                    add("O2", 0, 0, full, np.zeros(2 * P, dtype=int))
+                    add("SO2", 0, 0, full[:P], np.zeros(P, dtype=int))
+                if quo == 2:
+                    add("O2amalg", 0, 0, full, full // P, "SO(2)", "Z2")
+                for h in self.heads:
+                    # D_h on the grid: rotations k, then reflections k
+                    k = np.arange(h)
+                    o2 = np.concatenate([k * (P // h), P + k * (P // h)])
+                    # kernel Z_d, quotient D_q (Z2 for q = 1): rotation k goes
+                    # to x^k, reflection k to y x^-k
+                    q = quo // 2
+                    if quo % 2 == 0 and h % q == 0:
+                        d = h // q
+                        for px, y in _dihedral_isos(mul, q):
+                            add("D", h, d, o2,
+                                np.concatenate([px[k % q], mul[y, px[-k % q]]]),
+                                f"Z{d}" if d > 1 else "",
+                                f"D{q}" if q >= 2 else "Z2")
+                    # kernel D_{h/2}, quotient Z2: rotation and reflection k
+                    # go to the coset of parity k
                     if h % 2 == 0 and quo == 2:
-                        cosets2, mul2, eid2 = _quotient_group(Kp, R, K.degree)
-                        other = 1 - eid2
-                        o2s, ks = [], []
-                        for k in range(h):
-                            for f, base in ((0, 0), (1, P)):
-                                coset = cosets2[eid2 if k % 2 == 0 else other]
-                                for e in coset:
-                                    o2s.append(base + k * g)
-                                    ks.append(self._kidx[e])
-                        raw.append(dict(
-                            kind="D", head=h, kp_cid=kp.cid, bucket=h // 2,
-                            o2_idx=np.array(o2s), k_idx=np.array(ks),
-                            r_k=frozenset(self._kidx[e] for e in R),
-                            weyl=None, zname=f"D{h // 2}", lname="Z2",
-                            rname=ktable.classes[ktable.cid_of(R)].name))
-                    # full product D_h x K'
-                    if len(R) == len(Kp):
-                        o2part = np.concatenate(
-                            [np.arange(h) * g, P + np.arange(h) * g])
-                        o2_idx = np.repeat(o2part, len(kp_elems))
-                        k_idx = np.tile(np.array(kp_elems), 2 * h)
-                        raw.append(dict(kind="D", head=h, kp_cid=kp.cid,
-                                        bucket=h, o2_idx=o2_idx, k_idx=k_idx,
-                                        r_k=frozenset(kp_elems),
-                                        weyl=None, zname="", lname="",
-                                        rname=""))
+                        add("D", h, h // 2, o2, np.tile(k % 2, 2),
+                            f"D{h // 2}", "Z2")
+                    if quo == 1:
+                        add("D", h, h, o2, np.zeros(2 * h, dtype=int))
 
         self._dedupe_and_register(raw)
-
-    def _amalg_elements(self, h, q, cosets, mul, eid, x, y):
-        """Element set of D_h ^{Z_d} x_{D_q} ^R K' for the iso (x, y)."""
-        P, g = self.P, self.P // h
-        def power(i, k):
-            j = eid
-            for _ in range(k):
-                j = mul[j][i]
-            return j
-        xpow = [power(x, k) for k in range(q)]
-        o2s, ks = [], []
-        for k in range(h):
-            # rotation (0, k*g) has label r_{k mod q} -> coset x^{k mod q}
-            for e in cosets[xpow[k % q]]:
-                o2s.append(k * g)
-                ks.append(self._kidx[e])
-            # reflection (1, k*g) has label s_{k mod q} -> coset y * x^{-k}
-            c = mul[y][xpow[(-k) % q]]
-            for e in cosets[c]:
-                o2s.append(P + k * g)
-                ks.append(self._kidx[e])
-        return np.array(o2s), np.array(ks)
-
-    def _normalizing(self, Kp: frozenset[Perm], R: frozenset[Perm]) -> int:
-        from .permgroup import pconj
-        return sum(1 for g in self.K.elements
-                   if frozenset(pconj(g, p) for p in Kp) == Kp
-                   and frozenset(pconj(g, p) for p in R) == R)
 
     def _dedupe_and_register(self, raw: list[dict]):
         buckets: dict[tuple, list[dict]] = {}
@@ -310,38 +232,26 @@ class ProductCatalog:
         # the amalgamated notation does not always pin the class (several
         # non-conjugate gluings can share it); disambiguate deterministically
         tally: dict[str, int] = {}
-        for rec in kept:
-            base = self._format_name(rec)
-            k = tally.get(base, 0) + 1
-            tally[base] = k
-            rec["unique_name"] = base if k == 1 else f"{base} ~{k}"
         for cid, rec in enumerate(kept):
+            k = tally[rec["name"]] = tally.get(rec["name"], 0) + 1
             n_model = self.model.count_conj_into(*rec["gens"], rec["mask"])
-            if rec["kind"] == "D":
-                nw = n_model // rec["size"]
-                # reported convention: classes whose O(2)-side kernel is
-                # rotation-only get half the plain normalizer quotient (the
-                # central coset is not counted)
-                has_reflection = bool(rec["mask"][self.P:, self._eidx].any())
-                weyl = nw if has_reflection else nw // 2
-            else:
-                nw = weyl = rec["weyl"]
+            nw = n_model // rec["size"]
+            # reported convention: dihedral-headed classes whose O(2)-side
+            # kernel is rotation-only get half the plain normalizer quotient
+            # (the central coset is not counted)
+            rot_kernel = not rec["mask"][self.P:, self._eidx].any()
             self.classes.append(ProductClass(
                 cid=cid, kind=rec["kind"], head=rec["head"],
                 kp_cid=rec["kp_cid"], bucket=rec["bucket"],
-                o2_idx=rec["o2_idx"], k_idx=rec["k_idx"], mask=rec["mask"],
-                gens=rec["gens"], size=rec["size"], weyl_order=weyl,
-                name=rec["unique_name"], fingerprint=rec["fp"],
-                r_k=rec["r_k"], n_model=n_model, normalizer_weyl_order=nw))
+                o2_idx=rec["o2_idx"], k_idx=rec["k_idx"],
+                gens=rec["gens"], size=rec["size"],
+                weyl_order=nw // 2 if rec["kind"] == "D" and rot_kernel else nw,
+                name=rec["name"] if k == 1 else f"{rec['name']} ~{k}",
+                fingerprint=rec["fp"], r_k=rec["r_k"], n_model=n_model,
+                normalizer_weyl_order=nw))
         self.by_name = {c.name: c.cid for c in self.classes}
-        self.full_cid = self.by_name[f"O(2) x {self._kname(self._full_kp())}"]
-
-    def _full_kp(self) -> int:
-        return max(range(len(self.ktable.classes)),
-                   key=lambda i: self.ktable.classes[i].order)
-
-    def _kname(self, cid: int) -> str:
-        return self.ktable.classes[cid].name
+        self.full_cid = self.by_name[
+            f"O(2) x {self.ktable.classes[self.ktable.full_cid].name}"]
 
     def _generators(self, rec: dict) -> np.ndarray:
         """A few elements generating the record's subgroup, as a (2, g) array.
@@ -385,22 +295,6 @@ class ProductCatalog:
             raise AssertionError("generators do not close to the class")
         return np.array(gens, dtype=np.intp).reshape(-1, 2).T
 
-    def _format_name(self, rec: dict) -> str:
-        kname = self._kname(rec["kp_cid"])
-        if rec["kind"] == "O2":
-            return f"O(2) x {kname}"
-        if rec["kind"] == "SO2":
-            return f"SO(2) x {kname}"
-        head = "O(2)" if rec["kind"] == "O2amalg" else f"D{rec['head']}"
-        z = rec["zname"]
-        l, r = rec["lname"], rec["rname"]
-        if not l:                                    # full product
-            return f"{head} x {kname}"
-        s = head + (f"^{{{z}}}" if z else "") + " x_{" + l + "}"
-        if r and r != "Z1":
-            s += f"^{{{r}}}"
-        return s + f" {kname}"
-
     # -- lattice queries -----------------------------------------------------
 
     def __len__(self):
@@ -413,7 +307,8 @@ class ProductCatalog:
         if key not in self._ncount:
             cl, ch = self.classes[l], self.classes[h]
             self._ncount[key] = (
-                self.model.count_conj_into(*cl.gens, ch.mask) // ch.n_model
+                self.model.count_conj_into(*cl.gens, self._mask(h))
+                // ch.n_model
                 if self._maybe_leq(cl, ch) else 0)
         return self._ncount[key]
 
@@ -456,7 +351,7 @@ class ProductCatalog:
             raise ValueError(
                 f"folded head D{c.head * nu} outside catalog heads {self.heads}")
         P = self.P
-        mask = c.mask
+        mask = self._mask(cid)
         new = np.zeros_like(mask)
         t = np.arange(P)
         new[:P] = mask[(nu * t) % P]

@@ -71,9 +71,6 @@ class CharacterTable:
     def value(self, irrep: int, g: Perm) -> int:
         return self.irreps[irrep][self._cls_of[g]]
 
-    def class_index(self, g: Perm) -> int:
-        return self._cls_of[g]
-
 
 def _order_irreps(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Canonical irrep order: by degree, then values lexicographically descending."""

@@ -16,8 +16,9 @@ from fractions import Fraction
 
 SCHEMA = 1
 CACHE_ENV = "DISCDEG_CACHE_DIR"
-# layout of the cached objects; a ProductClass without generators is format 1
-CACHE_FORMAT = 2
+# layout of the cached objects; a ProductClass without generators is format 1,
+# one with a stored membership mask is format 2
+CACHE_FORMAT = 3
 
 
 class Refusal(Exception):
@@ -323,27 +324,28 @@ def _parser():
     sp.add_argument("group")
     sp.set_defaults(fn=cmd_chartab)
 
-    for name, fn in (("basic-degree", cmd_basic_degree),):
-        sp = sub.add_parser(name, help="basic degree of an irreducible rep")
-        sp.add_argument("m", type=int)
-        sp.add_argument("j", type=int)
-        sp.add_argument("sign", type=int, choices=(-1, 1))
-        sp.add_argument("--group", default="S4*Z2")
-        sp.add_argument("--heads", default="1,2,3,4,6,8,9,12,18")
-        sp.set_defaults(fn=fn)
+    # the catalog options of the commands that work in one catalog
+    catalog = argparse.ArgumentParser(add_help=False)
+    catalog.add_argument("--group", default="S4*Z2")
+    catalog.add_argument("--heads", default="1,2,3,4,6,8,9,12,18")
 
-    sp = sub.add_parser("burnside-mul", help="product of two generators")
+    sp = sub.add_parser("basic-degree", parents=[catalog],
+                        help="basic degree of an irreducible rep")
+    sp.add_argument("m", type=int)
+    sp.add_argument("j", type=int)
+    sp.add_argument("sign", type=int, choices=(-1, 1))
+    sp.set_defaults(fn=cmd_basic_degree)
+
+    sp = sub.add_parser("burnside-mul", parents=[catalog],
+                        help="product of two generators")
     sp.add_argument("left")
     sp.add_argument("right")
-    sp.add_argument("--group", default="S4*Z2")
-    sp.add_argument("--heads", default="1,2,3,4,6,8,9,12,18")
     sp.set_defaults(fn=cmd_burnside_mul)
 
-    sp = sub.add_parser("fold", help="apply the folding map to a class")
+    sp = sub.add_parser("fold", parents=[catalog],
+                        help="apply the folding map to a class")
     sp.add_argument("nu", type=int)
     sp.add_argument("name")
-    sp.add_argument("--group", default="S4*Z2")
-    sp.add_argument("--heads", default="1,2,3,4,6,8,9,12,18")
     sp.set_defaults(fn=cmd_fold)
 
     sp = sub.add_parser("bessel-zeros", help="zeros of J_m up to a bound")

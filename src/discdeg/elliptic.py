@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .bessel import ModeTable
 from .burnside import BurnsideElement, BurnsideRing
 from .catalog import ProductCatalog, cached_catalog
@@ -356,18 +354,17 @@ def class_counters(spec, modes, ring: BurnsideRing, ctx: RepContext,
 
 def dihedral_quotient_orders(catalog_ktable) -> set[int]:
     """Rotation orders r of dihedral quotients K'/R over subgroups of K."""
-    from .catalog import _dihedral_isos, _quotient_group
+    from .catalog import _dihedral_isos, _quotient
 
     out = {1, 2}
     for rec in catalog_ktable.classes:
         Kp = rec.representative
-        degree = len(next(iter(Kp)))
         for R in catalog_ktable.normal_subgroups_of(Kp):
             q = len(Kp) // len(R)
             if q < 6 or q % 2 or q // 2 in out:
                 continue
-            _, mul, eid = _quotient_group(Kp, R, degree)
-            if _dihedral_isos(mul, eid, q // 2):
+            _, mul = _quotient(Kp, R)
+            if _dihedral_isos(mul, q // 2):
                 out.add(q // 2)
     return out
 
@@ -455,10 +452,10 @@ def fold_family_name(cat: ProductCatalog, cid: int) -> str:
     c = cat.classes[cid]
     if c.kind != "D":
         raise ValueError("fold families are defined for dihedral-headed classes")
-    eidx = cat.K.index_of[pidentity(cat.K.degree)]
-    m2 = np.asarray(c.mask).reshape(2 * cat.P, cat.model.nK)
-    z = int(m2[:cat.P, eidx].sum())
-    has_refl = bool(m2[cat.P:, eidx].any())
+    # the O(2)-side kernel: grid elements paired with the identity of K
+    kernel = c.o2_idx[c.k_idx == cat.K.index_of[pidentity(cat.K.degree)]]
+    z = int((kernel < cat.P).sum())
+    has_refl = bool((kernel >= cat.P).any())
     head_part, sep, rest = c.name.partition(" x_")
     if not sep:
         # full product D_h x K' folds to D_{h m} x K'

@@ -10,10 +10,11 @@ their counterparts in D_P x K.  Rotations are indices t in Z_P (the angle
 t*pi/P, so conjugating by the rotation c sends it to (1, t + 2c).
 
 An element of D_P x K is a pair (o2, k) of indices, o2 = flip*P + t into
-the D_P tables and k into ``K.elements``; a subgroup is a (2P, |K|)
-boolean membership mask.  The one lattice primitive is
-``count_conj_into``: it counts the g in D_P x K that conjugate a list of
-elements into a subgroup.  Called on a generating set of L, it counts the
+the D_P tables and k into ``K.elements``.  A subgroup is stored as its
+elements and a few generators; its (2P, |K|) boolean membership mask is a
+lookup table built from the elements in the process that queries it.  The
+one lattice primitive is ``count_conj_into``: it counts the g in D_P x K
+that conjugate a list of elements into a subgroup.  Called on a generating set of L, it counts the
 g with gLg^-1 <= H, from which the catalog reads off both n(L, H) and the
 normalizer order |N(H)|.
 """

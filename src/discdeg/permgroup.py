@@ -207,7 +207,11 @@ def build_group(descriptor: str) -> FiniteGroup:
 # subgroup lattice
 
 def all_subgroups(G: FiniteGroup) -> list[frozenset[Perm]]:
-    """Every subgroup of G, by breadth-first closure of generator extensions."""
+    """Every subgroup of G, by breadth-first closure of generator extensions.
+
+    Each subgroup H is extended by one g per left coset gH, since
+    <H, gh> = <H, g> for every h in H.
+    """
     e = pidentity(G.degree)
     triv = frozenset([e])
     found = {triv}
@@ -215,9 +219,11 @@ def all_subgroups(G: FiniteGroup) -> list[frozenset[Perm]]:
     while frontier:
         nxt = []
         for H in frontier:
+            tried = set(H)
             for g in G.elements:
-                if g in H:
+                if g in tried:
                     continue
+                tried.update(pmul(g, h) for h in H)
                 K = closure(list(H) + [g], G.degree)
                 if K not in found:
                     found.add(K)

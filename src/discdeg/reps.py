@@ -31,10 +31,6 @@ class IrrDescriptor:
         sgn = "-" if self.sign < 0 else "+"
         return f"W{self.m} (x) U{self.j}{sgn}"
 
-    @property
-    def o2_dim(self) -> int:
-        return 1 if self.m == 0 else 2
-
 
 class RepContext:
     """Character data for K = Gamma x Z2 aligned with a product catalog."""
@@ -53,9 +49,6 @@ class RepContext:
                                  for g in K.elements], dtype=np.int64)
         self._chi_cache: dict[tuple[int, int], np.ndarray] = {}
         self._dim_cache: dict[tuple[IrrDescriptor, int], int] = {}
-
-    def gamma_irreps(self) -> int:
-        return len(self.gamma_table.irreps)
 
     def chi_k(self, j: int, sign: int) -> np.ndarray:
         """Character of U_j^{sign} on the elements of K, indexed like them."""

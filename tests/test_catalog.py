@@ -182,3 +182,17 @@ def test_generators_and_counts_match_brute_force(heads):
     for l, L in enumerate(elems):
         for h, Hs in enumerate(conjugates):
             assert cat.n_count(l, h) == sum(1 for H in Hs if L <= H), (l, h)
+    # Weyl orders of the O(2)- and SO(2)-headed classes, from K alone
+    def normalizer(S):
+        return {g for g in K.elements
+                if {pmul(pmul(g, s), pinv(g)) for s in S} == S}
+    for c in cat.classes:
+        kp = cat.ktable.classes[c.kp_cid]
+        if c.kind == "O2":
+            assert c.weyl_order == kp.weyl_order, c.name
+        elif c.kind == "SO2":
+            assert c.weyl_order == 2 * kp.weyl_order, c.name
+        elif c.kind == "O2amalg":
+            R = {K.elements[k] for k in c.r_k}
+            nk = len(normalizer(set(kp.representative)) & normalizer(R))
+            assert c.weyl_order == 2 * nk // kp.order, c.name

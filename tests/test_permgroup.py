@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discdeg.permgroup import (FiniteGroup, SubgroupClassTable,
-                               alternating_group, build_group, closure,
-                               cycle_type, cyclic_group, dihedral_perm_group,
-                               direct_product, perm_order, pidentity, pinv,
-                               pmul, symmetric_group)
+                               all_subgroups, alternating_group, build_group,
+                               closure, cycle_type, cyclic_group,
+                               dihedral_perm_group, direct_product, perm_order,
+                               pidentity, pinv, pmul, symmetric_group)
 
 
 def test_symmetric_group_orders():
@@ -77,15 +77,14 @@ def test_closure_is_subgroup(p, q):
 
 # -- subgroup lattice oracles -------------------------------------------------
 
-def brute_force_class_count(G: FiniteGroup) -> int:
-    """Conjugacy classes of subgroups by exhaustive closure enumeration."""
-    elems = G.elements
+def brute_force_subgroups(G: FiniteGroup) -> set[frozenset]:
+    """Every subgroup, extending each one found by every element outside it."""
     subgroups = {frozenset([pidentity(G.degree)])}
     frontier = set(subgroups)
     while frontier:
         nxt = set()
         for H in frontier:
-            for g in elems:
+            for g in G.elements:
                 if g in H:
                     continue
                 Hg = frozenset(closure(list(H) + [g], G.degree))
@@ -93,12 +92,27 @@ def brute_force_class_count(G: FiniteGroup) -> int:
                     subgroups.add(Hg)
                     nxt.add(Hg)
         frontier = nxt
+    return subgroups
+
+
+def brute_force_class_count(G: FiniteGroup) -> int:
+    """Conjugacy classes of subgroups by exhaustive closure enumeration."""
+    elems = G.elements
     classes = set()
-    for H in subgroups:
+    for H in brute_force_subgroups(G):
         orbit = frozenset(
             frozenset(pmul(pmul(g, h), pinv(g)) for h in H) for g in elems)
         classes.add(orbit)
     return len(classes)
+
+
+@pytest.mark.parametrize("desc", ["S2*Z2", "S3*Z2", "D4*Z2", "A4*Z2", "S4*Z2"])
+def test_all_subgroups_matches_unpruned_extension(desc):
+    """Extending each subgroup once per coset finds the same list, in the
+    same order, as extending it by every element outside it."""
+    G = build_group(desc)
+    assert all_subgroups(G) == sorted(brute_force_subgroups(G),
+                                      key=lambda H: (len(H), sorted(H)))
 
 
 def test_subgroup_classes_s4_oracle():
