@@ -11,14 +11,13 @@ so a step of 0.5 cannot skip a pair), and the zeros of J_{m+1} strictly
 interlace those of J_m: each pair of consecutive zeros of J_m brackets
 exactly one zero of J_{m+1}, and there is none below the first zero of
 J_m.  Walking m upward therefore yields every zero with a sign-changing
-bracket, refined by Brent's method.
+bracket, refined by Brent's method (``_brentq``, a port of scipy's brentq).
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-
-from scipy.optimize import brentq
 
 M_MAX = 64
 X_MAX = 1.0e3
@@ -78,6 +77,46 @@ def _miller(m: int, x: float) -> list[float]:
     return [v / norm for v in out]
 
 
+def _brentq(f, xa: float, xb: float, xtol: float = 1e-12,
+            rtol: float = 4 * sys.float_info.epsilon, maxiter: int = 100):
+    """A zero of f in [xa, xb], where f changes sign, by Brent's method:
+    inverse quadratic or secant steps, bisection when they are too long."""
+    xpre, xcur, xblk, spre, scur = xa, xb, 0.0, 0.0, 0.0
+    fpre, fcur, fblk = f(xpre), f(xcur), 0.0
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre and fcur and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf                     # bisect unless a step is short
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:                # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                           # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {maxiter} steps")
+
+
 def _zeros_j0(upper: float) -> list[float]:
     """All zeros of J_0 in (0, upper], by sign-change scan + Brent."""
     zeros = []
@@ -86,7 +125,7 @@ def _zeros_j0(upper: float) -> list[float]:
         x1 = min(x0 + _SCAN_STEP, upper)
         f1 = bessel_j(0, x1)
         if f0 * f1 < 0.0:
-            zeros.append(brentq(lambda x: bessel_j(0, x), x0, x1, xtol=1e-12))
+            zeros.append(_brentq(lambda x: bessel_j(0, x), x0, x1))
         x0, f0 = x1, f1
     return zeros
 
@@ -108,7 +147,7 @@ def bessel_zeros(m: int, upper: float) -> list[float]:
             if not fa * fb < 0.0:
                 raise AssertionError(
                     f"interlacing bracket failed for J_{mu} on ({a}, {b})")
-            nxt.append(brentq(lambda x: bessel_j(mu, x), a, b, xtol=1e-12))
+            nxt.append(_brentq(lambda x: bessel_j(mu, x), a, b))
         prev = nxt
     if prev and prev[-1] <= upper and work < X_MAX:
         raise AssertionError("working range too small; zeros may be missing")
@@ -136,7 +175,7 @@ def first_zero(m: int) -> float:
         certified = bessel_j(m, x) > 0.0
         x += 0.4
     if certified:
-        return brentq(lambda x: bessel_j(m, x), a, b, xtol=1e-12)
+        return _brentq(lambda x: bessel_j(m, x), a, b)
     return bessel_zeros(m, min(b + 1.0, X_MAX))[0]   # interlacing fallback
 
 

@@ -6,8 +6,10 @@ quotient L = H/Z = K'/R: the pairs (a, k) with a in H and k in the coset
 of R that the gluing assigns to a.  The catalog builds every class this
 way, whatever its head (D_h, SO(2) or O(2)), on the grid model D_P x K
 (see o2model).  A class is stored as its element set and a small
-generating set, found once by greedy closure when the catalog is built;
-its membership mask is a lookup table built on first use in a process.
+generating set, found once by greedy closure when the catalog is built.
+Its factored membership table (see o2model) is written from the coset
+labels for the build, and rebuilt from the elements for queries, on
+first use in each process.
 
 The catalog covers heads D_h for h in a divisor-closed set ``heads``,
 plus all SO(2)- and O(2)-headed classes.  Within that scope it supplies
@@ -22,7 +24,8 @@ the generators of L do, so
 
 counted over g in D_P x K, and the Weyl order is |N(H)| / |H|.  The grid
 normalizes every SO(2)- and O(2)-headed class, so for those heads the
-count is the one over K alone.
+count is the one over K alone.  Counts are only made for pairs that pass
+cheap necessary conditions, tested for all classes at once on columns.
 """
 from __future__ import annotations
 
@@ -115,36 +118,30 @@ class ProductCatalog:
         self._eidx = K.index_of[pidentity(K.degree)]
         self._k_order = np.array([perm_order(g) for g in K.elements])
         self.classes: list[ProductClass] = []
-        self._ncount: dict[tuple[int, int], int] = {}
-        self._down: dict[int, tuple[int, ...]] = {}
-        self._masks: dict[int, np.ndarray] = {}
+        self.__setstate__({})
         self._build()
+
+    def __setstate__(self, state):
+        """Set the stored state; the per-process memos start empty."""
+        self.__dict__.update(state)
+        self._ncount, self._down, self._tables, self._cands = {}, {}, {}, {}
+        self._cols = None
 
     # -- construction -------------------------------------------------------
 
-    def _fingerprint(self, o2_idx, k_idx):
-        P = self.P
-        items: dict[tuple, int] = {}
-        for o2, k in zip(o2_idx.tolist(), k_idx.tolist()):
-            kcls = self._kcls_of_elem[self.K.elements[k]]
-            if o2 < P:
-                key = (0, P // math.gcd(P, o2) if o2 else 1, kcls)
-            else:
-                key = (1, (o2 - P) % 2, kcls)
-            items[key] = items.get(key, 0) + 1
-        return tuple(sorted(items.items()))
+    def _table(self, cid: int) -> tuple[np.ndarray, np.ndarray]:
+        """Factored membership table of class ``cid``, built on first use.
 
-    def _mask_of(self, o2_idx, k_idx):
-        m = np.zeros((2 * self.P, self.model.nK), dtype=bool)
-        m[o2_idx, k_idx] = True
-        return m
-
-    def _mask(self, cid: int) -> np.ndarray:
-        """Membership table of class ``cid``, built on first use."""
-        if cid not in self._masks:
-            c = self.classes[cid]
-            self._masks[cid] = self._mask_of(c.o2_idx, c.k_idx)
-        return self._masks[cid]
+        The elements over a grid point are a block of |R| forming one coset;
+        its row is 1 + its first element."""
+        if cid not in self._tables:
+            c, nK = self.classes[cid], self.model.nK
+            rowid = np.zeros(2 * self.P, dtype=np.int32)
+            rowid[c.o2_idx[::len(c.r_k)]] = c.k_idx[::len(c.r_k)] + 1
+            rows = np.zeros((nK + 1, nK), dtype=bool)
+            rows[rowid[c.o2_idx], c.k_idx] = True
+            self._tables[cid] = rowid, rows
+        return self._tables[cid]
 
     def _build(self):
         P, ktable = self.P, self.ktable
@@ -154,6 +151,8 @@ class ProductCatalog:
             """The class {(a, k) : a in o2, k in cosets[label of a]}, named
             H^{Z} x_{L}^{R} K' (H x K' when L is trivial); K', R and the
             cosets are those of the current step of the loop below."""
+            rowid = np.zeros(2 * P, dtype=np.int32)
+            rowid[o2] = labels + 1
             name = {"O2": "O(2)", "SO2": "SO(2)", "O2amalg": "O(2)"}.get(
                 kind, f"D{head}")
             if lname:
@@ -164,7 +163,7 @@ class ProductCatalog:
                 name += f" x {kp.name}"
             raw.append(dict(kind=kind, head=head, kp_cid=kp.cid, bucket=bucket,
                             o2_idx=np.repeat(o2, len(r_elems)),
-                            k_idx=cosets[labels].ravel(),
+                            k_idx=cosets[labels].ravel(), table=(rowid, rows),
                             r_k=frozenset(r_elems.tolist()), name=name))
 
         full = np.arange(2 * P)
@@ -174,6 +173,8 @@ class ProductCatalog:
                 cosets = np.array([[self._kidx[g] for g in c]
                                    for c in perm_cosets])
                 r_elems = cosets[0]
+                rows = np.zeros((len(cosets) + 1, self.model.nK), dtype=bool)
+                np.put_along_axis(rows[1:], cosets, True, axis=1)
                 rname = ktable.classes[ktable.cid_of(R)].name
                 quo = len(cosets)
                 if quo == 1:
@@ -206,10 +207,22 @@ class ProductCatalog:
         self._dedupe_and_register(raw)
 
     def _dedupe_and_register(self, raw: list[dict]):
+        P = self.P
+        kcls = np.array([self._kcls_of_elem[g] for g in self.K.elements])
+        radix = np.array([(P + 1) * len(kcls), len(kcls), 1])
         buckets: dict[tuple, list[dict]] = {}
         for rec in raw:
-            rec["size"] = len(rec["o2_idx"])
-            rec["fp"] = self._fingerprint(rec["o2_idx"], rec["k_idx"])
+            # fingerprint: how many elements of each rotation order or
+            # reflection parity, and K-class; a conjugation invariant
+            o2, rot = rec["o2_idx"], rec["o2_idx"] < P
+            keys = np.stack([~rot, np.where(rot, P // np.gcd(P, o2),
+                                            (o2 - P) % 2),
+                             kcls[rec["k_idx"]]], axis=1)
+            _, first, count = np.unique(keys @ radix, return_index=True,
+                                        return_counts=True)
+            rec["fp"] = tuple(zip(map(tuple, keys[first].tolist()),
+                                  count.tolist()))
+            rec["size"] = len(o2)
             key = (rec["kind"], rec["head"], rec["kp_cid"], rec["size"],
                    rec["bucket"], rec["fp"])
             buckets.setdefault(key, []).append(rec)
@@ -220,8 +233,7 @@ class ProductCatalog:
         for key, group in sorted(buckets.items()):
             reps: list[dict] = []
             for rec in group:
-                rec["mask"] = self._mask_of(rec["o2_idx"], rec["k_idx"])
-                if not any(self.model.count_conj_into(*o["gens"], rec["mask"])
+                if not any(self.model.count_conj_into(*o["gens"], rec["table"])
                            for o in reps):
                     rec["gens"] = self._generators(rec)
                     reps.append(rec)
@@ -234,12 +246,13 @@ class ProductCatalog:
         tally: dict[str, int] = {}
         for cid, rec in enumerate(kept):
             k = tally[rec["name"]] = tally.get(rec["name"], 0) + 1
-            n_model = self.model.count_conj_into(*rec["gens"], rec["mask"])
+            n_model = self.model.count_conj_into(*rec["gens"], rec["table"])
             nw = n_model // rec["size"]
             # reported convention: dihedral-headed classes whose O(2)-side
             # kernel is rotation-only get half the plain normalizer quotient
             # (the central coset is not counted)
-            rot_kernel = not rec["mask"][self.P:, self._eidx].any()
+            rowid, rows = rec["table"]
+            rot_kernel = not rows[rowid[P:], self._eidx].any()
             self.classes.append(ProductClass(
                 cid=cid, kind=rec["kind"], head=rec["head"],
                 kp_cid=rec["kp_cid"], bucket=rec["bucket"],
@@ -267,7 +280,7 @@ class ProductCatalog:
         t = np.arange(P)
         o2_order = np.concatenate([P // np.gcd(t, P), np.full(P, 2)])
         order = np.lcm(o2_order[o2_idx], self._k_order[k_idx])
-        seen = np.zeros_like(rec["mask"])
+        seen = np.zeros((2 * P, self.model.nK), dtype=bool)
         seen[0, self._eidx] = True
         sub_o2, sub_k = np.array([0]), np.array([self._eidx])
         gens: list[tuple[int, int]] = []
@@ -291,7 +304,8 @@ class ProductCatalog:
                 pending.extend((int(o2_mul[r[0], s0]), int(k_mul[r[1], s1]))
                                for s0, s1 in gens)
             sub_o2, sub_k = np.concatenate(parts_o2), np.concatenate(parts_k)
-        if len(sub_o2) != rec["size"] or not rec["mask"][sub_o2, sub_k].all():
+        rowid, rows = rec["table"]
+        if len(sub_o2) != rec["size"] or not rows[rowid[sub_o2], sub_k].all():
             raise AssertionError("generators do not close to the class")
         return np.array(gens, dtype=np.intp).reshape(-1, 2).T
 
@@ -305,26 +319,33 @@ class ProductCatalog:
         class-l subgroup."""
         key = (l, h)
         if key not in self._ncount:
-            cl, ch = self.classes[l], self.classes[h]
             self._ncount[key] = (
-                self.model.count_conj_into(*cl.gens, self._mask(h))
-                // ch.n_model
-                if self._maybe_leq(cl, ch) else 0)
+                self.model.count_conj_into(*self.classes[l].gens,
+                                           self._table(h))
+                // self.classes[h].n_model
+                if self._candidates(h)[l] else 0)
         return self._ncount[key]
 
-    def _maybe_leq(self, cl: ProductClass, ch: ProductClass) -> bool:
-        if cl.cid == ch.cid:
-            return True
-        if ch.size % cl.size:
-            return False
-        if cl.kind == "D":
-            if ch.kind == "D" and (ch.head % cl.head or ch.bucket % cl.bucket):
-                return False
-        elif ch.kind == "D":
-            return False
-        if not self.ktable.leq(cl.kp_cid, ch.kp_cid):
-            return False
-        return True
+    def _candidates(self, h: int) -> np.ndarray:
+        """Mask of the l passing necessary tests for (l) <= (h): |l| divides
+        |h|, K-projections are subconjugate, and under a D-headed h only
+        D-headed l whose head and rotation kernel divide h's."""
+        if h not in self._cands:
+            if self._cols is None:
+                kt = self.ktable
+                kleq = np.array([[kt.leq(a, b) for b in range(len(kt))]
+                                 for a in range(len(kt))])
+                self._cols = kleq, np.array(
+                    [(c.size, c.kind == "D", max(c.head, 1), max(c.bucket, 1),
+                      c.kp_cid) for c in self.classes]).T
+            kleq, (size, dihedral, head, bucket, kp) = self._cols
+            c = self.classes[h]
+            ok = (c.size % size == 0) & kleq[kp, c.kp_cid]
+            if c.kind == "D":
+                ok &= ((dihedral == 1) & (c.head % head == 0)
+                       & (c.bucket % bucket == 0))
+            self._cands[h] = ok
+        return self._cands[h]
 
     def leq(self, l: int, h: int) -> bool:
         return self.n_count(l, h) > 0
@@ -332,8 +353,8 @@ class ProductCatalog:
     def down_closure(self, h: int) -> tuple[int, ...]:
         """Classes subconjugate to class h, computed once per class."""
         if h not in self._down:
-            self._down[h] = tuple(l for l in range(len(self.classes))
-                                  if self.n_count(l, h) > 0)
+            self._down[h] = tuple(l for l in np.flatnonzero(
+                self._candidates(h)).tolist() if self.n_count(l, h) > 0)
         return self._down[h]
 
     # -- folding -------------------------------------------------------------
@@ -351,18 +372,14 @@ class ProductCatalog:
             raise ValueError(
                 f"folded head D{c.head * nu} outside catalog heads {self.heads}")
         P = self.P
-        mask = self._mask(cid)
-        new = np.zeros_like(mask)
-        t = np.arange(P)
-        new[:P] = mask[(nu * t) % P]
-        new[P:] = mask[P + (nu * t) % P]
-        o2s, ks = np.nonzero(new)
-        fp = self._fingerprint(o2s, ks)
-        size = len(o2s)
+        rowid, rows = self._table(cid)
+        t = nu * np.arange(P) % P
+        folded = np.concatenate([rowid[t], rowid[P + t]]), rows
+        size = np.count_nonzero(folded[0]) * len(c.r_k)
         for cand in self.classes:
-            if (cand.kind == "D" and cand.size == size and cand.fingerprint == fp
+            if (cand.kind == "D" and cand.size == size
                     and cand.head == c.head * nu and cand.kp_cid == c.kp_cid
-                    and self.model.count_conj_into(*cand.gens, new) > 0):
+                    and self.model.count_conj_into(*cand.gens, folded)):
                 return cand.cid
         raise AssertionError("folded class not found in catalog")
 

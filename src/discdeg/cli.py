@@ -196,6 +196,8 @@ def _load_problem(path: str):
         return cube_problem(c, d, growth)
     gamma = _build_group(doc["group"])
     gens = [tuple(p) for p in doc["action_generators"]]
+    if gamma.name == "S2" and len(gens) == 2 and gens[0] == gens[1]:
+        gens = gens[:1]     # S2 once listed its transposition twice
     if len(gens) != len(gamma.generators):
         raise ValueError("action_generators must match the group generators")
     action = _extend_action(gamma, gens)

@@ -19,6 +19,11 @@ from .reps import IrrDescriptor, RepContext, orbit_types
 
 def basic_degree(ring: BurnsideRing, ctx: RepContext,
                  rep: IrrDescriptor) -> BurnsideElement:
+    """The basic degree of ``rep``, computed once per rep on ``ctx``."""
+    if rep in ctx.basic_degrees:
+        return ctx.basic_degrees[rep]
+    if rep.m < 0 or not 0 <= rep.j < len(ctx.gamma_table.irreps):
+        raise ValueError(f"no irreducible {rep} for Gamma = {ctx.gamma.name}")
     cat = ctx.catalog
     # the full class is an orbit type of the trivial rep; visit it once
     domain = set(orbit_types(ctx, rep)) | {cat.full_cid}
@@ -35,7 +40,8 @@ def basic_degree(ring: BurnsideRing, ctx: RepContext,
             raise AssertionError(f"non-exact division in basic degree at "
                                  f"{cat.classes[h].name}")
         n[h] = acc // w
-    return ring.element({h: v for h, v in n.items() if v})
+    ctx.basic_degrees[rep] = ring.element({h: v for h, v in n.items() if v})
+    return ctx.basic_degrees[rep]
 
 
 @dataclass

@@ -11,12 +11,15 @@ t*pi/P, so conjugating by the rotation c sends it to (1, t + 2c).
 
 An element of D_P x K is a pair (o2, k) of indices, o2 = flip*P + t into
 the D_P tables and k into ``K.elements``.  A subgroup is stored as its
-elements and a few generators; its (2P, |K|) boolean membership mask is a
-lookup table built from the elements in the process that queries it.  The
-one lattice primitive is ``count_conj_into``: it counts the g in D_P x K
-that conjugate a list of elements into a subgroup.  Called on a generating set of L, it counts the
-g with gLg^-1 <= H, from which the catalog reads off both n(L, H) and the
-normalizer order |N(H)|.
+elements and a few generators.  Over each grid point its elements are
+none or one coset of a normal subgroup R of K', so its membership table
+is factored as (rowid, rows): (a, k) is in it iff rows[rowid[a], k], for
+a few boolean rows over K (row 0 empty, the others cosets of R).  The one
+lattice primitive is ``count_conj_into``: it counts the g in D_P x K
+that conjugate a list of elements into a subgroup.  On a generating set
+of L it counts the g with gLg^-1 <= H, which gives n(L, H) and |N(H)|.
+It groups the grid points a by the tuple of row ids that a x a^-1 lands
+on and gathers the K side once per distinct tuple.
 """
 from __future__ import annotations
 
@@ -31,7 +34,6 @@ class O2Model:
             raise ValueError("grid size P must be even")
         self.P = P
         self.K = K
-        self.nO2 = 2 * P
         self.nK = K.order
 
         t = np.arange(P)
@@ -45,35 +47,29 @@ class O2Model:
         inv[:P] = (-t) % P
         inv[P:] = P + t
         self.o2_mul, self.o2_inv = mul, inv
-        # o2_conj[g, x] = g x g^{-1}
-        self.o2_conj = np.empty((2 * P, 2 * P), dtype=np.int32)
-        for g in range(2 * P):
-            self.o2_conj[g] = mul[mul[g], inv[g]]
+        self.o2_conj = mul[mul, inv[:, None]]      # [g, x] = g x g^{-1}
 
         elems = K.elements
         idx = K.index_of
         from .permgroup import pmul, pinv
-        kinv = [idx[pinv(g)] for g in elems]
+        kinv = np.array([idx[pinv(g)] for g in elems])
         self.k_mul = np.array(
             [[idx[pmul(a, b)] for b in elems] for a in elems], dtype=np.int32)
-        self.k_conj = np.empty((self.nK, self.nK), dtype=np.int32)
-        for i in range(self.nK):
-            self.k_conj[i] = self.k_mul[self.k_mul[i], kinv[i]]
+        self.k_conj = self.k_mul[self.k_mul, kinv[:, None]]
 
     def count_conj_into(self, Lo2: np.ndarray, Lk: np.ndarray,
-                        Hmask: np.ndarray) -> int:
+                        table: tuple[np.ndarray, np.ndarray]) -> int:
         """Number of g in D_P x K with g x g^{-1} in H for every listed x.
 
         ``Lo2``, ``Lk`` list the elements x (a generating set of L suffices:
-        then the count is #{g : g L g^{-1} <= H}); ``Hmask`` is a (2P, nK)
-        boolean membership table for H.
+        then the count is #{g : g L g^{-1} <= H}); ``table`` is the
+        factored membership table (rowid, rows) of H.
         """
-        n = len(Lo2)
-        total = 0
-        chunk = max(1, 2_000_000 // (self.nK * max(n, 1)))
-        for start in range(0, self.nO2, chunk):
-            co2 = self.o2_conj[start:start + chunk][:, Lo2]   # (c, n)
-            ck = self.k_conj[:, Lk]                           # (nK, n)
-            ok = Hmask[co2[:, None, :], ck[None, :, :]]       # (c, nK, n)
-            total += int(ok.all(axis=2).sum())
-        return total
+        rowid, rows = table
+        ids = rowid[self.o2_conj[:, Lo2]]              # (2P, n) row ids
+        ids = ids[ids.all(axis=1)]                     # row 0 is empty
+        keys = np.ascontiguousarray(ids).view(f"V{ids.itemsize * len(Lo2)}")
+        _, first, weight = np.unique(keys.ravel(), return_index=True,
+                                     return_counts=True)
+        ok = rows[ids[first][:, None, :], self.k_conj[:, Lk]]   # (u, nK, n)
+        return int(ok.all(axis=2).sum(axis=1) @ weight)

@@ -131,7 +131,7 @@ def symmetric_group(n: int) -> FiniteGroup:
         return FiniteGroup(max(n, 1), [], name=f"S{n}")
     gens = [tuple([1, 0] + list(range(2, n))),
             tuple(list(range(1, n)) + [0])]
-    return FiniteGroup(n, gens, name=f"S{n}")
+    return FiniteGroup(n, gens[:1] if n == 2 else gens, name=f"S{n}")
 
 
 def alternating_group(n: int) -> FiniteGroup:

@@ -6,8 +6,10 @@ O(2) (m = 0 trivial), U_j the j-th irreducible of Gamma, and sign = -1
 tensors with the antipodal action of the central Z2.
 
 Fixed-point dimensions are computed by character averaging over the grid
-model of each catalog class; rotation characters are cosines, so sums are
-floats rounded under a strict integrality check.
+model of each catalog class, for all classes of one head kind at once: the
+character of the rep is tabulated on D_P x K, gathered at the elements of
+every class and summed class by class.  Rotation characters are cosines,
+so the sums are floats, each rounded under a strict integrality check.
 """
 from __future__ import annotations
 
@@ -47,40 +49,43 @@ class RepContext:
         self._gamma_part = [g[:d] for g in K.elements]
         self._z_sign = np.array([-1 if g[zoff] != zoff else 1
                                  for g in K.elements], dtype=np.int64)
-        self._chi_cache: dict[tuple[int, int], np.ndarray] = {}
-        self._dim_cache: dict[tuple[IrrDescriptor, int], int] = {}
-
-    def chi_k(self, j: int, sign: int) -> np.ndarray:
-        """Character of U_j^{sign} on the elements of K, indexed like them."""
-        key = (j, sign)
-        if key not in self._chi_cache:
-            vals = np.array([self.gamma_table.value(j, g)
-                             for g in self._gamma_part], dtype=np.float64)
-            if sign < 0:
-                vals = vals * self._z_sign
-            self._chi_cache[key] = vals
-        return self._chi_cache[key]
+        self._kind_elements: dict[str, tuple] = {}
+        self._dim_cache: dict[tuple[IrrDescriptor, str], dict[int, int]] = {}
+        self.basic_degrees: dict = {}    # by rep, kept by degrees.basic_degree
 
     def fixed_dim(self, rep: IrrDescriptor, cid: int) -> int:
-        key = (rep, cid)
+        return self.fixed_dims(rep, self.catalog.classes[cid].kind)[cid]
+
+    def fixed_dims(self, rep: IrrDescriptor, kind: str) -> dict[int, int]:
+        """dim of the fixed space of every class of ``kind``, by class id."""
+        key = (rep, kind)
         if key in self._dim_cache:
             return self._dim_cache[key]
-        c = self.catalog.classes[cid]
+        if kind not in self._kind_elements:
+            cs = [c for c in self.catalog.classes if c.kind == kind]
+            sizes = np.array([c.size for c in cs])
+            self._kind_elements[kind] = (
+                [c.cid for c in cs], np.concatenate([c.o2_idx for c in cs]),
+                np.concatenate([c.k_idx for c in cs]),
+                np.cumsum(sizes) - sizes, sizes)
+        cids, o2, k, starts, sizes = self._kind_elements[kind]
         P = self.catalog.P
-        chik = self.chi_k(rep.j, rep.sign)[c.k_idx]
-        if rep.m == 0:
-            total = chik.sum()
-        else:
-            rot = c.o2_idx < P
-            ang = 2.0 * math.pi * rep.m * c.o2_idx[rot] / P
-            total = (2.0 * np.cos(ang) * chik[rot]).sum()
-        d = total / c.size
-        r = round(d)
-        if abs(d - r) > 1e-6 or r < 0:
+        # the character: W_m is 2 cos(2 pi m t / P) at rotation t and 0 at
+        # reflections (1 everywhere for m = 0), U_j^sign is read off Gamma
+        w = (np.ones(2 * P) if rep.m == 0 else np.concatenate(
+            [2.0 * np.cos(2.0 * math.pi * rep.m * np.arange(P) / P),
+             np.zeros(P)]))
+        chi = np.array([self.gamma_table.value(rep.j, g)
+                        for g in self._gamma_part], dtype=np.float64)
+        table = np.outer(w, chi * self._z_sign if rep.sign < 0 else chi)
+        d = np.add.reduceat(table[o2, k], starts) / sizes
+        r = np.round(d)
+        for i in np.flatnonzero((np.abs(d - r) > 1e-6) | (r < 0))[:1]:
             raise AssertionError(
-                f"fixed-point dimension {d} not a nonneg integer for {rep} at {c.name}")
-        self._dim_cache[key] = int(r)
-        return int(r)
+                f"fixed-point dimension {d[i]} not a nonneg integer for {rep} "
+                f"at {self.catalog.classes[cids[i]].name}")
+        self._dim_cache[key] = dict(zip(cids, r.astype(int).tolist()))
+        return self._dim_cache[key]
 
 
 def orbit_types(ctx: RepContext, rep: IrrDescriptor) -> list[int]:
@@ -88,30 +93,18 @@ def orbit_types(ctx: RepContext, rep: IrrDescriptor) -> list[int]:
 
     A class U with nonzero fixed space fails to be an orbit type exactly
     when some strictly larger class T has the same fixed-point dimension
-    (a finite union of proper subspaces cannot cover the fixed space).
+    (a finite union of proper subspaces cannot cover the fixed space), so
+    the orbit types are the maximal classes of each nonzero dimension.
     For m >= 1 the candidates are dihedral-headed, for m = 0 only the
     full products O(2) x K' can appear.
     """
-    cat = ctx.catalog
-    kind = "O2" if rep.m == 0 else "D"
-    dims = {c.cid: ctx.fixed_dim(rep, c.cid)
-            for c in cat.classes if c.kind == kind}
-    cands = [cid for cid, d in dims.items() if d > 0]
-    out = []
-    for u in cands:
-        du = dims[u]
-        dominated = any(
-            t != u and dims[t] == du and cat.n_count(u, t) > 0
-            for t in cands if cat.classes[t].size > cat.classes[u].size
-            and cat.classes[t].size % cat.classes[u].size == 0)
-        if not dominated:
-            out.append(u)
-    return sorted(out)
+    dims = ctx.fixed_dims(rep, "O2" if rep.m == 0 else "D")
+    return sorted(u for d in set(dims.values()) - {0} for u in _maximal(
+        ctx.catalog, [cid for cid, du in dims.items() if du == d]))
 
 
 def maximal_orbit_types(ctx: RepContext, rep: IrrDescriptor) -> list[int]:
-    ots = orbit_types(ctx, rep)
-    return _maximal(ctx.catalog, ots)
+    return _maximal(ctx.catalog, orbit_types(ctx, rep))
 
 
 def maximal_orbit_types_union(ctx: RepContext,

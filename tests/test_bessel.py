@@ -117,3 +117,23 @@ def test_mode_table_nearest():
     n, m, s = t.nearest(2.404)
     assert (n, m) == (1, 0)
     assert s == pytest.approx(2.40482555769577, abs=1e-10)
+
+
+def test_brent_port_matches_scipy_brentq_bit_for_bit(monkeypatch):
+    """Every bracket the zero finders refine gives exactly scipy's root."""
+    from scipy.optimize import brentq
+
+    import discdeg.bessel as B
+    port, calls = B._brentq, []
+
+    def both(f, a, b):
+        x = port(f, a, b)
+        assert x == brentq(f, a, b, xtol=1e-12), (a, b)
+        calls.append(x)
+        return x
+
+    monkeypatch.setattr(B, "_brentq", both)
+    for m in range(12):
+        B.bessel_zeros(m, 30.0)
+        B.first_zero(m)
+    assert len(calls) > 500

@@ -1,9 +1,13 @@
 """Product-catalog structure: the 33 finite classes, lattice laws, folding."""
+import math
+import pickle
+
 import pytest
 
 from discdeg.catalog import ProductCatalog
 from discdeg.permgroup import (cyclic_group, direct_product, pidentity, pinv,
                                pmul, symmetric_group)
+from discdeg.reps import IrrDescriptor, RepContext
 
 # the 33 subgroup class names of S4 x Z2, as published
 S4Z2_NAMES = [
@@ -182,6 +186,40 @@ def test_generators_and_counts_match_brute_force(heads):
     for l, L in enumerate(elems):
         for h, Hs in enumerate(conjugates):
             assert cat.n_count(l, h) == sum(1 for H in Hs if L <= H), (l, h)
+    for h, Hs in enumerate(conjugates):
+        assert cat.down_closure(h) == tuple(
+            l for l, L in enumerate(elems) if any(L <= H for H in Hs)), h
+    # folds: the pullback of the element set along t -> nu t, found among
+    # the conjugates of every class
+    for c, E in zip(cat.classes, elems):
+        over: dict[int, list] = {}
+        for o2, k in E:
+            over.setdefault(o2, []).append(k)
+        for nu in range(1, max(heads) + 1):
+            if c.kind != "D" or nu * c.head not in heads:
+                continue
+            S = frozenset((f * P + t, k) for f in (0, 1) for t in range(P)
+                          for k in over.get(f * P + nu * t % P, ()))
+            want = [i for i, Hs in enumerate(conjugates) if S in Hs]
+            assert [cat.fold_class(c.cid, nu)] == want, (c.name, nu)
+    # fixed-point dimensions: the character of W_m (x) U_j^sign averaged
+    # element by element over each class
+    ctx = RepContext(cat, symmetric_group(3))
+    zoff = K.factors[-1][1]
+    for m in range(4):
+        w = [1.0 if m == 0 else 2 * math.cos(2 * math.pi * m * o2 / P)
+             if o2 < P else 0.0 for o2 in range(2 * P)]
+        for j in range(len(ctx.gamma_table.irreps)):
+            for sign in (-1, 1):
+                chi = [ctx.gamma_table.value(j, g[:3])
+                       * (-1 if sign < 0 and g[zoff] != zoff else 1)
+                       for g in K.elements]
+                rep = IrrDescriptor(m, j, sign)
+                for c in cat.classes:
+                    d = sum(w[o2] * chi[k] for o2, k in
+                            zip(c.o2_idx.tolist(), c.k_idx.tolist())) / c.size
+                    assert abs(d - round(d)) < 1e-9, (rep, c.name)
+                    assert ctx.fixed_dim(rep, c.cid) == round(d), (rep, c.name)
     # Weyl orders of the O(2)- and SO(2)-headed classes, from K alone
     def normalizer(S):
         return {g for g in K.elements
@@ -196,3 +234,19 @@ def test_generators_and_counts_match_brute_force(heads):
             R = {K.elements[k] for k in c.r_k}
             nk = len(normalizer(set(kp.representative)) & normalizer(R))
             assert c.weyl_order == 2 * nk // kp.order, c.name
+
+
+def test_stored_catalog_answers_queries_with_fresh_memos():
+    """Memos are per process: a loaded catalog starts them empty, also when
+    its file was written by code that kept other memo attributes."""
+    K = direct_product(symmetric_group(3), cyclic_group(2))
+    cat = ProductCatalog(K, [1, 2])
+    want = [cat.down_closure(h) for h in range(len(cat))]
+    loaded = pickle.loads(pickle.dumps(cat))
+    assert loaded._ncount == {} and loaded._tables == {}
+    older = ProductCatalog.__new__(ProductCatalog)
+    older.__setstate__({**{k: v for k, v in cat.__dict__.items()
+                           if k not in ("_tables", "_cands", "_cols")},
+                        "_masks": {}})
+    for c in (loaded, older):
+        assert [c.down_closure(h) for h in range(len(cat))] == want

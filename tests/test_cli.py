@@ -12,6 +12,8 @@ from discdeg import cli, permgroup
 
 CUBE_PROBLEM = {"cube": {"c": 4, "d": 1},
                 "growth": {"alpha": 0.5, "beta": 2.0}}
+SWAP = os.path.join(os.path.dirname(__file__), "..", "examples_local",
+                    "swap.json")
 
 
 @pytest.fixture(scope="session")
@@ -165,6 +167,40 @@ def test_unsupported_character_table_exits_2(capsys):
     assert cli.main(["chartab", "D4"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("rep", [("2", "3", "-1"), ("1", "-1", "1"),
+                                 ("-1", "0", "1")])
+def test_basic_degree_outside_the_character_table_exits_2(rep, capsys):
+    """S3 has irreducibles j = 0, 1, 2, and modes start at m = 0."""
+    assert cli.main(["basic-degree", *rep, "--group", "S3*Z2",
+                     "--heads", "1,2,3,6"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_s2_transposition_listed_once_and_legacy_form_accepted(tmp_path,
+                                                                capsys):
+    assert permgroup.symmetric_group(2).generators == [(1, 0)]
+    with open(SWAP) as fh:
+        doc = json.load(fh)
+    out = []
+    for i, images in enumerate(([[1, 0]], [[1, 0], [1, 0]], [[1, 0], [0, 1]])):
+        prob = tmp_path / f"s2_{i}.json"
+        prob.write_text(json.dumps({**doc, "action_generators": images}))
+        out.append((cli.main(["--format", "json", "solve", str(prob)]),
+                    capsys.readouterr().out))
+    assert out[0] == out[1] and out[0][0] == 0
+    assert out[2] == (2, "")        # two different images for one generator
+
+
+def test_solve_imports_no_scipy():
+    code = ("import sys\nfrom discdeg.cli import main\nrc = main(['solve', "
+            "sys.argv[1]])\nprint(rc, [m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'])")
+    r = subprocess.run([sys.executable, "-c", code, SWAP],
+                       capture_output=True, text=True, timeout=600)
+    assert r.stdout.splitlines()[-1] == "0 []", r.stderr
 
 
 def test_non_integral_generator_product_refused_exit_3(run):
