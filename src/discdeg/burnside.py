@@ -105,7 +105,6 @@ class BurnsideElement:
 class BurnsideRing:
     def __init__(self, lattice):
         self.lattice = lattice
-        self._prod_cache: dict[tuple[int, int], dict[int, int]] = {}
 
     def zero(self) -> BurnsideElement:
         return BurnsideElement(self, {})
@@ -163,15 +162,3 @@ class BurnsideRing:
         for c, v in self._solve_support(a, b).items():
             out[c] = out.get(c, 0) + _check64(v)
         return BurnsideElement(self, out)
-
-    def generator_product(self, h: int, k: int) -> dict[int, int]:
-        if h > k:
-            h, k = k, h
-        key = (h, k)
-        if key not in self._prod_cache:
-            if k == self.lattice.full_cid:
-                out = {h: 1}
-            else:
-                out = self._solve_support({h: 1}, {k: 1})
-            self._prod_cache[key] = out
-        return self._prod_cache[key]

@@ -5,11 +5,13 @@ closed subgroup H <= O(2) and a subgroup K' <= K along a common finite
 quotient L = H/Z = K'/R: the pairs (a, k) with a in H and k in the coset
 of R that the gluing assigns to a.  The catalog builds every class this
 way, whatever its head (D_h, SO(2) or O(2)), on the grid model D_P x K
-(see o2model).  A class is stored as its element set and a small
-generating set, found once by greedy closure when the catalog is built.
-Its factored membership table (see o2model) is written from the coset
-labels for the build, and rebuilt from the elements for queries, on
-first use in each process.
+(see o2model).  Over each point of the grid a class holds no element or
+one coset of R, so the catalog keeps one boolean table ``rows`` over K,
+row 0 empty and then one row per coset of R for every (K', R), and a
+class is stored as its row ids: (a, k) lies in class c iff
+``rows[c.rowid[a], k]``.  Its elements are ``np.nonzero(rows[c.rowid])``
+and R is ``rows[c.rowid[0]]``.  Each class also keeps a small generating
+set, found once by greedy closure when the catalog is built.
 
 The catalog covers heads D_h for h in a divisor-closed set ``heads``,
 plus all SO(2)- and O(2)-headed classes.  Within that scope it supplies
@@ -30,7 +32,8 @@ cheap necessary conditions, tested for all classes at once on columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,6 +41,8 @@ from .o2model import O2Model
 from .permgroup import (FiniteGroup, Perm, SubgroupClassTable, perm_order,
                         pidentity, pmul)
 from .naming import name_subgroup_classes
+
+MAX_HEAD_PERIOD = 720   # cap on the grid period P = 2*lcm(heads)
 
 
 # ---------------------------------------------------------------------------
@@ -50,14 +55,11 @@ class ProductClass:
     head: int                   # h for D-kind, 0 otherwise
     kp_cid: int                 # class id of the K-projection in the K table
     bucket: int                 # |U ^ (SO(2) x 1)|: d for D-kind kernels Z_d
-    o2_idx: np.ndarray          # element data on the grid model
-    k_idx: np.ndarray
+    rowid: np.ndarray           # (2P,): row of catalog.rows over each grid point
     gens: np.ndarray            # (2, g): o2 and k indices of a generating set
     size: int                   # number of grid elements
     weyl_order: int             # reported Weyl order (coefficient normalization)
     name: str
-    fingerprint: tuple
-    r_k: frozenset[int] = field(default_factory=frozenset)  # ker(psi) as k-indices
     n_model: int = 0            # |N(U)| in the grid model
     normalizer_weyl_order: int = 0  # |N(U)/U|, the plain normalizer quotient
 
@@ -95,12 +97,35 @@ def _dihedral_isos(mul: np.ndarray, q: int):
             and mul[mul[y, x], y] == px[-1]]            # y x y = x^-1
 
 
+@lru_cache(maxsize=1)
+def dihedral_quotient_orders(ktable: SubgroupClassTable) -> frozenset[int]:
+    """Rotation orders r of dihedral quotients K'/R over subgroups of K.
+
+    Kept for the last table asked, so the head selection of a solve and
+    the catalog it builds compute it once."""
+    out = {1, 2}
+    for rec in ktable.classes:
+        Kp = rec.representative
+        for R in ktable.normal_subgroups_of(Kp):
+            q = len(Kp) // len(R)
+            if q < 6 or q % 2 or q // 2 in out:
+                continue
+            _, mul = _quotient(Kp, R)
+            if _dihedral_isos(mul, q // 2):
+                out.add(q // 2)
+    return frozenset(out)
+
+
 class ProductCatalog:
     """Catalog of finite-Weyl subgroup classes of O(2) x K on a grid model."""
 
     def __init__(self, K: FiniteGroup, heads: list[int],
                  ktable: SubgroupClassTable | None = None):
         heads = sorted(set(heads))
+        P = 2 * math.lcm(*heads) if heads else 4
+        if P > MAX_HEAD_PERIOD:
+            raise ValueError(f"head set {heads} needs grid period {P}, above "
+                             f"the supported {MAX_HEAD_PERIOD}")
         for h in heads:
             for d in range(1, h + 1):
                 if h % d == 0 and d not in heads:
@@ -110,7 +135,7 @@ class ProductCatalog:
         self.ktable = ktable if ktable is not None else SubgroupClassTable(K)
         if not any(r.name for r in self.ktable.classes):
             name_subgroup_classes(self.ktable)
-        P = 2 * math.lcm(*heads) if heads else 4
+        self.dihedral_orders = dihedral_quotient_orders(self.ktable)
         self.model = O2Model(P, K)
         self.P = P
         self._kidx = K.index_of
@@ -124,35 +149,23 @@ class ProductCatalog:
     def __setstate__(self, state):
         """Set the stored state; the per-process memos start empty."""
         self.__dict__.update(state)
-        self._ncount, self._down, self._tables, self._cands = {}, {}, {}, {}
+        self._ncount, self._down, self._cands = {}, {}, {}
         self._cols = None
 
     # -- construction -------------------------------------------------------
 
-    def _table(self, cid: int) -> tuple[np.ndarray, np.ndarray]:
-        """Factored membership table of class ``cid``, built on first use.
-
-        The elements over a grid point are a block of |R| forming one coset;
-        its row is 1 + its first element."""
-        if cid not in self._tables:
-            c, nK = self.classes[cid], self.model.nK
-            rowid = np.zeros(2 * self.P, dtype=np.int32)
-            rowid[c.o2_idx[::len(c.r_k)]] = c.k_idx[::len(c.r_k)] + 1
-            rows = np.zeros((nK + 1, nK), dtype=bool)
-            rows[rowid[c.o2_idx], c.k_idx] = True
-            self._tables[cid] = rowid, rows
-        return self._tables[cid]
-
     def _build(self):
         P, ktable = self.P, self.ktable
+        blocks = [np.zeros((1, self.model.nK), dtype=bool)]     # row 0: empty
         raw: list[dict] = []
 
         def add(kind, head, bucket, o2, labels, zname="", lname=""):
             """The class {(a, k) : a in o2, k in cosets[label of a]}, named
             H^{Z} x_{L}^{R} K' (H x K' when L is trivial); K', R and the
-            cosets are those of the current step of the loop below."""
+            cosets are those of the current step of the loop below, whose
+            rows start at ``base``."""
             rowid = np.zeros(2 * P, dtype=np.int32)
-            rowid[o2] = labels + 1
+            rowid[o2] = base + labels
             name = {"O2": "O(2)", "SO2": "SO(2)", "O2amalg": "O(2)"}.get(
                 kind, f"D{head}")
             if lname:
@@ -162,9 +175,7 @@ class ProductCatalog:
             else:
                 name += f" x {kp.name}"
             raw.append(dict(kind=kind, head=head, kp_cid=kp.cid, bucket=bucket,
-                            o2_idx=np.repeat(o2, len(r_elems)),
-                            k_idx=cosets[labels].ravel(), table=(rowid, rows),
-                            r_k=frozenset(r_elems.tolist()), name=name))
+                            rowid=rowid, name=name))
 
         full = np.arange(2 * P)
         for kp in ktable.classes:
@@ -172,9 +183,9 @@ class ProductCatalog:
                 perm_cosets, mul = _quotient(kp.representative, R)
                 cosets = np.array([[self._kidx[g] for g in c]
                                    for c in perm_cosets])
-                r_elems = cosets[0]
-                rows = np.zeros((len(cosets) + 1, self.model.nK), dtype=bool)
-                np.put_along_axis(rows[1:], cosets, True, axis=1)
+                base = sum(map(len, blocks))
+                blocks.append(np.zeros((len(cosets), self.model.nK), dtype=bool))
+                np.put_along_axis(blocks[-1], cosets, True, axis=1)
                 rname = ktable.classes[ktable.cid_of(R)].name
                 quo = len(cosets)
                 if quo == 1:
@@ -204,20 +215,21 @@ class ProductCatalog:
                     if quo == 1:
                         add("D", h, h, o2, np.zeros(2 * h, dtype=int))
 
+        self.rows = np.concatenate(blocks)
         self._dedupe_and_register(raw)
 
     def _dedupe_and_register(self, raw: list[dict]):
-        P = self.P
+        P, rows = self.P, self.rows
         kcls = np.array([self._kcls_of_elem[g] for g in self.K.elements])
         radix = np.array([(P + 1) * len(kcls), len(kcls), 1])
         buckets: dict[tuple, list[dict]] = {}
         for rec in raw:
             # fingerprint: how many elements of each rotation order or
             # reflection parity, and K-class; a conjugation invariant
-            o2, rot = rec["o2_idx"], rec["o2_idx"] < P
+            o2, k = self._elements(rec["rowid"])
+            rot = o2 < P
             keys = np.stack([~rot, np.where(rot, P // np.gcd(P, o2),
-                                            (o2 - P) % 2),
-                             kcls[rec["k_idx"]]], axis=1)
+                                            (o2 - P) % 2), kcls[k]], axis=1)
             _, first, count = np.unique(keys @ radix, return_index=True,
                                         return_counts=True)
             rec["fp"] = tuple(zip(map(tuple, keys[first].tolist()),
@@ -233,8 +245,8 @@ class ProductCatalog:
         for key, group in sorted(buckets.items()):
             reps: list[dict] = []
             for rec in group:
-                if not any(self.model.count_conj_into(*o["gens"], rec["table"])
-                           for o in reps):
+                if not any(self.model.count_conj_into(
+                        *o["gens"], (rec["rowid"], rows)) for o in reps):
                     rec["gens"] = self._generators(rec)
                     reps.append(rec)
             kept.extend(reps)
@@ -246,25 +258,30 @@ class ProductCatalog:
         tally: dict[str, int] = {}
         for cid, rec in enumerate(kept):
             k = tally[rec["name"]] = tally.get(rec["name"], 0) + 1
-            n_model = self.model.count_conj_into(*rec["gens"], rec["table"])
+            n_model = self.model.count_conj_into(*rec["gens"],
+                                                 (rec["rowid"], rows))
             nw = n_model // rec["size"]
             # reported convention: dihedral-headed classes whose O(2)-side
             # kernel is rotation-only get half the plain normalizer quotient
             # (the central coset is not counted)
-            rowid, rows = rec["table"]
-            rot_kernel = not rows[rowid[P:], self._eidx].any()
+            rot_kernel = not rows[rec["rowid"][P:], self._eidx].any()
             self.classes.append(ProductClass(
                 cid=cid, kind=rec["kind"], head=rec["head"],
                 kp_cid=rec["kp_cid"], bucket=rec["bucket"],
-                o2_idx=rec["o2_idx"], k_idx=rec["k_idx"],
-                gens=rec["gens"], size=rec["size"],
+                rowid=rec["rowid"], gens=rec["gens"], size=rec["size"],
                 weyl_order=nw // 2 if rec["kind"] == "D" and rot_kernel else nw,
                 name=rec["name"] if k == 1 else f"{rec['name']} ~{k}",
-                fingerprint=rec["fp"], r_k=rec["r_k"], n_model=n_model,
+                n_model=n_model,
                 normalizer_weyl_order=nw))
         self.by_name = {c.name: c.cid for c in self.classes}
         self.full_cid = self.by_name[
             f"O(2) x {self.ktable.classes[self.ktable.full_cid].name}"]
+
+    def _elements(self, rowid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The o2 and k indices of the elements, in order of o2, then k."""
+        a = np.flatnonzero(rowid)
+        i, k = np.nonzero(self.rows[rowid[a]])
+        return a[i], k
 
     def _generators(self, rec: dict) -> np.ndarray:
         """A few elements generating the record's subgroup, as a (2, g) array.
@@ -276,7 +293,7 @@ class ProductCatalog:
         generator reaches all of <C, x>.
         """
         o2_mul, k_mul, P = self.model.o2_mul, self.model.k_mul, self.P
-        o2_idx, k_idx = rec["o2_idx"], rec["k_idx"]
+        o2_idx, k_idx = self._elements(rec["rowid"])
         t = np.arange(P)
         o2_order = np.concatenate([P // np.gcd(t, P), np.full(P, 2)])
         order = np.lcm(o2_order[o2_idx], self._k_order[k_idx])
@@ -304,8 +321,8 @@ class ProductCatalog:
                 pending.extend((int(o2_mul[r[0], s0]), int(k_mul[r[1], s1]))
                                for s0, s1 in gens)
             sub_o2, sub_k = np.concatenate(parts_o2), np.concatenate(parts_k)
-        rowid, rows = rec["table"]
-        if len(sub_o2) != rec["size"] or not rows[rowid[sub_o2], sub_k].all():
+        if (len(sub_o2) != rec["size"]
+                or not self.rows[rec["rowid"][sub_o2], sub_k].all()):
             raise AssertionError("generators do not close to the class")
         return np.array(gens, dtype=np.intp).reshape(-1, 2).T
 
@@ -321,7 +338,7 @@ class ProductCatalog:
         if key not in self._ncount:
             self._ncount[key] = (
                 self.model.count_conj_into(*self.classes[l].gens,
-                                           self._table(h))
+                                           (self.classes[h].rowid, self.rows))
                 // self.classes[h].n_model
                 if self._candidates(h)[l] else 0)
         return self._ncount[key]
@@ -372,14 +389,14 @@ class ProductCatalog:
             raise ValueError(
                 f"folded head D{c.head * nu} outside catalog heads {self.heads}")
         P = self.P
-        rowid, rows = self._table(cid)
         t = nu * np.arange(P) % P
-        folded = np.concatenate([rowid[t], rowid[P + t]]), rows
-        size = np.count_nonzero(folded[0]) * len(c.r_k)
+        folded = np.concatenate([c.rowid[t], c.rowid[P + t]])
+        size = self.rows.sum(axis=1)[folded].sum()
         for cand in self.classes:
             if (cand.kind == "D" and cand.size == size
                     and cand.head == c.head * nu and cand.kp_cid == c.kp_cid
-                    and self.model.count_conj_into(*cand.gens, folded)):
+                    and self.model.count_conj_into(*cand.gens,
+                                                   (folded, self.rows))):
                 return cand.cid
         raise AssertionError("folded class not found in catalog")
 

@@ -17,8 +17,9 @@ from fractions import Fraction
 SCHEMA = 1
 CACHE_ENV = "DISCDEG_CACHE_DIR"
 # layout of the cached objects; a ProductClass without generators is format 1,
-# one with a stored membership mask is format 2
-CACHE_FORMAT = 3
+# one with a stored membership mask is format 2, one with its element lists
+# is format 3, and one stored as row ids into the catalog's table is format 4
+CACHE_FORMAT = 4
 
 
 class Refusal(Exception):
@@ -207,22 +208,31 @@ def _load_problem(path: str):
 
 
 def _extend_action(gamma, gen_images):
-    """Extend generator images to the homomorphism on all of gamma."""
+    """Extend generator images to the homomorphism on all of gamma.
+
+    Each image must be a permutation of 0..k-1, and the extension must be
+    consistent: action[s g] = img(s) action[g] for every g and generator s.
+    """
     from .permgroup import pidentity, pmul
     k = len(gen_images[0]) if gen_images else 1
+    for img in gen_images:
+        if len(img) != k or set(img) != set(range(k)):
+            raise ValueError(f"action generator {list(img)} is not a "
+                             f"permutation of 0..{k - 1}")
     action = {pidentity(gamma.degree): pidentity(k)}
     frontier = list(action)
     while frontier:
         nxt = []
         for g in frontier:
             for s, img in zip(gamma.generators, gen_images):
-                h = pmul(s, g)
+                h, image = pmul(s, g), pmul(img, action[g])
                 if h not in action:
-                    action[h] = pmul(img, action[g])
+                    action[h] = image
                     nxt.append(h)
+                elif action[h] != image:
+                    raise ValueError("action generators do not define an "
+                                     f"action of {gamma.name}")
         frontier = nxt
-    if len(action) != gamma.order:
-        raise ValueError("generator images do not generate an action")
     return action
 
 

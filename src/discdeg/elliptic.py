@@ -10,14 +10,15 @@ non-radial and radial solution orbit types.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .bessel import ModeTable
 from .burnside import BurnsideElement, BurnsideRing
-from .catalog import ProductCatalog, cached_catalog
+from .catalog import ProductCatalog, cached_catalog, dihedral_quotient_orders
 from .characters import isotypic_multiplicities
 from .degrees import SpectralAssignment, basic_degree, gdeg_field
 from .permgroup import (FiniteGroup, Perm, closure, cyclic_group,
@@ -26,7 +27,6 @@ from .reps import IrrDescriptor, RepContext, maximal_orbit_types_union
 
 D_GUARD = 1e-8          # tolerance band for condition (D)
 MU_TOL = 1e-10          # tolerance for float isotypic eigenvalues
-MAX_HEAD_PERIOD = 720   # cap on the grid-model period 2*lcm(heads)
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +62,6 @@ class CouplingProblem:
     action: dict[Perm, Perm]
     matrix: list[list[Fraction]]
     growth: GrowthMeta = field(default_factory=GrowthMeta)
-    cube_params: tuple[Fraction, Fraction] | None = None
 
     def __post_init__(self):
         k = len(self.matrix)
@@ -185,8 +184,7 @@ def cube_problem(c, d, growth: GrowthMeta | None = None) -> CouplingProblem:
     gamma, action = cube_action()
     return CouplingProblem(gamma=gamma, action=action,
                            matrix=cube_matrix(c, d),
-                           growth=growth or GrowthMeta(),
-                           cube_params=(Fraction(c), Fraction(d)))
+                           growth=growth or GrowthMeta())
 
 
 # ---------------------------------------------------------------------------
@@ -352,23 +350,6 @@ def class_counters(spec, modes, ring: BurnsideRing, ctx: RepContext,
 # ---------------------------------------------------------------------------
 # catalog sizing
 
-def dihedral_quotient_orders(catalog_ktable) -> set[int]:
-    """Rotation orders r of dihedral quotients K'/R over subgroups of K."""
-    from .catalog import _dihedral_isos, _quotient
-
-    out = {1, 2}
-    for rec in catalog_ktable.classes:
-        Kp = rec.representative
-        for R in catalog_ktable.normal_subgroups_of(Kp):
-            q = len(Kp) // len(R)
-            if q < 6 or q % 2 or q // 2 in out:
-                continue
-            _, mul = _quotient(Kp, R)
-            if _dihedral_isos(mul, q // 2):
-                out.add(q // 2)
-    return out
-
-
 def required_heads(K_table, active_modes: set[int]) -> list[int]:
     """Divisor-closed head set covering all orbit types and folds.
 
@@ -382,11 +363,7 @@ def required_heads(K_table, active_modes: set[int]) -> list[int]:
     heads = set()
     for h in base:
         heads.update(d for d in range(1, h + 1) if h % d == 0)
-    heads = sorted(heads) or [1]
-    if 2 * math.lcm(*heads) > MAX_HEAD_PERIOD:
-        raise ValueError(
-            f"required head set {heads} exceeds the supported grid period")
-    return heads
+    return sorted(heads) or [1]
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +429,9 @@ def fold_family_name(cat: ProductCatalog, cid: int) -> str:
     c = cat.classes[cid]
     if c.kind != "D":
         raise ValueError("fold families are defined for dihedral-headed classes")
-    # the O(2)-side kernel: grid elements paired with the identity of K
-    kernel = c.o2_idx[c.k_idx == cat.K.index_of[pidentity(cat.K.degree)]]
+    # the O(2)-side kernel: the grid points whose row holds the identity of K
+    kernel = np.flatnonzero(
+        cat.rows[c.rowid, cat.K.index_of[pidentity(cat.K.degree)]])
     z = int((kernel < cat.P).sum())
     has_refl = bool((kernel >= cat.P).any())
     head_part, sep, rest = c.name.partition(" x_")

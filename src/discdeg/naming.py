@@ -65,17 +65,6 @@ _TWIST_NAMES = {
     ("S4", "A4"): "S4m",
 }
 
-CANONICAL_NAMES = [
-    "Z1", "Z2", "D1z", "D1", "Z2m",
-    "Z1p", "Z3", "Z2p", "V4m", "D2",
-    "Z4", "V4", "D2z", "Z4d", "D2d",
-    "D1p", "Z3p", "D3", "D3z", "V4p",
-    "D4d", "Z4p", "D4", "D2p", "D4z",
-    "D4hd", "D3p", "A4", "D4p", "S4",
-    "A4p", "S4m", "S4p",
-]
-
-
 def s4z2_subgroup_name(U: frozenset[Perm]) -> str:
     """Name of a subgroup of S4 x Z2 (S4 on points 0-3, Z2 on points 4-5)."""
     central = tuple([0, 1, 2, 3, 5, 4])

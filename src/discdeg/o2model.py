@@ -10,11 +10,12 @@ their counterparts in D_P x K.  Rotations are indices t in Z_P (the angle
 t*pi/P, so conjugating by the rotation c sends it to (1, t + 2c).
 
 An element of D_P x K is a pair (o2, k) of indices, o2 = flip*P + t into
-the D_P tables and k into ``K.elements``.  A subgroup is stored as its
-elements and a few generators.  Over each grid point its elements are
-none or one coset of a normal subgroup R of K', so its membership table
-is factored as (rowid, rows): (a, k) is in it iff rows[rowid[a], k], for
-a few boolean rows over K (row 0 empty, the others cosets of R).  The one
+the D_P tables and k into ``K.elements``.  Over each grid point the
+elements of a catalog subgroup are none or one coset of a normal subgroup
+R of K', so its membership table is factored as (rowid, rows): (a, k) is
+in it iff rows[rowid[a], k], for boolean rows over K (row 0 empty, the
+others cosets).  The catalog keeps one ``rows`` table for all its classes
+and stores each class as its ``rowid`` and a few generators.  The one
 lattice primitive is ``count_conj_into``: it counts the g in D_P x K
 that conjugate a list of elements into a subgroup.  On a generating set
 of L it counts the g with gLg^-1 <= H, which gives n(L, H) and |N(H)|.

@@ -6,10 +6,12 @@ O(2) (m = 0 trivial), U_j the j-th irreducible of Gamma, and sign = -1
 tensors with the antipodal action of the central Z2.
 
 Fixed-point dimensions are computed by character averaging over the grid
-model of each catalog class, for all classes of one head kind at once: the
-character of the rep is tabulated on D_P x K, gathered at the elements of
-every class and summed class by class.  Rotation characters are cosines,
-so the sums are floats, each rounded under a strict integrality check.
+model of each catalog class, for all classes of one head kind at once.
+The character of the rep is a product w(a) chi(k), and a class holds the
+(a, k) with k in row rowid[a] of the catalog's table, so its character sum
+is sum_a w(a) (rows @ chi)[rowid[a]]: one product over the rows and one
+gather of the stacked row ids.  Rotation characters are cosines, so the
+sums are floats, each rounded under a strict integrality check.
 """
 from __future__ import annotations
 
@@ -49,7 +51,7 @@ class RepContext:
         self._gamma_part = [g[:d] for g in K.elements]
         self._z_sign = np.array([-1 if g[zoff] != zoff else 1
                                  for g in K.elements], dtype=np.int64)
-        self._kind_elements: dict[str, tuple] = {}
+        self._kind_rowids: dict[str, tuple] = {}
         self._dim_cache: dict[tuple[IrrDescriptor, str], dict[int, int]] = {}
         self.basic_degrees: dict = {}    # by rep, kept by degrees.basic_degree
 
@@ -61,14 +63,12 @@ class RepContext:
         key = (rep, kind)
         if key in self._dim_cache:
             return self._dim_cache[key]
-        if kind not in self._kind_elements:
+        if kind not in self._kind_rowids:
             cs = [c for c in self.catalog.classes if c.kind == kind]
-            sizes = np.array([c.size for c in cs])
-            self._kind_elements[kind] = (
-                [c.cid for c in cs], np.concatenate([c.o2_idx for c in cs]),
-                np.concatenate([c.k_idx for c in cs]),
-                np.cumsum(sizes) - sizes, sizes)
-        cids, o2, k, starts, sizes = self._kind_elements[kind]
+            self._kind_rowids[kind] = ([c.cid for c in cs],
+                                       np.stack([c.rowid for c in cs]),
+                                       np.array([c.size for c in cs]))
+        cids, rowids, sizes = self._kind_rowids[kind]
         P = self.catalog.P
         # the character: W_m is 2 cos(2 pi m t / P) at rotation t and 0 at
         # reflections (1 everywhere for m = 0), U_j^sign is read off Gamma
@@ -77,8 +77,9 @@ class RepContext:
              np.zeros(P)]))
         chi = np.array([self.gamma_table.value(rep.j, g)
                         for g in self._gamma_part], dtype=np.float64)
-        table = np.outer(w, chi * self._z_sign if rep.sign < 0 else chi)
-        d = np.add.reduceat(table[o2, k], starts) / sizes
+        if rep.sign < 0:
+            chi = chi * self._z_sign
+        d = (self.catalog.rows @ chi)[rowids] @ w / sizes
         r = np.round(d)
         for i in np.flatnonzero((np.abs(d - r) > 1e-6) | (r < 0))[:1]:
             raise AssertionError(

@@ -2,9 +2,11 @@
 import math
 import pickle
 
+import numpy as np
 import pytest
 
 from discdeg.catalog import ProductCatalog
+from discdeg.elliptic import fold_family_name
 from discdeg.permgroup import (cyclic_group, direct_product, pidentity, pinv,
                                pmul, symmetric_group)
 from discdeg.reps import IrrDescriptor, RepContext
@@ -168,9 +170,11 @@ def test_generators_and_counts_match_brute_force(heads):
     def conj(g, x):
         return mul(mul(g, x), (_dp_inv(P, g[0]), pinv(g[1])))
 
-    elems = [frozenset(zip(c.o2_idx.tolist(),
-                           (K.elements[k] for k in c.k_idx.tolist())))
+    assert not cat.rows[0].any()
+    elems = [frozenset((int(o2), K.elements[k])
+                       for o2, k in zip(*np.nonzero(cat.rows[c.rowid])))
              for c in cat.classes]
+    assert [len(E) for E in elems] == [c.size for c in cat.classes]
     conjugates = []
     for c, E in zip(cat.classes, elems):
         gens = [(int(o2), K.elements[k]) for o2, k in c.gens.T.tolist()]
@@ -189,6 +193,17 @@ def test_generators_and_counts_match_brute_force(heads):
     for h, Hs in enumerate(conjugates):
         assert cat.down_closure(h) == tuple(
             l for l, L in enumerate(elems) if any(L <= H for H in Hs)), h
+    # fold family names: the O(2)-side kernel, the grid points paired with
+    # the identity of K, is Z_z (D_z with reflections), written Zzm or Dzm
+    e = pidentity(K.degree)
+    for c, E in zip(cat.classes, elems):
+        if c.kind != "D" or " x_" not in c.name:
+            continue
+        kernel = [o2 for o2, k in E if k == e]
+        z = sum(o2 < P for o2 in kernel)
+        sym = "D" if any(o2 >= P for o2 in kernel) else "Z"
+        want = f"D{c.head}m^{{{sym}{z if z > 1 else ''}m}} x_"
+        assert fold_family_name(cat, c.cid).startswith(want), c.name
     # folds: the pullback of the element set along t -> nu t, found among
     # the conjugates of every class
     for c, E in zip(cat.classes, elems):
@@ -217,7 +232,7 @@ def test_generators_and_counts_match_brute_force(heads):
                 rep = IrrDescriptor(m, j, sign)
                 for c in cat.classes:
                     d = sum(w[o2] * chi[k] for o2, k in
-                            zip(c.o2_idx.tolist(), c.k_idx.tolist())) / c.size
+                            zip(*np.nonzero(cat.rows[c.rowid]))) / c.size
                     assert abs(d - round(d)) < 1e-9, (rep, c.name)
                     assert ctx.fixed_dim(rep, c.cid) == round(d), (rep, c.name)
     # Weyl orders of the O(2)- and SO(2)-headed classes, from K alone
@@ -231,22 +246,21 @@ def test_generators_and_counts_match_brute_force(heads):
         elif c.kind == "SO2":
             assert c.weyl_order == 2 * kp.weyl_order, c.name
         elif c.kind == "O2amalg":
-            R = {K.elements[k] for k in c.r_k}
+            R = {K.elements[k] for k in np.flatnonzero(cat.rows[c.rowid[0]])}
             nk = len(normalizer(set(kp.representative)) & normalizer(R))
             assert c.weyl_order == 2 * nk // kp.order, c.name
 
 
 def test_stored_catalog_answers_queries_with_fresh_memos():
     """Memos are per process: a loaded catalog starts them empty, also when
-    its file was written by code that kept other memo attributes."""
+    its stored state holds no memo attributes."""
     K = direct_product(symmetric_group(3), cyclic_group(2))
     cat = ProductCatalog(K, [1, 2])
     want = [cat.down_closure(h) for h in range(len(cat))]
     loaded = pickle.loads(pickle.dumps(cat))
-    assert loaded._ncount == {} and loaded._tables == {}
-    older = ProductCatalog.__new__(ProductCatalog)
-    older.__setstate__({**{k: v for k, v in cat.__dict__.items()
-                           if k not in ("_tables", "_cands", "_cols")},
-                        "_masks": {}})
-    for c in (loaded, older):
+    assert loaded._ncount == {} and loaded._down == {} and loaded._cands == {}
+    bare = ProductCatalog.__new__(ProductCatalog)
+    bare.__setstate__({k: v for k, v in cat.__dict__.items()
+                       if k not in ("_ncount", "_down", "_cands", "_cols")})
+    for c in (loaded, bare):
         assert [c.down_closure(h) for h in range(len(cat))] == want

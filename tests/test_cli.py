@@ -194,6 +194,60 @@ def test_s2_transposition_listed_once_and_legacy_form_accepted(tmp_path,
     assert out[2] == (2, "")        # two different images for one generator
 
 
+@pytest.mark.parametrize("argv", [
+    ["ccs", "S4*Z2"], ["basic-degree", "1", "0", "-1"],
+    ["fold", "2", "D1 x Z1"]])
+@pytest.mark.parametrize("heads", ["1,7,11,13,17",
+                                   "1,2,4,8,16,32,64,128,256,512"])
+def test_head_list_beyond_the_grid_cap_exits_2(argv, heads, monkeypatch,
+                                               capsys):
+    """P = 2 lcm(heads) is 34,034 and 1,024, above the cap of 720; the
+    catalog refuses before it allocates its (2P)^2 grid tables."""
+    from discdeg import o2model
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid model allocated")
+    monkeypatch.setattr(o2model.O2Model, "__init__", no_grid)
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    assert cli.main([*argv, "--heads", heads]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("group, images, matrix", [
+    ("S3", [[0, 1, 2], [1, 0, 2]], [[2, 1, 1], [1, 2, 1], [1, 1, 2]]),
+    ("S3", [[1, 2, 0], [0, 1, 2]], [[2, 1, 1], [1, 2, 1], [1, 1, 2]]),
+    ("S2", [[0, 0]], [[3, 3], [3, 3]]),
+])
+def test_action_generators_that_define_no_action_exit_2(group, images,
+                                                         matrix, tmp_path,
+                                                         capsys):
+    """Images that are no permutation, or whose extension to the group is
+    inconsistent (a transposition sent to the identity and a 3-cycle to a
+    transposition; a transposition sent to a 3-cycle)."""
+    prob = tmp_path / "bad.json"
+    prob.write_text(json.dumps({"group": group, "action_generators": images,
+                                "matrix": matrix}))
+    assert cli.main(["solve", str(prob)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_basic_degree_refuses_heads_missing_its_orbit_types(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    """Mode-2 orbit types of S3 x Z2 have heads 2r, r in {1, 2, 3, 6}."""
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    for rep in (("2", "0", "-1"), ("2", "1", "-1"), ("2", "1", "1"),
+                ("2", "2", "-1"), ("2", "2", "1")):
+        argv = ["basic-degree", *rep, "--group", "S3*Z2", "--heads"]
+        assert cli.main([*argv, "1,2,3,6"]) == 2, rep
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "[4, 12]" in err, rep
+        assert cli.main([*argv, "1,2,3,4,6,12"]) == 0, rep
+        capsys.readouterr()
+
+
 def test_solve_imports_no_scipy():
     code = ("import sys\nfrom discdeg.cli import main\nrc = main(['solve', "
             "sys.argv[1]])\nprint(rc, [m for m in sys.modules "
