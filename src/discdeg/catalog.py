@@ -10,8 +10,18 @@ one coset of R, so the catalog keeps one boolean table ``rows`` over K,
 row 0 empty and then one row per coset of R for every (K', R), and a
 class is stored as its row ids: (a, k) lies in class c iff
 ``rows[c.rowid[a], k]``.  Its elements are ``np.nonzero(rows[c.rowid])``
-and R is ``rows[c.rowid[0]]``.  Each class also keeps a small generating
-set, found once by greedy closure when the catalog is built.
+and R is ``rows[c.rowid[0]]``.
+
+Each class also keeps a small generating set, read off the same gluing
+data: a lift of the head's rotation step (grid point P/h for D_h, h > 1;
+point 1 for SO(2)- and O(2)-headed classes), a lift of the reflection
+(1, 0) when the head has reflections, and generators of R over the
+identity of O(2).  A lift of a grid point is the first element of the
+coset of R the gluing puts over it.  These generate a subgroup S of the
+class that projects onto the head and whose fibre over the identity
+contains R; since the class holds exactly one coset of R over each point
+of its head, S has at least as many elements as the class, so S is the
+class.
 
 The catalog covers heads D_h for h in a divisor-closed set ``heads``,
 plus all SO(2)- and O(2)-headed classes.  Within that scope it supplies
@@ -38,8 +48,8 @@ from functools import lru_cache
 import numpy as np
 
 from .o2model import O2Model
-from .permgroup import (FiniteGroup, Perm, SubgroupClassTable, perm_order,
-                        pidentity, pmul)
+from .permgroup import (FiniteGroup, Perm, SubgroupClassTable, closure,
+                        perm_order, pidentity, pmul)
 from .naming import name_subgroup_classes
 
 MAX_HEAD_PERIOD = 720   # cap on the grid period P = 2*lcm(heads)
@@ -141,7 +151,6 @@ class ProductCatalog:
         self._kidx = K.index_of
         self._kcls_of_elem = K.class_index_of_element()
         self._eidx = K.index_of[pidentity(K.degree)]
-        self._k_order = np.array([perm_order(g) for g in K.elements])
         self.classes: list[ProductClass] = []
         self.__setstate__({})
         self._build()
@@ -163,9 +172,16 @@ class ProductCatalog:
             """The class {(a, k) : a in o2, k in cosets[label of a]}, named
             H^{Z} x_{L}^{R} K' (H x K' when L is trivial); K', R and the
             cosets are those of the current step of the loop below, whose
-            rows start at ``base``."""
+            rows start at ``base``.  Its generators are the lifts of the
+            head's rotation step and reflection, then R's generators."""
             rowid = np.zeros(2 * P, dtype=np.int32)
             rowid[o2] = base + labels
+            # the rotation step (none for D1), the reflection (none for SO(2))
+            step = [] if head == 1 else [P // head if head else 1]
+            lifts = step + ([P] if kind != "SO2" else [])
+            gens = np.array([lifts + [0] * len(r_gens),
+                             [cosets[rowid[a] - base, 0] for a in lifts]
+                             + r_gens], dtype=np.intp)
             name = {"O2": "O(2)", "SO2": "SO(2)", "O2amalg": "O(2)"}.get(
                 kind, f"D{head}")
             if lname:
@@ -175,7 +191,7 @@ class ProductCatalog:
             else:
                 name += f" x {kp.name}"
             raw.append(dict(kind=kind, head=head, kp_cid=kp.cid, bucket=bucket,
-                            rowid=rowid, name=name))
+                            rowid=rowid, gens=gens, name=name))
 
         full = np.arange(2 * P)
         for kp in ktable.classes:
@@ -187,6 +203,15 @@ class ProductCatalog:
                 blocks.append(np.zeros((len(cosets), self.model.nK), dtype=bool))
                 np.put_along_axis(blocks[-1], cosets, True, axis=1)
                 rname = ktable.classes[ktable.cid_of(R)].name
+                # R's generators: by decreasing element order, each one
+                # outside the subgroup generated by those kept before it
+                kept_r: list[Perm] = []
+                span = closure(kept_r, self.K.degree)
+                for g in sorted(sorted(R), key=perm_order, reverse=True):
+                    if g not in span:
+                        kept_r.append(g)
+                        span = closure(kept_r, self.K.degree)
+                r_gens = [self._kidx[g] for g in kept_r]
                 quo = len(cosets)
                 if quo == 1:
                     add("O2", 0, 0, full, np.zeros(2 * P, dtype=int))
@@ -247,7 +272,6 @@ class ProductCatalog:
             for rec in group:
                 if not any(self.model.count_conj_into(
                         *o["gens"], (rec["rowid"], rows)) for o in reps):
-                    rec["gens"] = self._generators(rec)
                     reps.append(rec)
             kept.extend(reps)
 
@@ -282,49 +306,6 @@ class ProductCatalog:
         a = np.flatnonzero(rowid)
         i, k = np.nonzero(self.rows[rowid[a]])
         return a[i], k
-
-    def _generators(self, rec: dict) -> np.ndarray:
-        """A few elements generating the record's subgroup, as a (2, g) array.
-
-        Greedy: elements are tried in order of decreasing element order, and
-        each one outside the closure so far becomes a generator.  The closure
-        grows by right cosets of the previous closure C: right multiplication
-        by a generator maps C r to C rs, so visiting cosets from C by every
-        generator reaches all of <C, x>.
-        """
-        o2_mul, k_mul, P = self.model.o2_mul, self.model.k_mul, self.P
-        o2_idx, k_idx = self._elements(rec["rowid"])
-        t = np.arange(P)
-        o2_order = np.concatenate([P // np.gcd(t, P), np.full(P, 2)])
-        order = np.lcm(o2_order[o2_idx], self._k_order[k_idx])
-        seen = np.zeros((2 * P, self.model.nK), dtype=bool)
-        seen[0, self._eidx] = True
-        sub_o2, sub_k = np.array([0]), np.array([self._eidx])
-        gens: list[tuple[int, int]] = []
-        for i in np.argsort(-order, kind="stable"):
-            if len(sub_o2) == rec["size"]:
-                break
-            x = (int(o2_idx[i]), int(k_idx[i]))
-            if seen[x]:
-                continue
-            gens.append(x)
-            parts_o2, parts_k = [sub_o2], [sub_k]
-            pending = [x]
-            while pending:
-                r = pending.pop()
-                if seen[r]:
-                    continue
-                co2, ck = o2_mul[sub_o2, r[0]], k_mul[sub_k, r[1]]
-                seen[co2, ck] = True
-                parts_o2.append(co2)
-                parts_k.append(ck)
-                pending.extend((int(o2_mul[r[0], s0]), int(k_mul[r[1], s1]))
-                               for s0, s1 in gens)
-            sub_o2, sub_k = np.concatenate(parts_o2), np.concatenate(parts_k)
-        if (len(sub_o2) != rec["size"]
-                or not self.rows[rec["rowid"][sub_o2], sub_k].all()):
-            raise AssertionError("generators do not close to the class")
-        return np.array(gens, dtype=np.intp).reshape(-1, 2).T
 
     # -- lattice queries -----------------------------------------------------
 

@@ -13,13 +13,15 @@ import os
 import pickle
 import sys
 from fractions import Fraction
+from pickle import UnpicklingError   # perfbench/tracer.py swaps out `pickle`
 
 SCHEMA = 1
 CACHE_ENV = "DISCDEG_CACHE_DIR"
 # layout of the cached objects; a ProductClass without generators is format 1,
 # one with a stored membership mask is format 2, one with its element lists
-# is format 3, and one stored as row ids into the catalog's table is format 4
-CACHE_FORMAT = 4
+# is format 3, one stored as row ids into the catalog's table is format 4,
+# and one whose model keeps no multiplication tables is format 5
+CACHE_FORMAT = 5
 
 
 class Refusal(Exception):
@@ -45,7 +47,9 @@ def _cached(tag: str, build):
 
     The key holds ``CACHE_FORMAT``, so an object pickled in another layout
     is never loaded.  A new file is written aside and renamed into place,
-    so no reader sees a partly written one.
+    so no reader sees a partly written one.  A stored file that cannot be
+    read back (truncated, empty or garbled) is an error naming the file,
+    not a silent rebuild.
     """
     cache_dir = os.environ.get(CACHE_ENV)
     if not cache_dir:
@@ -55,7 +59,10 @@ def _cached(tag: str, build):
     path = os.path.join(cache_dir, key + ".pkl")
     if os.path.exists(path):
         with open(path, "rb") as fh:
-            return pickle.load(fh)
+            try:
+                return pickle.load(fh)
+            except (EOFError, UnpicklingError, ValueError) as e:
+                raise ValueError(f"unreadable cache file {path}: {e}")
     obj = build()
     os.makedirs(cache_dir, exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"

@@ -9,8 +9,11 @@ their counterparts in D_P x K.  Rotations are indices t in Z_P (the angle
 2*pi*t/P), reflections carry a flip bit; the axis of reflection (1, t) is
 t*pi/P, so conjugating by the rotation c sends it to (1, t + 2c).
 
-An element of D_P x K is a pair (o2, k) of indices, o2 = flip*P + t into
-the D_P tables and k into ``K.elements``.  Over each grid point the
+An element of D_P x K is a pair (o2, k) of indices, o2 = flip*P + t on
+the grid and k into ``K.elements``.  The model keeps only the two
+conjugation tables, ``o2_conj[g, x]`` (2P x 2P) and ``k_conj[g, x]``
+(|K| x |K|), both g x g^-1; the multiplication tables they are built
+from are dropped after construction.  Over each grid point the
 elements of a catalog subgroup are none or one coset of a normal subgroup
 R of K', so its membership table is factored as (rowid, rows): (a, k) is
 in it iff rows[rowid[a], k], for boolean rows over K (row 0 empty, the
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .permgroup import FiniteGroup, Perm
+from .permgroup import FiniteGroup, pinv, pmul
 
 
 class O2Model:
@@ -47,16 +50,14 @@ class O2Model:
         inv = np.empty(2 * P, dtype=np.int32)
         inv[:P] = (-t) % P
         inv[P:] = P + t
-        self.o2_mul, self.o2_inv = mul, inv
         self.o2_conj = mul[mul, inv[:, None]]      # [g, x] = g x g^{-1}
 
         elems = K.elements
         idx = K.index_of
-        from .permgroup import pmul, pinv
         kinv = np.array([idx[pinv(g)] for g in elems])
-        self.k_mul = np.array(
+        k_mul = np.array(
             [[idx[pmul(a, b)] for b in elems] for a in elems], dtype=np.int32)
-        self.k_conj = self.k_mul[self.k_mul, kinv[:, None]]
+        self.k_conj = k_mul[k_mul, kinv[:, None]]
 
     def count_conj_into(self, Lo2: np.ndarray, Lk: np.ndarray,
                         table: tuple[np.ndarray, np.ndarray]) -> int:

@@ -251,6 +251,36 @@ def test_generators_and_counts_match_brute_force(heads):
             assert c.weyl_order == 2 * nk // kp.order, c.name
 
 
+
+@pytest.mark.parametrize("which", ["S4*Z2 cube heads", "S3*Z2 heads 1,2,3,6"])
+def test_generators_close_to_each_class(which, request):
+    """The generators of every class generate exactly the class: a frontier
+    closure over the (2P, |K|) grid, by right multiplication."""
+    if which.startswith("S4"):
+        cat = request.getfixturevalue("cube_pipeline").catalog
+    else:
+        cat = ProductCatalog(
+            direct_product(symmetric_group(3), cyclic_group(2)), [1, 2, 3, 6])
+    K, P = cat.K, cat.P
+    k_mul = np.array([[K.index_of[pmul(a, b)] for b in K.elements]
+                      for a in K.elements])
+    e = K.index_of[pidentity(K.degree)]
+    for c in cat.classes:
+        seen = np.zeros(2 * P * K.order, dtype=bool)     # flat o2 * |K| + k
+        seen[e] = True
+        o2, k = np.array([0]), np.array([e])
+        gens = list(zip(*np.divmod(c.gens[0], P), c.gens[1]))
+        while len(o2):
+            fa, ta = np.divmod(o2, P)
+            flat = np.unique(np.concatenate([
+                ((fa ^ fs) * P + np.where(fa, ta - ts, ta + ts) % P) * K.order
+                + k_mul[k, s_k] for fs, ts, s_k in gens]))
+            flat = flat[~seen[flat]]
+            seen[flat] = True
+            o2, k = np.divmod(flat, K.order)
+        seen = seen.reshape(2 * P, K.order)
+        assert np.array_equal(seen, cat.rows[c.rowid]), c.name
+
 def test_stored_catalog_answers_queries_with_fresh_memos():
     """Memos are per process: a loaded catalog starts them empty, also when
     its stored state holds no memo attributes."""

@@ -373,6 +373,25 @@ def test_cache_key_is_versioned_and_write_leaves_no_temp_file(tmp_path,
     assert sorted(p.suffix for p in tmp_path.iterdir()) == [".pkl", ".pkl"]
 
 
+
+@pytest.mark.parametrize("garble", [
+    lambda b: b[:100], lambda b: b"",
+    lambda b: b"\x80\x04X\x01\x00\x00\x00\xff.",      # a string not in UTF-8
+], ids=["truncated", "empty", "bad-utf8"])
+def test_unreadable_cache_file_exits_2_naming_it(garble, tmp_path,
+                                                 monkeypatch, capsys):
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    argv = ["ccs", "S3*Z2", "--heads", "1,2"]
+    assert cli.main(argv) == 0
+    [path] = tmp_path.iterdir()
+    path.write_bytes(bad := garble(path.read_bytes()))
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unreadable cache file") and path.name in err
+    assert len(err.splitlines()) == 1
+    assert path.read_bytes() == bad              # left as it was, not rebuilt
+
 def test_catalog_shared_by_commands_and_warm_solve_skips_subgroup_table(
         tmp_path, monkeypatch, capsys):
     cache = tmp_path / "cache"
