@@ -12,8 +12,10 @@ common down-closure of the two supports from the top,
     m_L = ( mark_L(X) * mark_L(Y)
             - sum_{(L') > (L)} m_{L'} * n(L, L') * |W(L')| ) / |W(L)|.
 
-Every division must be exact; a remainder indicates corrupted lattice
-data and raises immediately.  Products of single generators (H)(K) go
+``BurnsideRing.from_marks`` runs this recurrence for any mark function;
+the basic degrees (see degrees) use it too.  Every division must be
+exact; a remainder indicates corrupted lattice data and raises
+immediately, naming the class.  Products of single generators (H)(K) go
 through the same route and are exposed for oracle testing, but for
 lattices whose ``weyl_order`` is a normalization convention rather than
 the plain normalizer quotient only whole-element products of marks of
@@ -124,27 +126,22 @@ class BurnsideRing:
         return sum(v * lat.n_count(l, h) * lat.classes[h].weyl_order
                    for h, v in coeffs.items() if v)
 
-    def _solve_support(self, a: dict[int, int],
-                       b: dict[int, int]) -> dict[int, int]:
-        """Coefficients of the product of two elements with ring-one removed."""
+    def from_marks(self, domain, mark) -> dict[int, int]:
+        """Nonzero coefficients m_L, L in ``domain``, of the element whose
+        mark at L is ``mark(L)``, by the top-down recurrence above.  The
+        domain must hold every class whose coefficient can be nonzero."""
         lat = self.lattice
-        if not a or not b:
-            return {}
-        da = set().union(*(lat.down_closure(h) for h in a))
-        db = set().union(*(lat.down_closure(k) for k in b))
-        # descending: every class strictly above l in the lattice precedes it
-        order = sorted(da & db,
-                       key=lambda l: (lat.classes[l].size, l), reverse=True)
         m: dict[int, int] = {}
-        for l in order:
-            acc = self.mark(a, l) * self.mark(b, l)
+        for l in sorted(domain, key=lambda l: (lat.classes[l].size, l),
+                        reverse=True):
+            acc = mark(l)
             for lp, mlp in m.items():
                 if mlp:
                     acc -= mlp * lat.n_count(l, lp) * lat.classes[lp].weyl_order
             w = lat.classes[l].weyl_order
             if acc % w:
-                raise AssertionError(
-                    f"non-exact division in product recurrence at class {l}")
+                raise AssertionError(f"non-exact division in the mark "
+                                     f"recurrence at {lat.classes[l].name}")
             m[l] = acc // w
         return {l: v for l, v in m.items() if v}
 
@@ -159,6 +156,10 @@ class BurnsideRing:
             if scale:
                 for c, v in coeffs.items():
                     out[c] = out.get(c, 0) + _check64(scale * v)
-        for c, v in self._solve_support(a, b).items():
+        # the product's support lies in the common down-closure
+        da, db = (set().union(*map(self.lattice.down_closure, x))
+                  for x in (a, b))
+        for c, v in self.from_marks(
+                da & db, lambda l: self.mark(a, l) * self.mark(b, l)).items():
             out[c] = out.get(c, 0) + _check64(v)
         return BurnsideElement(self, out)

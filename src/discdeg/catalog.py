@@ -23,13 +23,18 @@ contains R; since the class holds exactly one coset of R over each point
 of its head, S has at least as many elements as the class, so S is the
 class.
 
+``gluing_steps`` walks every (K', R) once per subgroup table of K; the
+catalog and ``dihedral_quotient_orders`` both read its list.  Each class
+keeps its gluing as ``glue`` = (step, dihedral isomorphism or -1), and
+the nu-fold pullback of a D_h-headed class is the same gluing on D_{nu h}
+(see ``ProductCatalog.fold_class``), so a fold is a lookup.
+
 The catalog covers heads D_h for h in a divisor-closed set ``heads``,
 plus all SO(2)- and O(2)-headed classes.  Within that scope it supplies
 the complete lattice data the Burnside-ring recurrences need: Weyl group
-orders, the counts n(L, H) of conjugates of H containing L, and the
-nu-fold covering maps between classes.  All of them rest on one
-primitive: a conjugate gLg^-1 lies in H exactly when the conjugates of
-the generators of L do, so
+orders and the counts n(L, H) of conjugates of H containing L.  Both rest
+on one primitive: a conjugate gLg^-1 lies in H exactly when the
+conjugates of the generators of L do, so
 
     n(L, H) = #{g : g gens(L) g^-1 in H} / |N(H)|,
     |N(H)|  = #{g : g gens(H) g^-1 in H},
@@ -70,31 +75,16 @@ class ProductClass:
     size: int                   # number of grid elements
     weyl_order: int             # reported Weyl order (coefficient normalization)
     name: str
+    glue: tuple[int, int]       # (gluing step, isomorphism index or -1)
     n_model: int = 0            # |N(U)| in the grid model
     normalizer_weyl_order: int = 0  # |N(U)/U|, the plain normalizer quotient
 
 
-def _quotient(Kp: frozenset[Perm], R: frozenset[Perm]):
-    """Cosets of R in K', each a sorted list, and the multiplication table
-    of K'/R on their positions.  Coset 0 is R: the identity is the least
-    permutation, so it comes first."""
-    row_of: dict[Perm, int] = {}
-    cosets: list[list[Perm]] = []
-    for g in sorted(Kp):
-        if g not in row_of:
-            c = sorted(pmul(g, r) for r in R)
-            row_of.update(dict.fromkeys(c, len(cosets)))
-            cosets.append(c)
-    mul = np.array([[row_of[pmul(a[0], b[0])] for b in cosets]
-                    for a in cosets])
-    return cosets, mul
-
-
 def _dihedral_isos(mul: np.ndarray, q: int):
     """Isomorphisms from the dihedral group of order 2q onto the group with
-    multiplication table ``mul`` (order 2q, identity 0).  Each is given as
-    (powers of x, y), x and y the images of the rotation and reflection
-    generators."""
+    multiplication table ``mul`` (identity 0); none unless that group is
+    dihedral of order 2q.  Each is given as (powers of x, y), x and y the
+    images of the rotation and reflection generators."""
     powers = []                 # i^0, i^1, ... up to the order of i
     for i in range(len(mul)):
         p = [0]
@@ -108,22 +98,37 @@ def _dihedral_isos(mul: np.ndarray, q: int):
 
 
 @lru_cache(maxsize=1)
-def dihedral_quotient_orders(ktable: SubgroupClassTable) -> frozenset[int]:
-    """Rotation orders r of dihedral quotients K'/R over subgroups of K.
+def gluing_steps(ktable: SubgroupClassTable) -> list[tuple]:
+    """Every (K', R) with R normal in K', over the subgroup classes of K in
+    catalog order, as (K' record, R, cosets, mul, isos): the cosets of R as
+    rows of K indices, coset 0 being R (the identity is the least
+    permutation), the multiplication table of K'/R on their positions,
+    and the dihedral isomorphisms onto K'/R.
 
     Kept for the last table asked, so the head selection of a solve and
-    the catalog it builds compute it once."""
-    out = {1, 2}
-    for rec in ktable.classes:
-        Kp = rec.representative
-        for R in ktable.normal_subgroups_of(Kp):
-            q = len(Kp) // len(R)
-            if q < 6 or q % 2 or q // 2 in out:
-                continue
-            _, mul = _quotient(Kp, R)
-            if _dihedral_isos(mul, q // 2):
-                out.add(q // 2)
-    return frozenset(out)
+    the catalog it builds walk the steps once."""
+    kidx = ktable.group.index_of
+    steps = []
+    for kp in ktable.classes:
+        for R in ktable.normal_subgroups_of(kp.representative):
+            row_of, cosets = {}, []
+            for g in sorted(kp.representative):
+                if g not in row_of:
+                    c = sorted(pmul(g, r) for r in R)
+                    row_of.update(dict.fromkeys(c, len(cosets)))
+                    cosets.append(c)
+            mul = np.array([[row_of[pmul(a[0], b[0])] for b in cosets]
+                            for a in cosets])
+            steps.append((kp, R, np.array([[kidx[g] for g in c]
+                                           for c in cosets]),
+                          mul, _dihedral_isos(mul, len(cosets) // 2)))
+    return steps
+
+
+def dihedral_quotient_orders(ktable: SubgroupClassTable) -> frozenset[int]:
+    """Rotation orders r of dihedral quotients K'/R over subgroups of K."""
+    return frozenset({1, 2} | {len(cosets) // 2 for _, _, cosets, _, isos
+                               in gluing_steps(ktable) if isos})
 
 
 class ProductCatalog:
@@ -136,10 +141,9 @@ class ProductCatalog:
         if P > MAX_HEAD_PERIOD:
             raise ValueError(f"head set {heads} needs grid period {P}, above "
                              f"the supported {MAX_HEAD_PERIOD}")
-        for h in heads:
-            for d in range(1, h + 1):
-                if h % d == 0 and d not in heads:
-                    raise ValueError("head set must be divisor-closed")
+        if any(h % d == 0 and d not in heads for h in heads
+               for d in range(1, h)):
+            raise ValueError("head set must be divisor-closed")
         self.heads = heads
         self.K = K
         self.ktable = ktable if ktable is not None else SubgroupClassTable(K)
@@ -159,7 +163,7 @@ class ProductCatalog:
         """Set the stored state; the per-process memos start empty."""
         self.__dict__.update(state)
         self._ncount, self._down, self._cands = {}, {}, {}
-        self._cols = None
+        self._cols = self._folds = None
 
     # -- construction -------------------------------------------------------
 
@@ -168,12 +172,12 @@ class ProductCatalog:
         blocks = [np.zeros((1, self.model.nK), dtype=bool)]     # row 0: empty
         raw: list[dict] = []
 
-        def add(kind, head, bucket, o2, labels, zname="", lname=""):
-            """The class {(a, k) : a in o2, k in cosets[label of a]}, named
-            H^{Z} x_{L}^{R} K' (H x K' when L is trivial); K', R and the
-            cosets are those of the current step of the loop below, whose
-            rows start at ``base``.  Its generators are the lifts of the
-            head's rotation step and reflection, then R's generators."""
+        def add(kind, head, bucket, o2, labels, iso=-1, zname="", lname=""):
+            """The class {(a, k) : a in o2, k in cosets[label of a]} of the
+            gluing (i, iso) of step i, whose rows start at ``base``, named
+            H^{Z} x_{L}^{R} K' (H x K' when L is trivial).  Its generators
+            are the lifts of the head's rotation step and reflection, then
+            R's generators."""
             rowid = np.zeros(2 * P, dtype=np.int32)
             rowid[o2] = base + labels
             # the rotation step (none for D1), the reflection (none for SO(2))
@@ -191,54 +195,50 @@ class ProductCatalog:
             else:
                 name += f" x {kp.name}"
             raw.append(dict(kind=kind, head=head, kp_cid=kp.cid, bucket=bucket,
-                            rowid=rowid, gens=gens, name=name))
+                            rowid=rowid, gens=gens, name=name, glue=(i, iso)))
 
         full = np.arange(2 * P)
-        for kp in ktable.classes:
-            for R in ktable.normal_subgroups_of(kp.representative):
-                perm_cosets, mul = _quotient(kp.representative, R)
-                cosets = np.array([[self._kidx[g] for g in c]
-                                   for c in perm_cosets])
-                base = sum(map(len, blocks))
-                blocks.append(np.zeros((len(cosets), self.model.nK), dtype=bool))
-                np.put_along_axis(blocks[-1], cosets, True, axis=1)
-                rname = ktable.classes[ktable.cid_of(R)].name
-                # R's generators: by decreasing element order, each one
-                # outside the subgroup generated by those kept before it
-                kept_r: list[Perm] = []
-                span = closure(kept_r, self.K.degree)
-                for g in sorted(sorted(R), key=perm_order, reverse=True):
-                    if g not in span:
-                        kept_r.append(g)
-                        span = closure(kept_r, self.K.degree)
-                r_gens = [self._kidx[g] for g in kept_r]
-                quo = len(cosets)
+        for i, (kp, R, cosets, mul, isos) in enumerate(gluing_steps(ktable)):
+            base = sum(map(len, blocks))
+            blocks.append(np.zeros((len(cosets), self.model.nK), dtype=bool))
+            np.put_along_axis(blocks[-1], cosets, True, axis=1)
+            rname = ktable.classes[ktable.cid_of(R)].name
+            # R's generators: by decreasing element order, each one outside
+            # the subgroup generated by those kept before it
+            kept_r: list[Perm] = []
+            span = closure(kept_r, self.K.degree)
+            for g in sorted(sorted(R), key=perm_order, reverse=True):
+                if g not in span:
+                    kept_r.append(g)
+                    span = closure(kept_r, self.K.degree)
+            r_gens = [self._kidx[g] for g in kept_r]
+            quo = len(cosets)
+            if quo == 1:
+                add("O2", 0, 0, full, np.zeros(2 * P, dtype=int))
+                add("SO2", 0, 0, full[:P], np.zeros(P, dtype=int))
+            if quo == 2:
+                add("O2amalg", 0, 0, full, full // P, -1, "SO(2)", "Z2")
+            for h in self.heads:
+                # D_h on the grid: rotations k, then reflections k
+                k = np.arange(h)
+                o2 = np.concatenate([k * (P // h), P + k * (P // h)])
+                # kernel Z_d, quotient D_q (Z2 for q = 1): rotation k goes to
+                # x^k, reflection k to y x^-k
+                q = quo // 2
+                if isos and h % q == 0:
+                    d = h // q
+                    for iso, (px, y) in enumerate(isos):
+                        add("D", h, d, o2,
+                            np.concatenate([px[k % q], mul[y, px[-k % q]]]),
+                            iso, f"Z{d}" if d > 1 else "",
+                            f"D{q}" if q >= 2 else "Z2")
+                # kernel D_{h/2}, quotient Z2: rotation and reflection k go
+                # to the coset of parity k
+                if h % 2 == 0 and quo == 2:
+                    add("D", h, h // 2, o2, np.tile(k % 2, 2), -1,
+                        f"D{h // 2}", "Z2")
                 if quo == 1:
-                    add("O2", 0, 0, full, np.zeros(2 * P, dtype=int))
-                    add("SO2", 0, 0, full[:P], np.zeros(P, dtype=int))
-                if quo == 2:
-                    add("O2amalg", 0, 0, full, full // P, "SO(2)", "Z2")
-                for h in self.heads:
-                    # D_h on the grid: rotations k, then reflections k
-                    k = np.arange(h)
-                    o2 = np.concatenate([k * (P // h), P + k * (P // h)])
-                    # kernel Z_d, quotient D_q (Z2 for q = 1): rotation k goes
-                    # to x^k, reflection k to y x^-k
-                    q = quo // 2
-                    if quo % 2 == 0 and h % q == 0:
-                        d = h // q
-                        for px, y in _dihedral_isos(mul, q):
-                            add("D", h, d, o2,
-                                np.concatenate([px[k % q], mul[y, px[-k % q]]]),
-                                f"Z{d}" if d > 1 else "",
-                                f"D{q}" if q >= 2 else "Z2")
-                    # kernel D_{h/2}, quotient Z2: rotation and reflection k
-                    # go to the coset of parity k
-                    if h % 2 == 0 and quo == 2:
-                        add("D", h, h // 2, o2, np.tile(k % 2, 2),
-                            f"D{h // 2}", "Z2")
-                    if quo == 1:
-                        add("D", h, h, o2, np.zeros(2 * h, dtype=int))
+                    add("D", h, h, o2, np.zeros(2 * h, dtype=int))
 
         self.rows = np.concatenate(blocks)
         self._dedupe_and_register(raw)
@@ -282,6 +282,8 @@ class ProductCatalog:
         tally: dict[str, int] = {}
         for cid, rec in enumerate(kept):
             k = tally[rec["name"]] = tally.get(rec["name"], 0) + 1
+            rec["name"] += f" ~{k}" if k > 1 else ""
+            del rec["fp"]
             n_model = self.model.count_conj_into(*rec["gens"],
                                                  (rec["rowid"], rows))
             nw = n_model // rec["size"]
@@ -290,13 +292,8 @@ class ProductCatalog:
             # (the central coset is not counted)
             rot_kernel = not rows[rec["rowid"][P:], self._eidx].any()
             self.classes.append(ProductClass(
-                cid=cid, kind=rec["kind"], head=rec["head"],
-                kp_cid=rec["kp_cid"], bucket=rec["bucket"],
-                rowid=rec["rowid"], gens=rec["gens"], size=rec["size"],
-                weyl_order=nw // 2 if rec["kind"] == "D" and rot_kernel else nw,
-                name=rec["name"] if k == 1 else f"{rec['name']} ~{k}",
-                n_model=n_model,
-                normalizer_weyl_order=nw))
+                cid=cid, **rec, n_model=n_model, normalizer_weyl_order=nw,
+                weyl_order=nw // 2 if rec["kind"] == "D" and rot_kernel else nw))
         self.by_name = {c.name: c.cid for c in self.classes}
         self.full_cid = self.by_name[
             f"O(2) x {self.ktable.classes[self.ktable.full_cid].name}"]
@@ -360,8 +357,12 @@ class ProductCatalog:
     def fold_class(self, cid: int, nu: int) -> int:
         """Image of a class under the pullback along the nu-fold cover of O(2).
 
-        The preimage of D_h is D_{h*nu} (kernels scale the same way);
-        O(2)- and SO(2)-headed classes are fixed.
+        It is the same gluing on D_{h nu}: element k of D_{h nu} covers
+        element k mod h of D_h, whose label ``_build`` gives k at head
+        h nu.  Two gluings of one (K', R) are conjugate when N(D_h) = D_{2h}
+        and N_K(K') carry one to the other, and D_{2h} acts on D_h/Z_d = D_q
+        as Inn(D_q) with y -> yx at every h, so the dedupe keeps the same
+        gluings at every head.  O(2)- and SO(2)-headed classes are fixed.
         """
         c = self.classes[cid]
         if nu == 1 or c.kind != "D":
@@ -369,17 +370,10 @@ class ProductCatalog:
         if c.head * nu not in self.heads:
             raise ValueError(
                 f"folded head D{c.head * nu} outside catalog heads {self.heads}")
-        P = self.P
-        t = nu * np.arange(P) % P
-        folded = np.concatenate([c.rowid[t], c.rowid[P + t]])
-        size = self.rows.sum(axis=1)[folded].sum()
-        for cand in self.classes:
-            if (cand.kind == "D" and cand.size == size
-                    and cand.head == c.head * nu and cand.kp_cid == c.kp_cid
-                    and self.model.count_conj_into(*cand.gens,
-                                                   (folded, self.rows))):
-                return cand.cid
-        raise AssertionError("folded class not found in catalog")
+        if self._folds is None:
+            self._folds = {(d.glue, d.head): d.cid for d in self.classes
+                           if d.kind == "D"}
+        return self._folds[c.glue, c.head * nu]
 
 
 def cached_catalog(K: FiniteGroup, heads: list[int], cache,

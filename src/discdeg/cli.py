@@ -20,8 +20,9 @@ CACHE_ENV = "DISCDEG_CACHE_DIR"
 # layout of the cached objects; a ProductClass without generators is format 1,
 # one with a stored membership mask is format 2, one with its element lists
 # is format 3, one stored as row ids into the catalog's table is format 4,
-# and one whose model keeps no multiplication tables is format 5
-CACHE_FORMAT = 5
+# one whose model keeps no multiplication tables is format 5, and one that
+# records the gluing it came from is format 6
+CACHE_FORMAT = 6
 
 
 class Refusal(Exception):
@@ -193,22 +194,44 @@ def cmd_bessel_zeros(args) -> int:
     return 0
 
 
+def _require(ok: bool, shape: str):
+    if not ok:
+        raise ValueError(f"malformed problem file: {shape}")
+
+
+def _is_list_of(x, kind) -> bool:
+    return isinstance(x, list) and all(isinstance(v, kind) for v in x)
+
+
 def _load_problem(path: str):
+    from dataclasses import fields
     from .elliptic import CouplingProblem, GrowthMeta, cube_problem
     with open(path) as fh:
         doc = json.load(fh)
-    growth = GrowthMeta(**doc.get("growth", {}))
+    _require(isinstance(doc, dict), "expected a JSON object")
+    growth = doc.get("growth", {})
+    known = [f.name for f in fields(GrowthMeta)]
+    _require(isinstance(growth, dict) and set(growth) <= set(known)
+             and all(isinstance(v, (int, float)) for v in growth.values()),
+             f"growth must map some of {known} to numbers")
+    growth = GrowthMeta(**growth)
     if "cube" in doc:
+        _require(isinstance(doc["cube"], dict), "cube must be an object")
         c = Fraction(str(doc["cube"]["c"]))
         d = Fraction(str(doc["cube"]["d"]))
         return cube_problem(c, d, growth)
+    _require(isinstance(doc["group"], str), "group must be a string")
     gamma = _build_group(doc["group"])
+    _require(_is_list_of(doc["action_generators"], list)
+             and all(_is_list_of(p, int) for p in doc["action_generators"]),
+             "action_generators must be a list of lists of integers")
     gens = [tuple(p) for p in doc["action_generators"]]
     if gamma.name == "S2" and len(gens) == 2 and gens[0] == gens[1]:
         gens = gens[:1]     # S2 once listed its transposition twice
     if len(gens) != len(gamma.generators):
         raise ValueError("action_generators must match the group generators")
     action = _extend_action(gamma, gens)
+    _require(_is_list_of(doc["matrix"], list), "matrix must be a list of rows")
     matrix = [[Fraction(str(v)) for v in row] for row in doc["matrix"]]
     return CouplingProblem(gamma=gamma, action=action, matrix=matrix,
                            growth=growth)

@@ -7,6 +7,8 @@ top-down recurrence
     n_H = ( (-1)^{dim V^H} - sum_{(L) > (H)} n_L * n(H, L) * |W(L)| ) / |W(H)|
 
 over the orbit types of V together with the class of the full group.
+It is the mark recurrence of the Burnside ring, solved by
+``BurnsideRing.from_marks`` with the mark (-1)^{dim V^H}.
 Every basic degree is an involution: deg * deg = (G).
 """
 from __future__ import annotations
@@ -34,20 +36,8 @@ def basic_degree(ring: BurnsideRing, ctx: RepContext,
                          f"the heads {cat.heads}")
     # the full class is an orbit type of the trivial rep; visit it once
     domain = set(orbit_types(ctx, rep)) | {cat.full_cid}
-    order = sorted(domain, key=lambda c: (cat.classes[c].size, c), reverse=True)
-    n: dict[int, int] = {}
-    for h in order:
-        d_h = -1 if ctx.fixed_dim(rep, h) % 2 else 1
-        acc = d_h
-        for l, nl in n.items():
-            if nl:
-                acc -= nl * cat.n_count(h, l) * cat.classes[l].weyl_order
-        w = cat.classes[h].weyl_order
-        if acc % w:
-            raise AssertionError(f"non-exact division in basic degree at "
-                                 f"{cat.classes[h].name}")
-        n[h] = acc // w
-    ctx.basic_degrees[rep] = ring.element({h: v for h, v in n.items() if v})
+    ctx.basic_degrees[rep] = ring.element(ring.from_marks(
+        domain, lambda h: -1 if ctx.fixed_dim(rep, h) % 2 else 1))
     return ctx.basic_degrees[rep]
 
 

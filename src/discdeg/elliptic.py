@@ -258,33 +258,30 @@ def spectrum_summary(spec: list[IsotypicEigenvalue]) -> dict:
 # ---------------------------------------------------------------------------
 # conditions (D) and (3.1)
 
-def check_condition_D(spec: list[IsotypicEigenvalue],
-                      modes: ModeTable) -> tuple[bool, tuple | None]:
-    """True iff every positive eigenvalue clears every s_nm by D_GUARD."""
+def _collisions(spec: list[IsotypicEigenvalue], modes: ModeTable):
+    """(n, m, mu) for each positive eigenvalue mu within D_GUARD of s_nm,
+    eigenvalue by eigenvalue; the table must cover every such mu."""
     for e in spec:
         mu = float(e.mu)
         if mu <= 0:
             continue
         if mu > modes.mu_max:
             raise ValueError("mode table does not cover the spectrum")
-        for (n, m), z in modes.zeros.items():
-            if abs(z - mu) <= D_GUARD:
-                return False, (n, m, e.mu)
-    return True, None
+        yield from ((n, m, e.mu) for (n, m), z in modes.zeros.items()
+                    if abs(z - mu) <= D_GUARD)
+
+
+def check_condition_D(spec: list[IsotypicEigenvalue],
+                      modes: ModeTable) -> tuple[bool, tuple | None]:
+    """True iff every positive eigenvalue clears every s_nm by D_GUARD."""
+    witness = next(_collisions(spec, modes), None)
+    return witness is None, witness
 
 
 def resonant_set(spec: list[IsotypicEigenvalue],
                  modes: ModeTable) -> set[int]:
     """Modes m admitting an eigenvalue collision (the set C)."""
-    out = set()
-    for e in spec:
-        mu = float(e.mu)
-        if mu <= 0:
-            continue
-        for (n, m), z in modes.zeros.items():
-            if abs(z - mu) <= D_GUARD:
-                out.add(m)
-    return out
+    return {m for _, m, _ in _collisions(spec, modes)}
 
 
 def check_s3_1(resonant: set[int], l: int) -> bool:
@@ -474,14 +471,9 @@ def existence_report(problem: CouplingProblem,
     ok, witness = (check_condition_D(spec, modes) if mu_max > 0
                    else (True, None))
     resonant = resonant_set(spec, modes) if mu_max > 0 else set()
-    if not ok:
-        return DegreeReport(condition_D=False, condition_D_witness=witness,
+    if not ok or mu_max == 0.0:
+        return DegreeReport(condition_D=ok, condition_D_witness=witness,
                             resonant=resonant, spectrum=spec, mode_counts={},
-                            maximal_mode1=[], counters=[], degree=None,
-                            non_radial=[], radial=[])
-    if mu_max == 0.0:
-        return DegreeReport(condition_D=True, condition_D_witness=None,
-                            resonant=set(), spectrum=spec, mode_counts={},
                             maximal_mode1=[], counters=[], degree=None,
                             non_radial=[], radial=[])
 

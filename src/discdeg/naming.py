@@ -10,7 +10,7 @@ subgroup, "d" / "hd" for the two kinds of Klein-four kernels inside D4,
 """
 from __future__ import annotations
 
-from .permgroup import FiniteGroup, Perm, cycle_type, pconj, pidentity
+from .permgroup import Perm, cycle_type, pidentity
 
 
 def _is_transposition(p: Perm) -> bool:

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 Perm = tuple[int, ...]
 

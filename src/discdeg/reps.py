@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import ProductCatalog
-from .characters import CharacterTable, character_table
+from .characters import character_table
 from .permgroup import FiniteGroup
 
 

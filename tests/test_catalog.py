@@ -1,5 +1,7 @@
 """Product-catalog structure: the 33 finite classes, lattice laws, folding."""
+import json
 import math
+import os
 import pickle
 
 import numpy as np
@@ -115,6 +117,28 @@ def test_fold_outside_heads_rejected(cube_pipeline):
     c = next(c for c in cat.classes if c.kind == "D" and c.head == 18)
     with pytest.raises(ValueError):
         cat.fold_class(c.cid, 2)    # head 36 is outside the catalog
+
+
+def test_folds_match_golden(cube_pipeline):
+    """Every fold of the cube catalog, against the frozen map: one line per
+    D-headed class with a fold nu >= 2 inside the heads, in cid order."""
+    cat = cube_pipeline.catalog
+    got = []
+    for c in cat.classes:
+        for nu in range(1, max(cat.heads) + 1):
+            if c.kind != "D" or nu == 1:
+                assert cat.fold_class(c.cid, nu) == c.cid
+            elif c.head * nu not in cat.heads:
+                with pytest.raises(ValueError):
+                    cat.fold_class(c.cid, nu)
+            else:
+                if not got or got[-1]["name"] != c.name:
+                    got.append({"name": c.name, "folds": {}})
+                got[-1]["folds"][str(nu)] = cat.classes[
+                    cat.fold_class(c.cid, nu)].name
+    with open(os.path.join(os.path.dirname(__file__), "golden",
+                           "folds_s4z2.jsonl")) as fh:
+        assert got == [json.loads(line) for line in fh]
 
 
 def test_divisor_closure_required():

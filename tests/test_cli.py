@@ -233,6 +233,22 @@ def test_action_generators_that_define_no_action_exit_2(group, images,
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("doc", [
+    [1],
+    {"growth": {"zz": 1}, "cube": {"c": 4, "d": 1}},
+    {"group": "S2", "action_generators": [[1, 0]], "matrix": 5},
+    {"group": 5, "action_generators": [[1, 0]], "matrix": [[1]]},
+    {"cube": 5},
+], ids=["not-an-object", "growth-key", "matrix", "group", "cube"])
+def test_malformed_problem_file_exits_2(doc, tmp_path, capsys):
+    prob = tmp_path / "bad.json"
+    prob.write_text(json.dumps(doc))
+    assert cli.main(["solve", str(prob)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed problem file:")
+    assert len(err.splitlines()) == 1
+
+
 def test_basic_degree_refuses_heads_missing_its_orbit_types(tmp_path,
                                                             monkeypatch,
                                                             capsys):

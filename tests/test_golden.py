@@ -6,7 +6,8 @@ The files under ``golden/`` are the `solve` reports of
 S4xZ2 cube catalog and of S3xZ2 on heads 1,2,3,6 (cid, name, kind and
 Weyl order of every class, in cid order).  Each is compared byte for
 byte twice: from an empty catalog cache, which builds and stores the
-catalog, and again from the stored one.
+catalog, and again from the stored one.  ``golden/folds_s4z2.jsonl``, every
+fold of the cube catalog, is checked in-process by test_catalog.py.
 """
 import os
 
