@@ -27,7 +27,11 @@ class.
 catalog and ``dihedral_quotient_orders`` both read its list.  Each class
 keeps its gluing as ``glue`` = (step, dihedral isomorphism or -1), and
 the nu-fold pullback of a D_h-headed class is the same gluing on D_{nu h}
-(see ``ProductCatalog.fold_class``), so a fold is a lookup.
+(see ``ProductCatalog.fold_class``), so a fold is a lookup.  The rows
+over the rotations of one period r of every D-headed gluing, also of
+those whose heads the catalog lacks, are kept in ``rotation_rows[r]``,
+from which ``reps.RepContext.fixed_point_heads`` reads the heads a rep
+needs.
 
 The catalog covers heads D_h for h in a divisor-closed set ``heads``,
 plus all SO(2)- and O(2)-headed classes.  Within that scope it supplies
@@ -53,8 +57,8 @@ from functools import lru_cache
 import numpy as np
 
 from .o2model import O2Model
-from .permgroup import (FiniteGroup, Perm, SubgroupClassTable, closure,
-                        perm_order, pidentity, pmul)
+from .permgroup import (FiniteGroup, SubgroupClassTable, _element_orders,
+                        _extend, _unique_rows)
 from .naming import name_subgroup_classes
 
 MAX_HEAD_PERIOD = 720   # cap on the grid period P = 2*lcm(heads)
@@ -100,28 +104,27 @@ def _dihedral_isos(mul: np.ndarray, q: int):
 @lru_cache(maxsize=1)
 def gluing_steps(ktable: SubgroupClassTable) -> list[tuple]:
     """Every (K', R) with R normal in K', over the subgroup classes of K in
-    catalog order, as (K' record, R, cosets, mul, isos): the cosets of R as
-    rows of K indices, coset 0 being R (the identity is the least
-    permutation), the multiplication table of K'/R on their positions,
-    and the dihedral isomorphisms onto K'/R.
+    catalog order, as (K' record, R, cosets, mul, isos): R as its position
+    in ``ktable.subgroups``, the cosets gR as sorted rows of K indices in
+    the order of their least elements (coset 0 is R: the identity is
+    index 0), the multiplication table of K'/R on their positions, and
+    the dihedral isomorphisms onto K'/R.
 
     Kept for the last table asked, so the head selection of a solve and
     the catalog it builds walk the steps once."""
-    kidx = ktable.group.index_of
+    kmul = ktable.group._tables()[0]
+    row_of = np.empty(len(kmul), dtype=np.intp)
     steps = []
     for kp in ktable.classes:
-        for R in ktable.normal_subgroups_of(kp.representative):
-            row_of, cosets = {}, []
-            for g in sorted(kp.representative):
-                if g not in row_of:
-                    c = sorted(pmul(g, r) for r in R)
-                    row_of.update(dict.fromkeys(c, len(cosets)))
-                    cosets.append(c)
-            mul = np.array([[row_of[pmul(a[0], b[0])] for b in cosets]
-                            for a in cosets])
-            steps.append((kp, R, np.array([[kidx[g] for g in c]
-                                           for c in cosets]),
-                          mul, _dihedral_isos(mul, len(cosets) // 2)))
+        p = ktable._rep[kp.cid]
+        for r in ktable._normal(p):
+            cosets = _unique_rows(np.sort(kmul[np.ix_(
+                np.flatnonzero(ktable._masks[p]),
+                np.flatnonzero(ktable._masks[r]))], axis=1))
+            row_of[cosets] = np.arange(len(cosets))[:, None]
+            mul = row_of[kmul[np.ix_(cosets[:, 0], cosets[:, 0])]]
+            steps.append((kp, r, cosets, mul,
+                          _dihedral_isos(mul, len(cosets) // 2)))
     return steps
 
 
@@ -149,12 +152,8 @@ class ProductCatalog:
         self.ktable = ktable if ktable is not None else SubgroupClassTable(K)
         if not any(r.name for r in self.ktable.classes):
             name_subgroup_classes(self.ktable)
-        self.dihedral_orders = dihedral_quotient_orders(self.ktable)
         self.model = O2Model(P, K)
         self.P = P
-        self._kidx = K.index_of
-        self._kcls_of_elem = K.class_index_of_element()
-        self._eidx = K.index_of[pidentity(K.degree)]
         self.classes: list[ProductClass] = []
         self.__setstate__({})
         self._build()
@@ -171,6 +170,7 @@ class ProductCatalog:
         P, ktable = self.P, self.ktable
         blocks = [np.zeros((1, self.model.nK), dtype=bool)]     # row 0: empty
         raw: list[dict] = []
+        rotation_rows: list[list[int]] = []
 
         def add(kind, head, bucket, o2, labels, iso=-1, zname="", lname=""):
             """The class {(a, k) : a in o2, k in cosets[label of a]} of the
@@ -198,21 +198,26 @@ class ProductCatalog:
                             rowid=rowid, gens=gens, name=name, glue=(i, iso)))
 
         full = np.arange(2 * P)
-        for i, (kp, R, cosets, mul, isos) in enumerate(gluing_steps(ktable)):
+        kmul = self.K._tables()[0]
+        korder = _element_orders(kmul)
+        for i, (kp, r, cosets, mul, isos) in enumerate(gluing_steps(ktable)):
             base = sum(map(len, blocks))
             blocks.append(np.zeros((len(cosets), self.model.nK), dtype=bool))
             np.put_along_axis(blocks[-1], cosets, True, axis=1)
-            rname = ktable.classes[ktable.cid_of(R)].name
+            rname = ktable.classes[ktable._cid[r]].name
             # R's generators: by decreasing element order, each one outside
             # the subgroup generated by those kept before it
-            kept_r: list[Perm] = []
-            span = closure(kept_r, self.K.degree)
-            for g in sorted(sorted(R), key=perm_order, reverse=True):
+            r_gens, span = [], np.arange(1)
+            for g in sorted(cosets[0].tolist(), key=lambda g: -korder[g]):
                 if g not in span:
-                    kept_r.append(g)
-                    span = closure(kept_r, self.K.degree)
-            r_gens = [self._kidx[g] for g in kept_r]
+                    span = np.flatnonzero(_extend(kmul, span, r_gens, g))
+                    r_gens.append(g)
             quo = len(cosets)
+            # the rows over rotations 0..r-1 of each D-headed gluing, which
+            # repeat with period r: trivial quotient, D_q, and Z2 by parity
+            rotation_rows += [[base]] if quo == 1 else [
+                (base + px).tolist() for px, _ in isos]
+            rotation_rows += [[base, base + 1]] if quo == 2 else []
             if quo == 1:
                 add("O2", 0, 0, full, np.zeros(2 * P, dtype=int))
                 add("SO2", 0, 0, full[:P], np.zeros(P, dtype=int))
@@ -241,25 +246,16 @@ class ProductCatalog:
                     add("D", h, h, o2, np.zeros(2 * h, dtype=int))
 
         self.rows = np.concatenate(blocks)
+        self.rotation_rows = {r: np.array([ids for ids in rotation_rows
+                                           if len(ids) == r])
+                              for r in sorted(set(map(len, rotation_rows)))}
         self._dedupe_and_register(raw)
 
     def _dedupe_and_register(self, raw: list[dict]):
         P, rows = self.P, self.rows
-        kcls = np.array([self._kcls_of_elem[g] for g in self.K.elements])
-        radix = np.array([(P + 1) * len(kcls), len(kcls), 1])
+        self._fingerprint(raw)
         buckets: dict[tuple, list[dict]] = {}
         for rec in raw:
-            # fingerprint: how many elements of each rotation order or
-            # reflection parity, and K-class; a conjugation invariant
-            o2, k = self._elements(rec["rowid"])
-            rot = o2 < P
-            keys = np.stack([~rot, np.where(rot, P // np.gcd(P, o2),
-                                            (o2 - P) % 2), kcls[k]], axis=1)
-            _, first, count = np.unique(keys @ radix, return_index=True,
-                                        return_counts=True)
-            rec["fp"] = tuple(zip(map(tuple, keys[first].tolist()),
-                                  count.tolist()))
-            rec["size"] = len(o2)
             key = (rec["kind"], rec["head"], rec["kp_cid"], rec["size"],
                    rec["bucket"], rec["fp"])
             buckets.setdefault(key, []).append(rec)
@@ -290,7 +286,7 @@ class ProductCatalog:
             # reported convention: dihedral-headed classes whose O(2)-side
             # kernel is rotation-only get half the plain normalizer quotient
             # (the central coset is not counted)
-            rot_kernel = not rows[rec["rowid"][P:], self._eidx].any()
+            rot_kernel = not rows[rec["rowid"][P:], 0].any()
             self.classes.append(ProductClass(
                 cid=cid, **rec, n_model=n_model, normalizer_weyl_order=nw,
                 weyl_order=nw // 2 if rec["kind"] == "D" and rot_kernel else nw))
@@ -298,11 +294,42 @@ class ProductCatalog:
         self.full_cid = self.by_name[
             f"O(2) x {self.ktable.classes[self.ktable.full_cid].name}"]
 
-    def _elements(self, rowid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The o2 and k indices of the elements, in order of o2, then k."""
-        a = np.flatnonzero(rowid)
-        i, k = np.nonzero(self.rows[rowid[a]])
-        return a[i], k
+    def _fingerprint(self, raw: list[dict]):
+        """Set each record's size and fingerprint: how many of its elements
+        have each rotation order or reflection parity, and K-class, as
+        ((reflection bit, order or parity, K-class), count) in key order; a
+        conjugation invariant.  One K-class histogram per row of the table,
+        summed over each record's grid points by their bin, 128 records at
+        a time: one pass over all records left the peak RSS of a cold
+        catalog command about 1 MiB higher."""
+        P = self.P
+        cls_of = self.K.class_index_of_element()
+        kcls = np.array([cls_of[g] for g in self.K.elements])
+        hist = self.rows.astype(np.int32) @ (
+            kcls[:, None] == np.arange(kcls.max() + 1)).astype(np.int32)
+        # the bin of each grid point: rotations t by their order
+        # P / gcd(P, t), then reflections (1, t) by the parity of t
+        t = np.arange(P)
+        orders, rot_bin = np.unique(P // np.gcd(P, t), return_inverse=True)
+        nbins = len(orders) + 2
+        refl = np.repeat([0, 1], [len(orders), 2])
+        value = np.concatenate([orders, [0, 1]])
+        bin_of = np.concatenate([rot_bin, len(orders) + t % 2])
+        for lo in range(0, len(raw), 128):
+            recs = raw[lo:lo + 128]
+            rowids = np.stack([rec["rowid"] for rec in recs])
+            r, a = np.nonzero(rowids)
+            counts = np.zeros((len(recs) * nbins, hist.shape[1]),
+                              dtype=np.int32)
+            np.add.at(counts, r * nbins + bin_of[a], hist[rowids[r, a]])
+            counts = counts.reshape(len(recs), nbins, -1)
+            r, b, c = np.nonzero(counts)
+            items = list(zip(zip(refl[b].tolist(), value[b].tolist(),
+                                 c.tolist()), counts[r, b, c].tolist()))
+            cut = np.searchsorted(r, np.arange(len(recs) + 1)).tolist()
+            for i, size in enumerate(counts.sum(axis=(1, 2)).tolist()):
+                recs[i]["fp"] = tuple(items[cut[i]:cut[i + 1]])
+                recs[i]["size"] = size
 
     # -- lattice queries -----------------------------------------------------
 

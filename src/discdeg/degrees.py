@@ -27,9 +27,9 @@ def basic_degree(ring: BurnsideRing, ctx: RepContext,
     if rep.m < 0 or not 0 <= rep.j < len(ctx.gamma_table.irreps):
         raise ValueError(f"no irreducible {rep} for Gamma = {ctx.gamma.name}")
     cat = ctx.catalog
-    # the orbit types of a mode-m rep have heads r*m, r a rotation order of
-    # a dihedral quotient of K; without them the degree would be incomplete
-    missing = sorted({r * rep.m for r in cat.dihedral_orders} - set(cat.heads)
+    # every orbit type of a mode-m rep has a nonzero fixed space; without
+    # the heads of those classes the degree would be incomplete
+    missing = sorted(ctx.fixed_point_heads(rep) - set(cat.heads)
                      if rep.m else ())
     if missing:
         raise ValueError(f"{rep} needs catalog heads {missing}, missing from "

@@ -12,8 +12,9 @@ t*pi/P, so conjugating by the rotation c sends it to (1, t + 2c).
 An element of D_P x K is a pair (o2, k) of indices, o2 = flip*P + t on
 the grid and k into ``K.elements``.  The model keeps only the two
 conjugation tables, ``o2_conj[g, x]`` (2P x 2P) and ``k_conj[g, x]``
-(|K| x |K|), both g x g^-1; the multiplication tables they are built
-from are dropped after construction.  Over each grid point the
+(|K| x |K|), both g x g^-1; the D_P multiplication table is dropped
+after construction, and ``k_conj`` is the one K keeps for its subgroup
+lattice (``FiniteGroup._tables``).  Over each grid point the
 elements of a catalog subgroup are none or one coset of a normal subgroup
 R of K', so its membership table is factored as (rowid, rows): (a, k) is
 in it iff rows[rowid[a], k], for boolean rows over K (row 0 empty, the
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .permgroup import FiniteGroup, pinv, pmul
+from .permgroup import FiniteGroup
 
 
 class O2Model:
@@ -52,12 +53,7 @@ class O2Model:
         inv[P:] = P + t
         self.o2_conj = mul[mul, inv[:, None]]      # [g, x] = g x g^{-1}
 
-        elems = K.elements
-        idx = K.index_of
-        kinv = np.array([idx[pinv(g)] for g in elems])
-        k_mul = np.array(
-            [[idx[pmul(a, b)] for b in elems] for a in elems], dtype=np.int32)
-        self.k_conj = k_mul[k_mul, kinv[:, None]]
+        self.k_conj = K._tables()[2]
 
     def count_conj_into(self, Lo2: np.ndarray, Lk: np.ndarray,
                         table: tuple[np.ndarray, np.ndarray]) -> int:

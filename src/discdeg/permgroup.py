@@ -1,9 +1,23 @@
 """Finite permutation groups: construction, subgroup lattices, conjugacy counts.
 
 Groups are sets of permutations of {0, ..., degree-1}, stored as tuples
-(``p[i]`` is the image of ``i``).  Everything here is brute force on
-purpose -- the groups that matter downstream have order <= a few hundred,
-and exhaustive enumeration doubles as its own correctness argument.
+(``p[i]`` is the image of ``i``) in sorted order, so each element is also
+its index into ``FiniteGroup.elements``; the identity, the least
+permutation, is index 0.  The tuple functions (``pmul``, ``pinv``,
+``pconj``, ``closure``) are the public API and the slow, obviously
+correct oracle that the tests compare the index code against.
+
+Lattice work runs on element indices instead.  A group of order at most
+``MAX_LATTICE_ORDER`` builds, on first use, an int32 Cayley table
+``mul[i, j]`` (the index of ``elements[i] * elements[j]``), the inverse
+vector and the conjugation table ``conj[g, x]`` (g x g^-1).  A subgroup
+is a sorted index array or a boolean mask over the elements; ``<H, g>``
+is closed coset by coset (Dimino's method), and the conjugates of H are
+rows of ``conj[:, H]``.  ``all_subgroups`` and ``SubgroupClassTable``
+turn the index sets into their public ``frozenset[Perm]`` values once, at
+the end.  Element conjugacy classes need no table, so the character
+table of a group above the bound still works: they are the orbits of
+conjugation by the generators.
 """
 from __future__ import annotations
 
@@ -11,7 +25,15 @@ import math
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 Perm = tuple[int, ...]
+
+# largest group order for subgroup lattices and the tables behind them; at
+# the bound, the subgroup table of S6 (1,455 subgroups) takes 7-8 s on a
+# 2-core x86 machine.  Order does not bound the subgroup count everywhere:
+# elementary abelian 2-groups of order 128 or more have tens of thousands.
+MAX_LATTICE_ORDER = 720
 
 
 def pmul(a: Perm, b: Perm) -> Perm:
@@ -89,9 +111,25 @@ class FiniteGroup:
         self.order = len(self.elements)
         self.index_of = {g: i for i, g in enumerate(self.elements)}
         self._element_classes: list[list[Perm]] | None = None
+        self._cayley: tuple[np.ndarray, ...] | None = None
 
     def __contains__(self, p: Perm) -> bool:
         return p in self.index_of
+
+    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(mul, inv, conj) on element indices, built on first use and only
+        for lattice work: mul[i, j] is the index of elements[i] * elements[j],
+        inv[i] that of the inverse of elements[i], conj[g, x] that of
+        g x g^-1.  A group above ``MAX_LATTICE_ORDER`` is refused first."""
+        if self._cayley is None:
+            if self.order > MAX_LATTICE_ORDER:
+                raise ValueError(
+                    f"{self.name or 'group'} has order {self.order}; subgroup "
+                    f"lattices are supported up to order {MAX_LATTICE_ORDER}")
+            mul = _cayley_table(self)
+            inv = np.argmin(mul, axis=1)            # the identity is index 0
+            self._cayley = mul, inv, mul[mul, inv[:, None]]
+        return self._cayley
 
     def element_conjugacy_classes(self) -> list[list[Perm]]:
         """Conjugacy classes of elements, canonically ordered.
@@ -102,13 +140,21 @@ class FiniteGroup:
         """
         if self._element_classes is not None:
             return self._element_classes
-        unseen = set(self.elements)
+        idx, elems = self.index_of, self.elements
+        # x -> s x s^-1 for each generator s; a class is an orbit of these
+        moves = [[idx[pconj(s, g)] for g in elems] for s in self.generators]
+        label = [-1] * self.order
         classes = []
-        while unseen:
-            x = next(iter(unseen))
-            orb = {pconj(g, x) for g in self.elements}
-            unseen -= orb
-            classes.append(sorted(orb))
+        for x in range(self.order):
+            if label[x] < 0:
+                label[x] = len(classes)
+                orbit = [x]
+                for y in orbit:
+                    for move in moves:
+                        if label[move[y]] < 0:
+                            label[move[y]] = len(classes)
+                            orbit.append(move[y])
+                classes.append([elems[i] for i in sorted(orbit)])
         def key(cls):
             r = cls[0]
             moved = sum(1 for i in range(self.degree) if r[i] != i)
@@ -120,6 +166,63 @@ class FiniteGroup:
     def class_index_of_element(self) -> dict[Perm, int]:
         return {g: i for i, cls in enumerate(self.element_conjugacy_classes())
                 for g in cls}
+
+
+def _cayley_table(G: FiniteGroup) -> np.ndarray:
+    """mul[i, j], the index of elements[i] * elements[j], one column per
+    element: the column of x s is the column of x read through right
+    multiplication by the generator s."""
+    n, idx = G.order, G.index_of
+    right = [np.array([idx[pmul(g, s)] for g in G.elements], dtype=np.int32)
+             for s in G.generators]
+    cols = np.empty((n, n), dtype=np.int32)     # cols[j] = mul[:, j]
+    cols[0] = np.arange(n)
+    seen = [True] + [False] * (n - 1)
+    queue = [0]
+    for x in queue:
+        for r in right:
+            y = int(r[x])
+            if not seen[y]:
+                seen[y] = True
+                cols[y] = r[cols[x]]
+                queue.append(y)
+    return np.ascontiguousarray(cols.T)
+
+
+def _element_orders(mul: np.ndarray) -> np.ndarray:
+    """Order of every element, from the Cayley table."""
+    n = len(mul)
+    orders = np.zeros(n, dtype=np.int64)
+    power, k = np.arange(n), 1
+    while not orders.all():
+        orders[(power == 0) & (orders == 0)] = k
+        power, k = mul[power, np.arange(n)], k + 1
+    return orders
+
+
+def _unique_rows(a: np.ndarray) -> np.ndarray:
+    """The distinct rows of ``a`` in lexicographic order, as
+    ``np.unique(a, axis=0)`` gives them, without the numpy.ma import that
+    call makes."""
+    a = a[np.lexsort(a.T[::-1])]
+    return a[np.r_[True, (a[1:] != a[:-1]).any(axis=1)]]
+
+
+def _extend(mul: np.ndarray, H: np.ndarray, gens: list[int],
+            g: int) -> np.ndarray:
+    """Mask of <H, g>, for a subgroup H (sorted indices) generated by
+    ``gens``: the right cosets H x, found by multiplying one representative
+    of each coset found so far by every generator (Dimino's method)."""
+    mask = np.zeros(len(mul), dtype=bool)
+    mask[H] = True
+    reps, gens = [0], gens + [g]
+    for r in reps:
+        for s in gens:
+            x = mul[r, s]
+            if not mask[x]:
+                mask[mul[H, x]] = True
+                reps.append(x)
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -205,30 +308,39 @@ def build_group(descriptor: str) -> FiniteGroup:
 # ---------------------------------------------------------------------------
 # subgroup lattice
 
-def all_subgroups(G: FiniteGroup) -> list[frozenset[Perm]]:
-    """Every subgroup of G, by breadth-first closure of generator extensions.
+def _lattice(G: FiniteGroup) -> list[tuple[np.ndarray, list[int]]]:
+    """Every subgroup of G as (sorted int32 element indices, generators),
+    sorted by order and then by elements, by breadth-first closure of
+    generator extensions.
 
-    Each subgroup H is extended by one g per left coset gH, since
-    <H, gh> = <H, g> for every h in H.
+    Each subgroup H is extended by one g per double coset HgH, since
+    <H, a g b> = <H, g> for every a, b in H.
     """
-    e = pidentity(G.degree)
-    triv = frozenset([e])
-    found = {triv}
+    mul = G._tables()[0]
+    triv = (np.zeros(1, dtype=np.int32), [])
+    found = {triv[0].tobytes(): triv}
     frontier = [triv]
     while frontier:
         nxt = []
-        for H in frontier:
-            tried = set(H)
-            for g in G.elements:
-                if g in tried:
+        for H, gens in frontier:
+            tried = np.zeros(G.order, dtype=bool)
+            tried[H] = True
+            for g in range(G.order):
+                if tried[g]:
                     continue
-                tried.update(pmul(g, h) for h in H)
-                K = closure(list(H) + [g], G.degree)
-                if K not in found:
-                    found.add(K)
-                    nxt.append(K)
+                tried[mul[mul[H, g][:, None], H]] = True
+                K = np.flatnonzero(_extend(mul, H, gens, g)).astype(np.int32)
+                if K.tobytes() not in found:
+                    found[K.tobytes()] = sub = (K, gens + [g])
+                    nxt.append(sub)
         frontier = nxt
-    return sorted(found, key=lambda H: (len(H), sorted(H)))
+    return sorted(found.values(), key=lambda s: (len(s[0]), s[0].tolist()))
+
+
+def all_subgroups(G: FiniteGroup) -> list[frozenset[Perm]]:
+    """Every subgroup of G, sorted by order and then by sorted elements."""
+    return [frozenset(G.elements[i] for i in H.tolist())
+            for H, _ in _lattice(G)]
 
 
 @dataclass
@@ -255,22 +367,33 @@ class SubgroupClassTable:
 
     def __init__(self, G: FiniteGroup):
         self.group = G
-        subs = all_subgroups(G)
-        class_of: dict[frozenset[Perm], int] = {}
+        conj = G._tables()[2]
+        lattice = _lattice(G)
+        position = {H.tobytes(): p for p, (H, _) in enumerate(lattice)}
+        self._gens = [gens for _, gens in lattice]     # of each subgroup
+        self._masks = np.zeros((len(lattice), G.order), dtype=bool)
+        self._cid = np.full(len(lattice), -1)          # class of each subgroup
+        orbits: list[list[int]] = []                   # positions, by class
+        for p, (H, _) in enumerate(lattice):
+            self._masks[p, H] = True
+            if self._cid[p] < 0:
+                # the conjugates g H g^-1 as sorted rows, in sorted() order
+                rows = _unique_rows(np.sort(conj[:, H], axis=1))
+                orbits.append([position[r.tobytes()] for r in rows])
+                self._cid[orbits[-1]] = len(orbits) - 1
+        subs = [frozenset(G.elements[i] for i in H.tolist())
+                for H, _ in lattice]
         self.classes: list[SubgroupClassRecord] = []
-        for H in subs:
-            if H in class_of:
-                continue
-            orbit = {frozenset(pconj(g, h) for h in H) for g in G.elements}
-            members = sorted(orbit, key=sorted)
-            nz = G.order // len(members)  # |N(H)| by orbit-stabilizer
-            cid = len(self.classes)
+        self.class_of: dict[frozenset[Perm], int] = {}
+        for cid, orbit in enumerate(orbits):
+            nz = G.order // len(orbit)  # |N(H)| by orbit-stabilizer
+            rep = subs[orbit[0]]
             self.classes.append(SubgroupClassRecord(
-                cid=cid, representative=members[0], order=len(H),
-                normalizer_order=nz, weyl_order=nz // len(H), members=members))
-            for M in members:
-                class_of[M] = cid
-        self.class_of = class_of
+                cid=cid, representative=rep, order=len(rep),
+                normalizer_order=nz, weyl_order=nz // len(rep),
+                members=[subs[q] for q in orbit]))
+            self.class_of.update(dict.fromkeys(self.classes[-1].members, cid))
+        self._rep = [orbit[0] for orbit in orbits]   # position of each rep
         self.subgroups = subs
         self._ncount: dict[tuple[int, int], int] = {}
 
@@ -307,8 +430,17 @@ class SubgroupClassTable:
         raise ValueError("fold is only defined on product lattices")
 
     def normal_subgroups_of(self, H: frozenset[Perm]) -> list[frozenset[Perm]]:
-        out = []
-        for R in self.subgroups:
-            if R <= H and all(frozenset(pconj(h, r) for r in R) == R for h in H):
-                out.append(R)
-        return out
+        mask = np.zeros(self.group.order, dtype=bool)
+        mask[[self.group.index_of[h] for h in H]] = True
+        [p] = np.flatnonzero((self._masks == mask).all(axis=1))
+        return [self.subgroups[r] for r in self._normal(p)]
+
+    def _normal(self, p: int) -> list[int]:
+        """Positions of the normal subgroups of subgroup p, in list order:
+        the subgroups R inside it with s R s^-1 <= R for its generators s."""
+        masks = self._masks
+        conj = self.group._tables()[2]
+        rs = np.flatnonzero(~(masks & ~masks[p]).any(axis=1))
+        for s in self._gens[p]:
+            rs = rs[(masks[rs][:, conj[s]] >= masks[rs]).all(axis=1)]
+        return rs.tolist()

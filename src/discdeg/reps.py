@@ -75,10 +75,7 @@ class RepContext:
         w = (np.ones(2 * P) if rep.m == 0 else np.concatenate(
             [2.0 * np.cos(2.0 * math.pi * rep.m * np.arange(P) / P),
              np.zeros(P)]))
-        chi = np.array([self.gamma_table.value(rep.j, g)
-                        for g in self._gamma_part], dtype=np.float64)
-        if rep.sign < 0:
-            chi = chi * self._z_sign
+        chi = self._chi(rep)
         d = (self.catalog.rows @ chi)[rowids] @ w / sizes
         r = np.round(d)
         for i in np.flatnonzero((np.abs(d - r) > 1e-6) | (r < 0))[:1]:
@@ -87,6 +84,36 @@ class RepContext:
                 f"at {self.catalog.classes[cids[i]].name}")
         self._dim_cache[key] = dict(zip(cids, r.astype(int).tolist()))
         return self._dim_cache[key]
+
+    def _chi(self, rep: IrrDescriptor) -> np.ndarray:
+        """The character of U_j^sign on the elements of K."""
+        chi = np.array([self.gamma_table.value(rep.j, g)
+                        for g in self._gamma_part], dtype=np.float64)
+        return chi * self._z_sign if rep.sign < 0 else chi
+
+    def fixed_point_heads(self, rep: IrrDescriptor) -> set[int]:
+        """Heads of the D-headed classes, in any head set, on which a rep of
+        mode m >= 1 has a nonzero fixed space; its orbit types are among them.
+
+        A gluing whose rows repeat with period r over the rotations has
+        its class on head r d (kernel Z_d) fixing nothing unless d | m, and
+        then the dimension is sum_t 2 cos(2 pi (m/d) t / r) C(t) / (2 r |R|),
+        t < r, where C(t) is the character summed over the row of rotation t
+        (reflections have trace 0 on W_m).  It is read off the stored rows,
+        before any class is counted."""
+        cat = self.catalog
+        c = cat.rows @ self._chi(rep)
+        size = cat.rows.sum(axis=1)
+        divisors = [d for d in range(1, rep.m + 1) if rep.m % d == 0]
+        heads = set()
+        for r, ids in cat.rotation_rows.items():
+            for d in divisors:
+                cosines = 2.0 * np.cos(2.0 * math.pi * (rep.m // d)
+                                       * np.arange(r) / r)
+                # an integer dimension above 1/2
+                if (c[ids] @ cosines > r * size[ids[:, 0]]).any():
+                    heads.add(r * d)
+        return heads
 
 
 def orbit_types(ctx: RepContext, rep: IrrDescriptor) -> list[int]:

@@ -1,4 +1,5 @@
 """Product-catalog structure: the 33 finite classes, lattice laws, folding."""
+import hashlib
 import json
 import math
 import os
@@ -9,8 +10,8 @@ import pytest
 
 from discdeg.catalog import ProductCatalog
 from discdeg.elliptic import fold_family_name
-from discdeg.permgroup import (cyclic_group, direct_product, pidentity, pinv,
-                               pmul, symmetric_group)
+from discdeg.permgroup import (build_group, cyclic_group, direct_product,
+                               pidentity, pinv, pmul, symmetric_group)
 from discdeg.reps import IrrDescriptor, RepContext
 
 # the 33 subgroup class names of S4 x Z2, as published
@@ -139,6 +140,43 @@ def test_folds_match_golden(cube_pipeline):
     with open(os.path.join(os.path.dirname(__file__), "golden",
                            "folds_s4z2.jsonl")) as fh:
         assert got == [json.loads(line) for line in fh]
+
+
+# every stored field of a ProductClass, digested over the classes in cid order
+DIGEST_FIELDS = ("name", "kind", "head", "kp_cid", "bucket", "size",
+                 "weyl_order", "normalizer_weyl_order", "n_model", "glue",
+                 "rowid", "gens")
+
+
+def catalog_digests(cat) -> dict[str, str]:
+    """One SHA-256 per class field, over all classes in cid order, and one
+    over the catalog's rows; each hashes the compact JSON of the values."""
+    def sha(values):
+        text = json.dumps(values, separators=(",", ":"))
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def plain(v):
+        return v.tolist() if isinstance(v, np.ndarray) else v
+    out = {f: sha([plain(getattr(c, f)) for c in cat.classes])
+           for f in DIGEST_FIELDS}
+    out["rows"] = sha(cat.rows.astype(int).tolist())
+    return out
+
+
+@pytest.mark.parametrize("group, heads", [
+    ("S4*Z2", "1,2,3,4,6,8,9,12,18"), ("S3*Z2", "1,2,3,6")])
+def test_catalog_matches_golden_digests(group, heads, request):
+    """Catalog identity: every stored field of every class, and the rows,
+    as frozen in golden/catalog_digests.json."""
+    if group == "S4*Z2":
+        cat = request.getfixturevalue("cube_pipeline").catalog
+        assert cat.heads == [int(h) for h in heads.split(",")]
+    else:
+        cat = ProductCatalog(build_group(group),
+                             [int(h) for h in heads.split(",")])
+    with open(os.path.join(os.path.dirname(__file__), "golden",
+                           "catalog_digests.json")) as fh:
+        assert catalog_digests(cat) == json.load(fh)[f"{group}|{heads}"]
 
 
 def test_divisor_closure_required():

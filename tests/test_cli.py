@@ -252,16 +252,75 @@ def test_malformed_problem_file_exits_2(doc, tmp_path, capsys):
 def test_basic_degree_refuses_heads_missing_its_orbit_types(tmp_path,
                                                             monkeypatch,
                                                             capsys):
-    """Mode-2 orbit types of S3 x Z2 have heads 2r, r in {1, 2, 3, 6}."""
+    """Each rep names the heads of its fixed-point classes that the catalog
+    lacks: the mode-2 reps of S3 x Z2 fix vectors on D4-headed classes, and
+    W2 (x) U2- also on D12-headed ones."""
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
-    for rep in (("2", "0", "-1"), ("2", "1", "-1"), ("2", "1", "1"),
-                ("2", "2", "-1"), ("2", "2", "1")):
+    for rep, missing in ((("2", "0", "-1"), "[4]"), (("2", "1", "-1"), "[4]"),
+                         (("2", "1", "1"), "[4]"), (("2", "2", "-1"), "[4, 12]"),
+                         (("2", "2", "1"), "[4]")):
         argv = ["basic-degree", *rep, "--group", "S3*Z2", "--heads"]
         assert cli.main([*argv, "1,2,3,6"]) == 2, rep
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "[4, 12]" in err, rep
+        assert err.startswith("error:") and len(err.splitlines()) == 1, rep
+        assert f"needs catalog heads {missing}," in err, rep
         assert cli.main([*argv, "1,2,3,4,6,12"]) == 0, rep
         capsys.readouterr()
+    assert cli.main(["basic-degree", "4", "2", "-1"]) == 2
+    assert "needs catalog heads [24]," in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rep, extra", [
+    (("3", "0", "1"), "9,18"), (("3", "0", "-1"), "9,18"),
+    (("3", "1", "1"), "9,18"), (("3", "1", "-1"), "9,18"),
+    (("2", "0", "1"), "4,12")])
+def test_basic_degree_needs_only_the_heads_of_its_fixed_points(
+        rep, extra, tmp_path, monkeypatch, capsys):
+    """Heads 1,2,3,6 of S3 x Z2 hold every class on which these reps fix a
+    nonzero vector, so they answer there, and more heads change nothing."""
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    argv = ["--format", "json", "basic-degree", *rep, "--group", "S3*Z2",
+            "--heads"]
+    assert cli.main([*argv, "1,2,3,6"]) == 0
+    out = capsys.readouterr().out
+    assert cli.main([*argv, "1,2,3,6," + extra]) == 0
+    assert capsys.readouterr().out == out and out
+
+
+@pytest.mark.parametrize("argv", [
+    ["ccs", "S7"], ["ccs", "S6*Z2", "--heads", "1,2"],
+    ["basic-degree", "1", "0", "-1", "--group", "S6*Z2", "--heads", "1,2"],
+    ["fold", "2", "D1 x Z1", "--group", "S6*Z2", "--heads", "1,2"],
+    ["solve", "S6"]])
+def test_group_above_the_lattice_bound_exits_2(argv, tmp_path, monkeypatch,
+                                               capsys):
+    """|K| = 5,040 and 1,440 are above the lattice bound of 720; the
+    commands refuse before the Cayley table of K is allocated."""
+    def no_table(*args, **kwargs):
+        raise AssertionError("Cayley table allocated")
+    monkeypatch.setattr(permgroup, "_cayley_table", no_table)
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    if argv[0] == "solve":
+        prob = tmp_path / "s6.json"
+        prob.write_text(json.dumps({"group": argv[1],
+                                    "action_generators": [[0], [0]],
+                                    "matrix": [["3"]]}))
+        argv = ["solve", str(prob)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert f"up to order {permgroup.MAX_LATTICE_ORDER}" in err
+
+
+def test_character_table_of_s7_needs_no_cayley_table(monkeypatch, capsys):
+    """S7 (order 5,040) is above the lattice bound; its character table
+    needs only the element classes."""
+    def no_table(*args, **kwargs):
+        raise AssertionError("Cayley table allocated")
+    monkeypatch.setattr(permgroup, "_cayley_table", no_table)
+    assert cli.main(["--format", "json", "chartab", "S7"]) == 0
+    recs = jlines(capsys.readouterr().out)
+    assert len(recs) == 15 and recs[0]["values"] == [1] * 15
 
 
 def test_solve_imports_no_scipy():

@@ -1,11 +1,17 @@
 """Basic degrees, folding, and the coefficient lemmas of the degree engine."""
+import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from discdeg.burnside import BurnsideRing
+from discdeg.catalog import ProductCatalog, dihedral_quotient_orders
 from discdeg.degrees import (SpectralAssignment, basic_degree, gdeg_field,
                              gdeg_linear)
-from discdeg.reps import (IrrDescriptor, maximal_orbit_types,
+from discdeg.permgroup import build_group, cyclic_group, direct_product
+from discdeg.reps import (IrrDescriptor, RepContext, maximal_orbit_types,
                           maximal_orbit_types_union, orbit_types)
 
 # the reps whose basic degrees drive the published worked example,
@@ -157,3 +163,46 @@ def test_orbit_types_contain_full_fixed_classes(cube_pipeline):
         assert ctx.fixed_dim(rep, h) > 0
     mots = set(maximal_orbit_types(ctx, rep))
     assert mots <= set(ots)
+
+
+# -- head-set consistency ------------------------------------------------------
+
+_PIPELINES: dict = {}
+
+
+def _pipeline(gamma: str, heads):
+    """Ring and rep context of Gamma x Z2 on ``heads``, built once."""
+    heads = sorted({d for h in heads for d in range(1, h + 1) if h % d == 0})
+    key = (gamma, tuple(heads))
+    if key not in _PIPELINES:
+        G = build_group(gamma)
+        cat = ProductCatalog(direct_product(G, cyclic_group(2)), heads)
+        _PIPELINES[key] = BurnsideRing(cat), RepContext(cat, G)
+    return _PIPELINES[key]
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(gamma=st.sampled_from(["S3", "S4"]), m=st.integers(1, 3),
+       j=st.integers(0, 4), sign=st.sampled_from([-1, 1]),
+       extra=st.sampled_from([1, 4, 8, 9, 12]))
+def test_basic_degree_is_the_same_on_a_larger_head_set(gamma, m, j, sign,
+                                                       extra):
+    """H1: the heads of the rep's fixed-point classes, which the head check
+    asks for.  H2 adds r*m for every dihedral quotient order r of K (the old,
+    stricter check) and one more head.  The degree on H2 has the same terms,
+    and none on a class whose head only H2 has."""
+    _, ctx0 = _pipeline(gamma, [1])
+    rep = IrrDescriptor(m, j % len(ctx0.gamma_table.irreps), sign)
+    h1 = ctx0.fixed_point_heads(rep) | {1}
+    rs = dihedral_quotient_orders(ctx0.catalog.ktable)
+    h2 = h1 | {r * m for r in rs} | {extra}
+    assert 2 * math.lcm(*h2) <= 720
+    ring1, ctx1 = _pipeline(gamma, h1)
+    ring2, ctx2 = _pipeline(gamma, h2)
+    d1 = basic_degree(ring1, ctx1, rep)
+    d2 = basic_degree(ring2, ctx2, rep)
+    assert d2.terms() == d1.terms(), rep
+    heads1 = set(ctx1.catalog.heads)
+    for cid in d2.coeffs:
+        c = ctx2.catalog.classes[cid]
+        assert c.kind != "D" or c.head in heads1, (rep, c.name)

@@ -2,10 +2,11 @@
 
 The files under ``golden/`` are the `solve` reports of
 ``examples_local/cube.json`` (JSON and text) and
-``examples_local/swap.json`` (JSON), and the `ccs` class lists of the
+``examples_local/swap.json`` (JSON), the `ccs` class lists of the
 S4xZ2 cube catalog and of S3xZ2 on heads 1,2,3,6 (cid, name, kind and
-Weyl order of every class, in cid order).  Each is compared byte for
-byte twice: from an empty catalog cache, which builds and stores the
+Weyl order of every class, in cid order), and the `ccs` subgroup classes
+of S5xZ2 (cid, name, order, Weyl order and size).  Each is compared byte
+for byte twice: from an empty catalog cache, which builds and stores the
 catalog, and again from the stored one.  ``golden/folds_s4z2.jsonl``, every
 fold of the cube catalog, is checked in-process by test_catalog.py.
 """
@@ -30,13 +31,16 @@ def _ccs(group, heads, golden):
                         golden, 1, id=f"ccs-{group}-{golden}")
 
 
-# `solve` stores the head list and the catalog, `ccs` only the catalog
+# `solve` stores the head list and the catalog, `ccs --heads` only the
+# catalog, and `ccs` of a plain group nothing
 @pytest.mark.parametrize("argv, golden, n_files", [
     _solve("json", "cube.json", "cube.jsonl"),
     _solve("text", "cube.json", "cube.txt"),
     _solve("json", "swap.json", "swap.jsonl"),
     _ccs("S4*Z2", "1,2,3,4,6,8,9,12,18", "ccs_s4z2.jsonl"),
     _ccs("S3*Z2", "1,2,3,6", "ccs_s3z2.jsonl"),
+    pytest.param(["--format", "json", "ccs", "S5*Z2"], "ccs_s5z2.jsonl", 0,
+                 id="ccs-S5*Z2-ccs_s5z2.jsonl"),
 ])
 def test_solve_report_matches_golden_cold_and_warm(argv, golden, n_files,
                                                    tmp_path, monkeypatch,

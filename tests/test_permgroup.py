@@ -115,6 +115,41 @@ def test_all_subgroups_matches_unpruned_extension(desc):
                                       key=lambda H: (len(H), sorted(H)))
 
 
+@pytest.mark.parametrize("desc", ["S3*Z2", "D4*Z2", "A4*Z2"])
+def test_subgroup_classes_match_conjugation_orbits(desc):
+    """Classes in order of first appearance in the subgroup list, each with
+    its conjugates sorted as element lists; element classes are the orbits
+    of conjugation by every element."""
+    G = build_group(desc)
+    table = SubgroupClassTable(G)
+    firsts = []
+    for H in table.subgroups:
+        orbit = {frozenset(pmul(pmul(g, h), pinv(g)) for h in H)
+                 for g in G.elements}
+        members = sorted(orbit, key=sorted)
+        if members not in firsts:
+            firsts.append(members)
+    assert [rec.members for rec in table.classes] == firsts
+    for rec in table.classes:
+        assert rec.representative == rec.members[0]
+        assert rec.normalizer_order * len(rec.members) == G.order
+    orbits = {frozenset(pmul(pmul(g, x), pinv(g)) for g in G.elements)
+              for x in G.elements}
+    assert {frozenset(c) for c in G.element_conjugacy_classes()} == orbits
+
+
+@pytest.mark.parametrize("desc", ["S3*Z2", "D4*Z2", "S4*Z2"])
+def test_normal_subgroups_of_matches_definition(desc):
+    """The normal subgroups of every class representative H: each subgroup
+    R <= H with h R h^-1 = R for all h in H, in subgroup-list order."""
+    table = SubgroupClassTable(build_group(desc))
+    for rec in table.classes:
+        H = rec.representative
+        want = [R for R in table.subgroups if R <= H and all(
+            frozenset(pmul(pmul(h, r), pinv(h)) for r in R) == R for h in H)]
+        assert table.normal_subgroups_of(H) == want, rec.cid
+
+
 def test_subgroup_classes_s4_oracle():
     G = symmetric_group(4)
     table = SubgroupClassTable(G)
