@@ -4,24 +4,23 @@ Every such subgroup is an amalgamated product  H ^Z x_L^R K'  glued from a
 closed subgroup H <= O(2) and a subgroup K' <= K along a common finite
 quotient L = H/Z = K'/R: the pairs (a, k) with a in H and k in the coset
 of R that the gluing assigns to a.  The catalog builds every class this
-way, whatever its head (D_h, SO(2) or O(2)), on the grid model D_P x K
-(see o2model).  Over each point of the grid a class holds no element or
-one coset of R, so the catalog keeps one boolean table ``rows`` over K,
-row 0 empty and then one row per coset of R for every (K', R), and a
-class is stored as its row ids: (a, k) lies in class c iff
-``rows[c.rowid[a], k]``.  Its elements are ``np.nonzero(rows[c.rowid])``
-and R is ``rows[c.rowid[0]]``.
+way, whatever its head (D_h, SO(2) or O(2)), and keeps it on that head:
+one boolean table ``rows`` over K for all classes (row 0 empty, then one
+row per coset of R for every (K', R)), and per class the row of each
+point of its head, ``labels``: rotations 0..n-1, then reflections, with
+n = h for D_h and n = 1 for SO(2) (no reflections) and O(2).  R is
+``rows[labels[0]]``.  Only the lattice counts need the grid model D_P x K
+(see o2model); ``ProductCatalog.grid_rowid`` puts point k of D_h at grid
+point k P/h and the labels of SO(2) and O(2) over all grid points.
 
-Each class also keeps a small generating set, read off the same gluing
-data: a lift of the head's rotation step (grid point P/h for D_h, h > 1;
-point 1 for SO(2)- and O(2)-headed classes), a lift of the reflection
-(1, 0) when the head has reflections, and generators of R over the
-identity of O(2).  A lift of a grid point is the first element of the
-coset of R the gluing puts over it.  These generate a subgroup S of the
-class that projects onto the head and whose fibre over the identity
-contains R; since the class holds exactly one coset of R over each point
-of its head, S has at least as many elements as the class, so S is the
-class.
+Each class also keeps a small generating set, read off the same labels:
+lifts of the head's rotation step (head point 1, or a generating grid
+rotation of SO(2) and O(2); none for D1) and of a reflection (point n;
+none for SO(2)), a lift being the first element of the point's coset,
+and generators of R.  These generate a subgroup S of the class that
+projects onto the head and whose fibre over the identity contains R;
+since the class holds exactly one coset of R over each point of its
+head, S is the class.
 
 ``gluing_steps`` walks every (K', R) once per subgroup table of K; the
 catalog and ``dihedral_quotient_orders`` both read its list.  Each class
@@ -74,7 +73,7 @@ class ProductClass:
     head: int                   # h for D-kind, 0 otherwise
     kp_cid: int                 # class id of the K-projection in the K table
     bucket: int                 # |U ^ (SO(2) x 1)|: d for D-kind kernels Z_d
-    rowid: np.ndarray           # (2P,): row of catalog.rows over each grid point
+    labels: np.ndarray          # row of catalog.rows over each head point
     gens: np.ndarray            # (2, g): o2 and k indices of a generating set
     size: int                   # number of grid elements
     weyl_order: int             # reported Weyl order (coefficient normalization)
@@ -161,7 +160,7 @@ class ProductCatalog:
     def __setstate__(self, state):
         """Set the stored state; the per-process memos start empty."""
         self.__dict__.update(state)
-        self._ncount, self._down, self._cands = {}, {}, {}
+        self._ncount, self._down, self._cands, self._rowids = {}, {}, {}, {}
         self._cols = self._folds = None
 
     # -- construction -------------------------------------------------------
@@ -172,20 +171,21 @@ class ProductCatalog:
         raw: list[dict] = []
         rotation_rows: list[list[int]] = []
 
-        def add(kind, head, bucket, o2, labels, iso=-1, zname="", lname=""):
-            """The class {(a, k) : a in o2, k in cosets[label of a]} of the
-            gluing (i, iso) of step i, whose rows start at ``base``, named
-            H^{Z} x_{L}^{R} K' (H x K' when L is trivial).  Its generators
-            are the lifts of the head's rotation step and reflection, then
-            R's generators."""
-            rowid = np.zeros(2 * P, dtype=np.int32)
-            rowid[o2] = base + labels
-            # the rotation step (none for D1), the reflection (none for SO(2))
-            step = [] if head == 1 else [P // head if head else 1]
-            lifts = step + ([P] if kind != "SO2" else [])
-            gens = np.array([lifts + [0] * len(r_gens),
-                             [cosets[rowid[a] - base, 0] for a in lifts]
-                             + r_gens], dtype=np.intp)
+        def add(kind, head, bucket, labels, iso=-1, zname="", lname=""):
+            """The class {(a, k) : a in the head, k in cosets[label of a]}
+            of the gluing (i, iso) of step i, whose rows start at ``base``,
+            named H^{Z} x_{L}^{R} K' (H x K' when L is trivial).  Its
+            generators are the lifts of the head's rotation step and
+            reflection, then R's generators."""
+            n = head or 1
+            # (grid point, head point) of the rotation step (none for D1)
+            # and of the reflection (none for SO(2))
+            lifts = ([] if head == 1 else [(P // n if head else 1, 1 % n)]) + (
+                [(P, n)] if kind != "SO2" else [])
+            gens = np.array([[a for a, _ in lifts] + [0] * len(r_gens),
+                             [cosets[labels[p], 0] for _, p in lifts] + r_gens],
+                            dtype=np.intp)
+            labels = (base + labels).astype(np.int32)
             name = {"O2": "O(2)", "SO2": "SO(2)", "O2amalg": "O(2)"}.get(
                 kind, f"D{head}")
             if lname:
@@ -195,9 +195,9 @@ class ProductCatalog:
             else:
                 name += f" x {kp.name}"
             raw.append(dict(kind=kind, head=head, kp_cid=kp.cid, bucket=bucket,
-                            rowid=rowid, gens=gens, name=name, glue=(i, iso)))
+                            labels=labels, rowid=self._on_grid(head, labels),
+                            gens=gens, name=name, glue=(i, iso)))
 
-        full = np.arange(2 * P)
         kmul = self.K._tables()[0]
         korder = _element_orders(kmul)
         for i, (kp, r, cosets, mul, isos) in enumerate(gluing_steps(ktable)):
@@ -219,31 +219,29 @@ class ProductCatalog:
                 (base + px).tolist() for px, _ in isos]
             rotation_rows += [[base, base + 1]] if quo == 2 else []
             if quo == 1:
-                add("O2", 0, 0, full, np.zeros(2 * P, dtype=int))
-                add("SO2", 0, 0, full[:P], np.zeros(P, dtype=int))
+                add("O2", 0, 0, np.zeros(2, dtype=int))
+                add("SO2", 0, 0, np.zeros(1, dtype=int))
             if quo == 2:
-                add("O2amalg", 0, 0, full, full // P, -1, "SO(2)", "Z2")
+                add("O2amalg", 0, 0, np.arange(2), -1, "SO(2)", "Z2")
             for h in self.heads:
-                # D_h on the grid: rotations k, then reflections k
                 k = np.arange(h)
-                o2 = np.concatenate([k * (P // h), P + k * (P // h)])
                 # kernel Z_d, quotient D_q (Z2 for q = 1): rotation k goes to
                 # x^k, reflection k to y x^-k
                 q = quo // 2
                 if isos and h % q == 0:
                     d = h // q
                     for iso, (px, y) in enumerate(isos):
-                        add("D", h, d, o2,
+                        add("D", h, d,
                             np.concatenate([px[k % q], mul[y, px[-k % q]]]),
                             iso, f"Z{d}" if d > 1 else "",
                             f"D{q}" if q >= 2 else "Z2")
                 # kernel D_{h/2}, quotient Z2: rotation and reflection k go
                 # to the coset of parity k
                 if h % 2 == 0 and quo == 2:
-                    add("D", h, h // 2, o2, np.tile(k % 2, 2), -1,
+                    add("D", h, h // 2, np.tile(k % 2, 2), -1,
                         f"D{h // 2}", "Z2")
                 if quo == 1:
-                    add("D", h, h, o2, np.zeros(2 * h, dtype=int))
+                    add("D", h, h, np.zeros(2 * h, dtype=int))
 
         self.rows = np.concatenate(blocks)
         self.rotation_rows = {r: np.array([ids for ids in rotation_rows
@@ -251,8 +249,24 @@ class ProductCatalog:
                               for r in sorted(set(map(len, rotation_rows)))}
         self._dedupe_and_register(raw)
 
+    def _on_grid(self, head: int, labels: np.ndarray) -> np.ndarray:
+        """The row id over each of the 2P grid points of the class with
+        ``labels`` on ``head`` (see the module notes)."""
+        n = head or 1
+        rowid = np.zeros((2, n, self.P // n), dtype=np.int32)
+        rowid[:len(labels) // n, :, :1 if head else None] = labels.reshape(
+            -1, n, 1)
+        return rowid.ravel()
+
+    def grid_rowid(self, cid: int) -> np.ndarray:
+        """Class ``cid`` spread over the grid, kept for the process."""
+        if cid not in self._rowids:
+            c = self.classes[cid]
+            self._rowids[cid] = self._on_grid(c.head, c.labels)
+        return self._rowids[cid]
+
     def _dedupe_and_register(self, raw: list[dict]):
-        P, rows = self.P, self.rows
+        rows = self.rows
         self._fingerprint(raw)
         buckets: dict[tuple, list[dict]] = {}
         for rec in raw:
@@ -281,12 +295,12 @@ class ProductCatalog:
             rec["name"] += f" ~{k}" if k > 1 else ""
             del rec["fp"]
             n_model = self.model.count_conj_into(*rec["gens"],
-                                                 (rec["rowid"], rows))
+                                                 (rec.pop("rowid"), rows))
             nw = n_model // rec["size"]
             # reported convention: dihedral-headed classes whose O(2)-side
             # kernel is rotation-only get half the plain normalizer quotient
             # (the central coset is not counted)
-            rot_kernel = not rows[rec["rowid"][P:], 0].any()
+            rot_kernel = not rows[rec["labels"][rec["head"]:], 0].any()
             self.classes.append(ProductClass(
                 cid=cid, **rec, n_model=n_model, normalizer_weyl_order=nw,
                 weyl_order=nw // 2 if rec["kind"] == "D" and rot_kernel else nw))
@@ -343,7 +357,7 @@ class ProductCatalog:
         if key not in self._ncount:
             self._ncount[key] = (
                 self.model.count_conj_into(*self.classes[l].gens,
-                                           (self.classes[h].rowid, self.rows))
+                                           (self.grid_rowid(h), self.rows))
                 // self.classes[h].n_model
                 if self._candidates(h)[l] else 0)
         return self._ncount[key]

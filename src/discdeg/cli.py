@@ -17,13 +17,8 @@ from pickle import UnpicklingError   # perfbench/tracer.py swaps out `pickle`
 
 SCHEMA = 1
 CACHE_ENV = "DISCDEG_CACHE_DIR"
-# layout of the cached objects; a ProductClass without generators is format 1,
-# one with a stored membership mask is format 2, one with its element lists
-# is format 3, one stored as row ids into the catalog's table is format 4,
-# one whose model keeps no multiplication tables is format 5, one that
-# records the gluing it came from is format 6, and one that keeps the
-# rotation rows of every gluing, with K's index tables, is format 7
-CACHE_FORMAT = 7
+# format 8: each catalog class as its row labels over its own head
+CACHE_FORMAT = 8
 
 
 class Refusal(Exception):

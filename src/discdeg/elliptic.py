@@ -26,7 +26,6 @@ from .permgroup import (FiniteGroup, Perm, closure, cyclic_group,
 from .reps import IrrDescriptor, RepContext, maximal_orbit_types_union
 
 D_GUARD = 1e-8          # tolerance band for condition (D)
-MU_TOL = 1e-10          # tolerance for float isotypic eigenvalues
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +192,7 @@ def cube_problem(c, d, growth: GrowthMeta | None = None) -> CouplingProblem:
 @dataclass(frozen=True)
 class IsotypicEigenvalue:
     j: int                 # Gamma-irreducible index
-    mu: Fraction | float   # eigenvalue of A on the isotypic component
+    mu: Fraction           # eigenvalue of A on the isotypic component
     mult: int              # m_j = dim V_j / dim U_j
     dim: int               # dim V_j
 
@@ -209,10 +208,7 @@ def isotypic_spectrum(problem: CouplingProblem,
     from .characters import character_table
     G = problem.gamma
     table = ctx_table or character_table(G)
-    k = problem.dim
-    A = [[Fraction(v) if not isinstance(v, float) else v for v in row]
-         for row in problem.matrix]
-    exact = all(isinstance(v, Fraction) for row in A for v in row)
+    k, A = problem.dim, problem.matrix
     mults = isotypic_multiplicities(table, problem.permutation_character())
     out = []
     n = G.order
@@ -229,20 +225,15 @@ def isotypic_spectrum(problem: CouplingProblem,
             p = problem.action[g]
             for l in range(k):
                 P[p[l]][l] += Fraction(chi)
-        scale = Fraction(deg, n)
-        P = [[scale * v for v in row] for row in P]
+        P = [[Fraction(deg, n) * v for v in row] for row in P]
         # A P_j must be a scalar multiple of P_j
         AP = [[sum(A[i][t] * P[t][l] for t in range(k)) for l in range(k)]
               for i in range(k)]
         i0, l0 = next((i, l) for i in range(k) for l in range(k) if P[i][l])
         mu = AP[i0][l0] / P[i0][l0]
-        tol = 0 if exact else MU_TOL
-        for i in range(k):
-            for l in range(k):
-                if abs(AP[i][l] - mu * P[i][l]) > tol:
-                    raise ValueError(
-                        f"matrix is not scalar on isotypic component {j}; "
-                        f"condition (B2) fails")
+        if any(AP[i][l] != mu * P[i][l] for i in range(k) for l in range(k)):
+            raise ValueError(f"matrix is not scalar on isotypic component "
+                             f"{j}; condition (B2) fails")
         out.append(IsotypicEigenvalue(j=j, mu=mu, mult=m_j, dim=m_j * deg))
     return out
 
@@ -312,7 +303,6 @@ class ClassCounters:
     """Fold counters for one maximal orbit type (H) of mode 1."""
     cid: int
     name: str
-    n_j: dict[tuple[int, int], int]   # (nu, j) -> n_j(H_nu)
     m_of: dict[int, int]              # nu -> m(H_nu)
     nu0: int | None                   # max nu with m(H_nu) odd, if any
 
@@ -320,27 +310,19 @@ class ClassCounters:
 def class_counters(spec, modes, ring: BurnsideRing, ctx: RepContext,
                    cid: int) -> ClassCounters:
     cat = ctx.catalog
-    n_j: dict[tuple[int, int], int] = {}
     m_of: dict[int, int] = {}
     for nu in range(1, modes.max_mode + 1):
         raw = {e.j: (n_counter(modes, nu, e.mu) if float(e.mu) > 0 else 0)
                for e in spec}
         if not any(raw.values()):
-            n_j.update({(nu, j): 0 for j in raw})
             m_of[nu] = 0
             continue
         h_nu = cat.fold_class(cid, nu)
-        total = 0
-        for e in spec:
-            cnt = raw[e.j]
-            if cnt and basic_degree(ring, ctx,
-                                    IrrDescriptor(nu, e.j, -1)).coeff(h_nu) == 0:
-                cnt = 0
-            n_j[(nu, e.j)] = cnt
-            total += cnt * e.mult
-        m_of[nu] = total
+        m_of[nu] = sum(raw[e.j] * e.mult for e in spec if raw[e.j]
+                       and basic_degree(ring, ctx, IrrDescriptor(nu, e.j, -1))
+                       .coeff(h_nu) != 0)
     odd = [v for v, t in m_of.items() if t % 2]
-    return ClassCounters(cid=cid, name=cat.classes[cid].name, n_j=n_j,
+    return ClassCounters(cid=cid, name=cat.classes[cid].name,
                          m_of=m_of, nu0=max(odd) if odd else None)
 
 
@@ -426,11 +408,11 @@ def fold_family_name(cat: ProductCatalog, cid: int) -> str:
     c = cat.classes[cid]
     if c.kind != "D":
         raise ValueError("fold families are defined for dihedral-headed classes")
-    # the O(2)-side kernel: the grid points whose row holds the identity of K
+    # the O(2)-side kernel: the head points whose row holds the identity of K
     kernel = np.flatnonzero(
-        cat.rows[c.rowid, cat.K.index_of[pidentity(cat.K.degree)]])
-    z = int((kernel < cat.P).sum())
-    has_refl = bool((kernel >= cat.P).any())
+        cat.rows[c.labels, cat.K.index_of[pidentity(cat.K.degree)]])
+    z = int((kernel < c.head).sum())
+    has_refl = bool((kernel >= c.head).any())
     head_part, sep, rest = c.name.partition(" x_")
     if not sep:
         # full product D_h x K' folds to D_{h m} x K'

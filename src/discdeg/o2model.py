@@ -18,11 +18,11 @@ lattice (``FiniteGroup._tables``).  Over each grid point the
 elements of a catalog subgroup are none or one coset of a normal subgroup
 R of K', so its membership table is factored as (rowid, rows): (a, k) is
 in it iff rows[rowid[a], k], for boolean rows over K (row 0 empty, the
-others cosets).  The catalog keeps one ``rows`` table for all its classes
-and stores each class as its ``rowid`` and a few generators.  The one
-lattice primitive is ``count_conj_into``: it counts the g in D_P x K
-that conjugate a list of elements into a subgroup.  On a generating set
-of L it counts the g with gLg^-1 <= H, which gives n(L, H) and |N(H)|.
+others cosets).  The catalog stores a class on its own head and spreads
+it over the grid only for these counts.  The one lattice primitive is
+``count_conj_into``: it counts the g in D_P x K that conjugate a list of
+elements into a subgroup.  On a generating set of L it counts the g with
+gLg^-1 <= H, which gives n(L, H) and |N(H)|.
 It groups the grid points a by the tuple of row ids that a x a^-1 lands
 on and gathers the K side once per distinct tuple.
 """

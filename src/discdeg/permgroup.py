@@ -31,9 +31,10 @@ Perm = tuple[int, ...]
 
 # largest group order for subgroup lattices and the tables behind them; at
 # the bound, the subgroup table of S6 (1,455 subgroups) takes 7-8 s on a
-# 2-core x86 machine.  Order does not bound the subgroup count everywhere:
-# elementary abelian 2-groups of order 128 or more have tens of thousands.
+# 2-core x86 machine.  Order does not bound the subgroup count (Z2^7 has
+# 29,212), so a lattice stops past MAX_SUBGROUPS, above Z2^6's 2,825.
 MAX_LATTICE_ORDER = 720
+MAX_SUBGROUPS = 5000
 
 
 def pmul(a: Perm, b: Perm) -> Perm:
@@ -311,7 +312,7 @@ def build_group(descriptor: str) -> FiniteGroup:
 def _lattice(G: FiniteGroup) -> list[tuple[np.ndarray, list[int]]]:
     """Every subgroup of G as (sorted int32 element indices, generators),
     sorted by order and then by elements, by breadth-first closure of
-    generator extensions.
+    generator extensions; refused once more than ``MAX_SUBGROUPS`` are found.
 
     Each subgroup H is extended by one g per double coset HgH, since
     <H, a g b> = <H, g> for every a, b in H.
@@ -333,6 +334,10 @@ def _lattice(G: FiniteGroup) -> list[tuple[np.ndarray, list[int]]]:
                 if K.tobytes() not in found:
                     found[K.tobytes()] = sub = (K, gens + [g])
                     nxt.append(sub)
+                    if len(found) > MAX_SUBGROUPS:
+                        raise ValueError(
+                            f"{G.name or 'group'} has more than {MAX_SUBGROUPS}"
+                            f" subgroups, the most a lattice is built for")
         frontier = nxt
     return sorted(found.values(), key=lambda s: (len(s[0]), s[0].tolist()))
 

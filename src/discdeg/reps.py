@@ -5,13 +5,13 @@ W_m tensor U_j^{sign}, where W_m is the m-th rotation representation of
 O(2) (m = 0 trivial), U_j the j-th irreducible of Gamma, and sign = -1
 tensors with the antipodal action of the central Z2.
 
-Fixed-point dimensions are computed by character averaging over the grid
-model of each catalog class, for all classes of one head kind at once.
-The character of the rep is a product w(a) chi(k), and a class holds the
-(a, k) with k in row rowid[a] of the catalog's table, so its character sum
-is sum_a w(a) (rows @ chi)[rowid[a]]: one product over the rows and one
-gather of the stacked row ids.  Rotation characters are cosines, so the
-sums are floats, each rounded under a strict integrality check.
+Fixed-point dimensions are computed by character averaging over each
+catalog class on its own head, for all classes of one head kind at once.
+The character of the rep is a product w(a) chi(k), and a class holds one
+coset of R, the row labels[a] of the catalog's table, over each point a
+of its head, so its dimension is the mean of w(a) (rows @ chi)[labels[a]]
+over the head points, divided by |R|.  Rotation characters are cosines,
+so the means are floats, each rounded under a strict integrality check.
 """
 from __future__ import annotations
 
@@ -51,7 +51,7 @@ class RepContext:
         self._gamma_part = [g[:d] for g in K.elements]
         self._z_sign = np.array([-1 if g[zoff] != zoff else 1
                                  for g in K.elements], dtype=np.int64)
-        self._kind_rowids: dict[str, tuple] = {}
+        self._kind_labels: dict[str, list] = {}
         self._dim_cache: dict[tuple[IrrDescriptor, str], dict[int, int]] = {}
         self.basic_degrees: dict = {}    # by rep, kept by degrees.basic_degree
 
@@ -63,26 +63,30 @@ class RepContext:
         key = (rep, kind)
         if key in self._dim_cache:
             return self._dim_cache[key]
-        if kind not in self._kind_rowids:
+        if kind not in self._kind_labels:
             cs = [c for c in self.catalog.classes if c.kind == kind]
-            self._kind_rowids[kind] = ([c.cid for c in cs],
-                                       np.stack([c.rowid for c in cs]),
-                                       np.array([c.size for c in cs]))
-        cids, rowids, sizes = self._kind_rowids[kind]
-        P = self.catalog.P
-        # the character: W_m is 2 cos(2 pi m t / P) at rotation t and 0 at
-        # reflections (1 everywhere for m = 0), U_j^sign is read off Gamma
-        w = (np.ones(2 * P) if rep.m == 0 else np.concatenate(
-            [2.0 * np.cos(2.0 * math.pi * rep.m * np.arange(P) / P),
-             np.zeros(P)]))
-        chi = self._chi(rep)
-        d = (self.catalog.rows @ chi)[rowids] @ w / sizes
-        r = np.round(d)
-        for i in np.flatnonzero((np.abs(d - r) > 1e-6) | (r < 0))[:1]:
-            raise AssertionError(
-                f"fixed-point dimension {d[i]} not a nonneg integer for {rep} "
-                f"at {self.catalog.classes[cids[i]].name}")
-        self._dim_cache[key] = dict(zip(cids, r.astype(int).tolist()))
+            self._kind_labels[kind] = [
+                ([c.cid for c in cs if c.head == h],
+                 np.stack([c.labels for c in cs if c.head == h]))
+                for h in sorted({c.head for c in cs})]
+        rows = self.catalog.rows
+        c = rows @ self._chi(rep)
+        dims = {}
+        for ids, labels in self._kind_labels[kind]:
+            # W_m at each head point: 1 for m = 0; else 2 cos(2 pi m k / h)
+            # at rotation k of D_h, 0 at reflections and on SO(2) and O(2)
+            n, h = labels.shape[1], self.catalog.classes[ids[0]].head
+            w = (np.ones(n) if rep.m == 0 else np.zeros(n) if h == 0 else
+                 np.r_[2.0 * np.cos(2.0 * math.pi * rep.m * np.arange(h) / h),
+                       np.zeros(h)])
+            d = c[labels] @ w / (n * rows[labels[:, 0]].sum(axis=1))
+            r = np.round(d)
+            for i in np.flatnonzero((np.abs(d - r) > 1e-6) | (r < 0))[:1]:
+                raise AssertionError(
+                    f"fixed-point dimension {d[i]} not a nonneg integer for "
+                    f"{rep} at {self.catalog.classes[ids[i]].name}")
+            dims.update(zip(ids, r.astype(int).tolist()))
+        self._dim_cache[key] = dict(sorted(dims.items()))
         return self._dim_cache[key]
 
     def _chi(self, rep: IrrDescriptor) -> np.ndarray:

@@ -142,7 +142,8 @@ def test_folds_match_golden(cube_pipeline):
         assert got == [json.loads(line) for line in fh]
 
 
-# every stored field of a ProductClass, digested over the classes in cid order
+# every stored field of a ProductClass but its labels, digested over the
+# classes in cid order; "rowid" is the class spread over the grid
 DIGEST_FIELDS = ("name", "kind", "head", "kp_cid", "bucket", "size",
                  "weyl_order", "normalizer_weyl_order", "n_model", "glue",
                  "rowid", "gens")
@@ -157,7 +158,8 @@ def catalog_digests(cat) -> dict[str, str]:
 
     def plain(v):
         return v.tolist() if isinstance(v, np.ndarray) else v
-    out = {f: sha([plain(getattr(c, f)) for c in cat.classes])
+    out = {f: sha([plain(cat.grid_rowid(c.cid) if f == "rowid"
+                         else getattr(c, f)) for c in cat.classes])
            for f in DIGEST_FIELDS}
     out["rows"] = sha(cat.rows.astype(int).tolist())
     return out
@@ -233,8 +235,8 @@ def test_generators_and_counts_match_brute_force(heads):
         return mul(mul(g, x), (_dp_inv(P, g[0]), pinv(g[1])))
 
     assert not cat.rows[0].any()
-    elems = [frozenset((int(o2), K.elements[k])
-                       for o2, k in zip(*np.nonzero(cat.rows[c.rowid])))
+    elems = [frozenset((int(o2), K.elements[k]) for o2, k in
+                       zip(*np.nonzero(cat.rows[cat.grid_rowid(c.cid)])))
              for c in cat.classes]
     assert [len(E) for E in elems] == [c.size for c in cat.classes]
     conjugates = []
@@ -293,8 +295,8 @@ def test_generators_and_counts_match_brute_force(heads):
                        for g in K.elements]
                 rep = IrrDescriptor(m, j, sign)
                 for c in cat.classes:
-                    d = sum(w[o2] * chi[k] for o2, k in
-                            zip(*np.nonzero(cat.rows[c.rowid]))) / c.size
+                    d = sum(w[o2] * chi[k] for o2, k in zip(*np.nonzero(
+                        cat.rows[cat.grid_rowid(c.cid)]))) / c.size
                     assert abs(d - round(d)) < 1e-9, (rep, c.name)
                     assert ctx.fixed_dim(rep, c.cid) == round(d), (rep, c.name)
     # Weyl orders of the O(2)- and SO(2)-headed classes, from K alone
@@ -308,7 +310,8 @@ def test_generators_and_counts_match_brute_force(heads):
         elif c.kind == "SO2":
             assert c.weyl_order == 2 * kp.weyl_order, c.name
         elif c.kind == "O2amalg":
-            R = {K.elements[k] for k in np.flatnonzero(cat.rows[c.rowid[0]])}
+            R = {K.elements[k] for k in
+                 np.flatnonzero(cat.rows[cat.grid_rowid(c.cid)[0]])}
             nk = len(normalizer(set(kp.representative)) & normalizer(R))
             assert c.weyl_order == 2 * nk // kp.order, c.name
 
@@ -341,7 +344,7 @@ def test_generators_close_to_each_class(which, request):
             seen[flat] = True
             o2, k = np.divmod(flat, K.order)
         seen = seen.reshape(2 * P, K.order)
-        assert np.array_equal(seen, cat.rows[c.rowid]), c.name
+        assert np.array_equal(seen, cat.rows[cat.grid_rowid(c.cid)]), c.name
 
 def test_stored_catalog_answers_queries_with_fresh_memos():
     """Memos are per process: a loaded catalog starts them empty, also when
@@ -351,8 +354,35 @@ def test_stored_catalog_answers_queries_with_fresh_memos():
     want = [cat.down_closure(h) for h in range(len(cat))]
     loaded = pickle.loads(pickle.dumps(cat))
     assert loaded._ncount == {} and loaded._down == {} and loaded._cands == {}
+    assert loaded._rowids == {} and cat._rowids != {}
     bare = ProductCatalog.__new__(ProductCatalog)
-    bare.__setstate__({k: v for k, v in cat.__dict__.items()
-                       if k not in ("_ncount", "_down", "_cands", "_cols")})
+    bare.__setstate__({k: v for k, v in cat.__dict__.items() if k not in
+                       ("_ncount", "_down", "_cands", "_cols", "_rowids")})
     for c in (loaded, bare):
         assert [c.down_closure(h) for h in range(len(cat))] == want
+
+
+@pytest.mark.parametrize("which", ["S4*Z2 cube heads", "S3*Z2 heads 1,2,3,6"])
+def test_classes_are_stored_on_their_own_heads(which, request):
+    """A class keeps one label per point of its head: 2h for D_h, 1 for
+    SO(2), 2 for O(2); spread over the grid, D_h sits on grid points
+    k P/h and nowhere else, and its rows are the labels."""
+    if which.startswith("S4"):
+        cat = request.getfixturevalue("cube_pipeline").catalog
+    else:
+        cat = ProductCatalog(
+            direct_product(symmetric_group(3), cyclic_group(2)), [1, 2, 3, 6])
+    P = cat.P
+    for c in cat.classes:
+        want = {"D": 2 * c.head, "SO2": 1, "O2": 2, "O2amalg": 2}[c.kind]
+        assert c.labels.shape == (want,) and c.labels.all(), c.name
+        rowid = cat.grid_rowid(c.cid)
+        assert rowid.shape == (2 * P,)
+        if c.kind == "D":
+            on = np.zeros(2 * P, dtype=bool)
+            on[np.r_[0:P:P // c.head, P:2 * P:P // c.head]] = True
+            assert not rowid[~on].any(), c.name
+            assert rowid[on].tolist() == c.labels.tolist(), c.name
+        else:
+            assert (rowid[:P] == c.labels[0]).all(), c.name
+            assert (rowid[P:] == (c.labels[1] if c.kind != "SO2" else 0)).all()

@@ -312,6 +312,30 @@ def test_group_above_the_lattice_bound_exits_2(argv, tmp_path, monkeypatch,
     assert f"up to order {permgroup.MAX_LATTICE_ORDER}" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["ccs", "S3*Z2"], ["ccs", "S3*Z2", "--heads", "1,2"],
+    ["basic-degree", "1", "0", "-1", "--group", "S3*Z2", "--heads", "1,2"]])
+def test_lattice_beyond_the_subgroup_cap_exits_2(argv, monkeypatch, capsys):
+    """S3 x Z2 has 16 subgroups; with the cap lowered to 15 the lattice
+    search refuses before it returns, so no subgroup table is built; at
+    16 the same command answers."""
+    lattice, returned = permgroup._lattice, []
+
+    def traced(G):
+        out = lattice(G)
+        returned.append(len(out))
+        return out
+    monkeypatch.setattr(permgroup, "_lattice", traced)
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    monkeypatch.setattr(permgroup, "MAX_SUBGROUPS", 15)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "more than 15 subgroups" in err and returned == []
+    monkeypatch.setattr(permgroup, "MAX_SUBGROUPS", 16)
+    assert cli.main(argv) == 0 and returned == [16]
+
+
 def test_character_table_of_s7_needs_no_cayley_table(monkeypatch, capsys):
     """S7 (order 5,040) is above the lattice bound; its character table
     needs only the element classes."""

@@ -220,3 +220,29 @@ def test_report_refuses_nothing_but_flags_collision():
     n, m, mu = rep.condition_D_witness
     assert (n, m) == (1, 0)
     assert rep.degree is None
+
+
+def test_cube51_report_is_the_same_on_a_larger_head_set():
+    """Head-set oracle: cube(5,1) on its required heads (P = 288) and on
+    those plus 32, 36 and 48 (P = 576) gives the same expansion, non-radial
+    families and radial types, class by class name; so the extra classes
+    carry no terms."""
+    from discdeg.elliptic import build_context
+    problem = cube_problem(5, 1)
+    modes = ModeTable(max(float(e.mu) for e in isotypic_spectrum(problem)))
+    base = build_context(problem, modes)
+    assert base.catalog.P == 288
+
+    def records(pipeline):
+        rep = existence_report(problem, pipeline=pipeline)
+        name = {c.cid: c.name for c in pipeline.catalog.classes}
+        return ({name[c]: v for c, v in rep.degree.coeffs.items()},
+                [(f.base_name, f.nu0, f.family_name, name[f.witness_cid],
+                  f.witness_coeff) for f in rep.non_radial],
+                [(n, v) for _, n, v in rep.radial])
+    want = records(base)
+    assert [len(r) for r in want] == [170, 6, 3]
+    wide = build_context(problem, modes,
+                         heads=base.catalog.heads + [32, 36, 48])
+    assert wide.catalog.P == 576 and len(wide.catalog) > len(base.catalog)
+    assert records(wide) == want
