@@ -9,9 +9,10 @@ one boolean table ``rows`` over K for all classes (row 0 empty, then one
 row per coset of R for every (K', R)), and per class the row of each
 point of its head, ``labels``: rotations 0..n-1, then reflections, with
 n = h for D_h and n = 1 for SO(2) (no reflections) and O(2).  R is
-``rows[labels[0]]``.  Only the lattice counts need the grid model D_P x K
-(see o2model); ``ProductCatalog.grid_rowid`` puts point k of D_h at grid
-point k P/h and the labels of SO(2) and O(2) over all grid points.
+``rows[labels[0]]``.  Only the lattice counts need a grid model of O(2)
+(see o2model), and each runs on the grid of H's own head: D_{2h} = N(D_h)
+for a D_h head, with point k of D_h at grid point 2k, and D_2 for SO(2)
+and O(2), with their labels over both rotations or reflections.
 
 Each class also keeps a small generating set, read off the same labels:
 lifts of the head's rotation step (head point 1, or a generating grid
@@ -42,9 +43,12 @@ conjugates of the generators of L do, so
     n(L, H) = #{g : g gens(L) g^-1 in H} / |N(H)|,
     |N(H)|  = #{g : g gens(H) g^-1 in H},
 
-counted over g in D_P x K, and the Weyl order is |N(H)| / |H|.  The grid
-normalizes every SO(2)- and O(2)-headed class, so for those heads the
-count is the one over K alone.  Counts are only made for pairs that pass
+counted over g in D_P x K, P = 2 lcm(heads), and the Weyl order is
+|N(H)| / |H|.  Under a D_h head such a g takes the reflection (1, 0) of L
+into D_h, so it lies in D_{2h} x K: the count on H's grid is the one on
+D_P.  An SO(2)- or O(2)-headed class is the same over every rotation and
+every reflection, so its count on D_P is P/2 times the one on D_2; sizes
+and |N(H)| are given as on D_P.  Counts are only made for pairs that pass
 cheap necessary conditions, tested for all classes at once on columns.
 """
 from __future__ import annotations
@@ -60,7 +64,7 @@ from .permgroup import (FiniteGroup, SubgroupClassTable, _element_orders,
                         _extend, _unique_rows)
 from .naming import name_subgroup_classes
 
-MAX_HEAD_PERIOD = 720   # cap on the grid period P = 2*lcm(heads)
+MAX_HEAD = 360   # largest head h: its grid D_{2h} has a (4h)^2 table
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +83,7 @@ class ProductClass:
     weyl_order: int             # reported Weyl order (coefficient normalization)
     name: str
     glue: tuple[int, int]       # (gluing step, isomorphism index or -1)
-    n_model: int = 0            # |N(U)| in the grid model
+    n_model: int = 0            # |N(U)| in D_P x K, counted on U's grid
     normalizer_weyl_order: int = 0  # |N(U)/U|, the plain normalizer quotient
 
 
@@ -140,9 +144,10 @@ class ProductCatalog:
                  ktable: SubgroupClassTable | None = None):
         heads = sorted(set(heads))
         P = 2 * math.lcm(*heads) if heads else 4
-        if P > MAX_HEAD_PERIOD:
-            raise ValueError(f"head set {heads} needs grid period {P}, above "
-                             f"the supported {MAX_HEAD_PERIOD}")
+        if max(heads, default=1) > MAX_HEAD or 2 * P * K.order >= 2 ** 63:
+            raise ValueError(f"head set {heads} not supported: it needs heads "
+                             f"up to {MAX_HEAD} and grid sizes 2P|K| below "
+                             f"2^63 (P = 2 lcm(heads) = {P})")
         if any(h % d == 0 and d not in heads for h in heads
                for d in range(1, h)):
             raise ValueError("head set must be divisor-closed")
@@ -151,23 +156,26 @@ class ProductCatalog:
         self.ktable = ktable if ktable is not None else SubgroupClassTable(K)
         if not any(r.name for r in self.ktable.classes):
             name_subgroup_classes(self.ktable)
-        self.model = O2Model(P, K)
         self.P = P
         self.classes: list[ProductClass] = []
         self.__setstate__({})
         self._build()
 
+    def __getstate__(self):
+        """The stored state: no per-process memo (the _-named attributes)."""
+        return {k: v for k, v in vars(self).items() if k[0] != "_"}
+
     def __setstate__(self, state):
         """Set the stored state; the per-process memos start empty."""
         self.__dict__.update(state)
         self._ncount, self._down, self._cands, self._rowids = {}, {}, {}, {}
-        self._cols = self._folds = None
+        self._models, self._cols, self._folds = {}, None, None
 
     # -- construction -------------------------------------------------------
 
     def _build(self):
         P, ktable = self.P, self.ktable
-        blocks = [np.zeros((1, self.model.nK), dtype=bool)]     # row 0: empty
+        blocks = [np.zeros((1, self.K.order), dtype=bool)]     # row 0: empty
         raw: list[dict] = []
         rotation_rows: list[list[int]] = []
 
@@ -202,7 +210,7 @@ class ProductCatalog:
         korder = _element_orders(kmul)
         for i, (kp, r, cosets, mul, isos) in enumerate(gluing_steps(ktable)):
             base = sum(map(len, blocks))
-            blocks.append(np.zeros((len(cosets), self.model.nK), dtype=bool))
+            blocks.append(np.zeros((len(cosets), self.K.order), dtype=bool))
             np.put_along_axis(blocks[-1], cosets, True, axis=1)
             rname = ktable.classes[ktable._cid[r]].name
             # R's generators: by decreasing element order, each one outside
@@ -250,23 +258,36 @@ class ProductCatalog:
         self._dedupe_and_register(raw)
 
     def _on_grid(self, head: int, labels: np.ndarray) -> np.ndarray:
-        """The row id over each of the 2P grid points of the class with
-        ``labels`` on ``head`` (see the module notes)."""
+        """The row ids of the class with ``labels`` on ``head`` over the 4n
+        points of its grid D_{2n}, n = head or 1 (see the module notes)."""
         n = head or 1
-        rowid = np.zeros((2, n, self.P // n), dtype=np.int32)
+        rowid = np.zeros((2, n, 2), dtype=np.int32)
         rowid[:len(labels) // n, :, :1 if head else None] = labels.reshape(
             -1, n, 1)
         return rowid.ravel()
 
-    def grid_rowid(self, cid: int) -> np.ndarray:
-        """Class ``cid`` spread over the grid, kept for the process."""
+    def _count(self, gens: np.ndarray, head: int, rowid: np.ndarray) -> int:
+        """#{g in D_P x K : g x g^-1 in H for each x in ``gens``}, for H on
+        ``head`` with ``rowid``, counted on the grid D_p of the head: the
+        D_P point (f, t) is (f, t p / P) there, and under SO(2) or O(2)
+        any rotation t > 0 is rotation 1 (see the module notes)."""
+        p = 2 * (head or 1)
+        if p not in self._models:
+            self._models[p] = O2Model(p, self.K)
+        f, t = np.divmod(gens[0], self.P)
+        t = t // (self.P // p) if head else np.minimum(t, 1)
+        n = self._models[p].count_conj_into(f * p + t, gens[1],
+                                            (rowid, self.rows))
+        return n if head else n * (self.P // 2)
+
+    def _rowid(self, cid: int) -> np.ndarray:
+        """Class ``cid`` on the grid of its head, kept for the process."""
         if cid not in self._rowids:
             c = self.classes[cid]
             self._rowids[cid] = self._on_grid(c.head, c.labels)
         return self._rowids[cid]
 
     def _dedupe_and_register(self, raw: list[dict]):
-        rows = self.rows
         self._fingerprint(raw)
         buckets: dict[tuple, list[dict]] = {}
         for rec in raw:
@@ -280,8 +301,8 @@ class ProductCatalog:
         for key, group in sorted(buckets.items()):
             reps: list[dict] = []
             for rec in group:
-                if not any(self.model.count_conj_into(
-                        *o["gens"], (rec["rowid"], rows)) for o in reps):
+                if not any(self._count(o["gens"], rec["head"], rec["rowid"])
+                           for o in reps):
                     reps.append(rec)
             kept.extend(reps)
 
@@ -294,13 +315,12 @@ class ProductCatalog:
             k = tally[rec["name"]] = tally.get(rec["name"], 0) + 1
             rec["name"] += f" ~{k}" if k > 1 else ""
             del rec["fp"]
-            n_model = self.model.count_conj_into(*rec["gens"],
-                                                 (rec.pop("rowid"), rows))
+            n_model = self._count(rec["gens"], rec["head"], rec.pop("rowid"))
             nw = n_model // rec["size"]
             # reported convention: dihedral-headed classes whose O(2)-side
             # kernel is rotation-only get half the plain normalizer quotient
             # (the central coset is not counted)
-            rot_kernel = not rows[rec["labels"][rec["head"]:], 0].any()
+            rot_kernel = not self.rows[rec["labels"][rec["head"]:], 0].any()
             self.classes.append(ProductClass(
                 cid=cid, **rec, n_model=n_model, normalizer_weyl_order=nw,
                 weyl_order=nw // 2 if rec["kind"] == "D" and rot_kernel else nw))
@@ -309,28 +329,27 @@ class ProductCatalog:
             f"O(2) x {self.ktable.classes[self.ktable.full_cid].name}"]
 
     def _fingerprint(self, raw: list[dict]):
-        """Set each record's size and fingerprint: how many of its elements
-        have each rotation order or reflection parity, and K-class, as
-        ((reflection bit, order or parity, K-class), count) in key order; a
-        conjugation invariant.  One K-class histogram per row of the table,
-        summed over each record's grid points by their bin, 128 records at
-        a time: one pass over all records left the peak RSS of a cold
-        catalog command about 1 MiB higher."""
-        P = self.P
+        """Set each record's size, as on D_P, and fingerprint: how many of
+        its elements on the grid of its head have each rotation order or
+        reflection parity, and K-class, as ((reflection bit, order or
+        parity, K-class), count) in key order; a conjugation invariant.
+        One K-class histogram per row of the table, summed over each
+        record's grid points by their bin, one head at a time."""
         cls_of = self.K.class_index_of_element()
         kcls = np.array([cls_of[g] for g in self.K.elements])
         hist = self.rows.astype(np.int32) @ (
             kcls[:, None] == np.arange(kcls.max() + 1)).astype(np.int32)
-        # the bin of each grid point: rotations t by their order
-        # P / gcd(P, t), then reflections (1, t) by the parity of t
-        t = np.arange(P)
-        orders, rot_bin = np.unique(P // np.gcd(P, t), return_inverse=True)
-        nbins = len(orders) + 2
-        refl = np.repeat([0, 1], [len(orders), 2])
-        value = np.concatenate([orders, [0, 1]])
-        bin_of = np.concatenate([rot_bin, len(orders) + t % 2])
-        for lo in range(0, len(raw), 128):
-            recs = raw[lo:lo + 128]
+        for head in {rec["head"] for rec in raw}:
+            recs = [rec for rec in raw if rec["head"] == head]
+            # the bin of each grid point: rotations t by their order
+            # p / gcd(p, t), then reflections (1, t) by the parity of t
+            p, scale = 2 * (head or 1), 1 if head else self.P // 2
+            t = np.arange(p)
+            orders, rot_bin = np.unique(p // np.gcd(p, t), return_inverse=True)
+            nbins = len(orders) + 2
+            refl = np.repeat([0, 1], [len(orders), 2])
+            value = np.concatenate([orders, [0, 1]])
+            bin_of = np.concatenate([rot_bin, len(orders) + t % 2])
             rowids = np.stack([rec["rowid"] for rec in recs])
             r, a = np.nonzero(rowids)
             counts = np.zeros((len(recs) * nbins, hist.shape[1]),
@@ -343,7 +362,7 @@ class ProductCatalog:
             cut = np.searchsorted(r, np.arange(len(recs) + 1)).tolist()
             for i, size in enumerate(counts.sum(axis=(1, 2)).tolist()):
                 recs[i]["fp"] = tuple(items[cut[i]:cut[i + 1]])
-                recs[i]["size"] = size
+                recs[i]["size"] = size * scale
 
     # -- lattice queries -----------------------------------------------------
 
@@ -355,10 +374,10 @@ class ProductCatalog:
         class-l subgroup."""
         key = (l, h)
         if key not in self._ncount:
+            c = self.classes[h]
             self._ncount[key] = (
-                self.model.count_conj_into(*self.classes[l].gens,
-                                           (self.grid_rowid(h), self.rows))
-                // self.classes[h].n_model
+                self._count(self.classes[l].gens, c.head, self._rowid(h))
+                // c.n_model
                 if self._candidates(h)[l] else 0)
         return self._ncount[key]
 

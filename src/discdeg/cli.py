@@ -17,8 +17,8 @@ from pickle import UnpicklingError   # perfbench/tracer.py swaps out `pickle`
 
 SCHEMA = 1
 CACHE_ENV = "DISCDEG_CACHE_DIR"
-# format 8: each catalog class as its row labels over its own head
-CACHE_FORMAT = 8
+# format 9: no grid model stored; counts run on each class's own head grid
+CACHE_FORMAT = 9
 
 
 class Refusal(Exception):

@@ -1,4 +1,8 @@
-"""Shared fixtures: the expensive product catalog is built once per session."""
+"""Shared fixtures: the expensive product catalog is built once per test run.
+
+``grid_rowid`` is the reference form of a catalog class for the
+element-wise oracles: the class spread over the catalog-wide grid D_P."""
+import numpy as np
 import pytest
 
 from discdeg.bessel import ModeTable
@@ -11,6 +15,18 @@ from discdeg.permgroup import (SubgroupClassTable, cyclic_group,
 from discdeg.reps import RepContext
 
 CUBE_HEADS = [1, 2, 3, 4, 6, 8, 9, 12, 18]
+
+
+def grid_rowid(cat, cid: int) -> np.ndarray:
+    """The row id over each of the 2P points of D_P of class ``cid``: point
+    k of D_h at grid point k P/h, the labels of SO(2) and O(2) over every
+    grid rotation or reflection."""
+    c = cat.classes[cid]
+    n = c.head or 1
+    rowid = np.zeros((2, n, cat.P // n), dtype=np.int32)
+    rowid[:len(c.labels) // n, :, :1 if c.head else None] = c.labels.reshape(
+        -1, n, 1)
+    return rowid.ravel()
 
 
 @pytest.fixture(scope="session")

@@ -8,8 +8,10 @@ import pickle
 import numpy as np
 import pytest
 
+from conftest import grid_rowid
 from discdeg.catalog import ProductCatalog
 from discdeg.elliptic import fold_family_name
+from discdeg.o2model import O2Model
 from discdeg.permgroup import (build_group, cyclic_group, direct_product,
                                pidentity, pinv, pmul, symmetric_group)
 from discdeg.reps import IrrDescriptor, RepContext
@@ -158,7 +160,7 @@ def catalog_digests(cat) -> dict[str, str]:
 
     def plain(v):
         return v.tolist() if isinstance(v, np.ndarray) else v
-    out = {f: sha([plain(cat.grid_rowid(c.cid) if f == "rowid"
+    out = {f: sha([plain(grid_rowid(cat, c.cid) if f == "rowid"
                          else getattr(c, f)) for c in cat.classes])
            for f in DIGEST_FIELDS}
     out["rows"] = sha(cat.rows.astype(int).tolist())
@@ -236,7 +238,7 @@ def test_generators_and_counts_match_brute_force(heads):
 
     assert not cat.rows[0].any()
     elems = [frozenset((int(o2), K.elements[k]) for o2, k in
-                       zip(*np.nonzero(cat.rows[cat.grid_rowid(c.cid)])))
+                       zip(*np.nonzero(cat.rows[grid_rowid(cat, c.cid)])))
              for c in cat.classes]
     assert [len(E) for E in elems] == [c.size for c in cat.classes]
     conjugates = []
@@ -296,7 +298,7 @@ def test_generators_and_counts_match_brute_force(heads):
                 rep = IrrDescriptor(m, j, sign)
                 for c in cat.classes:
                     d = sum(w[o2] * chi[k] for o2, k in zip(*np.nonzero(
-                        cat.rows[cat.grid_rowid(c.cid)]))) / c.size
+                        cat.rows[grid_rowid(cat, c.cid)]))) / c.size
                     assert abs(d - round(d)) < 1e-9, (rep, c.name)
                     assert ctx.fixed_dim(rep, c.cid) == round(d), (rep, c.name)
     # Weyl orders of the O(2)- and SO(2)-headed classes, from K alone
@@ -311,7 +313,7 @@ def test_generators_and_counts_match_brute_force(heads):
             assert c.weyl_order == 2 * kp.weyl_order, c.name
         elif c.kind == "O2amalg":
             R = {K.elements[k] for k in
-                 np.flatnonzero(cat.rows[cat.grid_rowid(c.cid)[0]])}
+                 np.flatnonzero(cat.rows[grid_rowid(cat, c.cid)[0]])}
             nk = len(normalizer(set(kp.representative)) & normalizer(R))
             assert c.weyl_order == 2 * nk // kp.order, c.name
 
@@ -344,20 +346,25 @@ def test_generators_close_to_each_class(which, request):
             seen[flat] = True
             o2, k = np.divmod(flat, K.order)
         seen = seen.reshape(2 * P, K.order)
-        assert np.array_equal(seen, cat.rows[cat.grid_rowid(c.cid)]), c.name
+        assert np.array_equal(seen, cat.rows[grid_rowid(cat, c.cid)]), c.name
 
 def test_stored_catalog_answers_queries_with_fresh_memos():
     """Memos are per process: a loaded catalog starts them empty, also when
-    its stored state holds no memo attributes."""
+    its stored state holds no memo attributes, and the stored state holds
+    no grid model."""
     K = direct_product(symmetric_group(3), cyclic_group(2))
     cat = ProductCatalog(K, [1, 2])
     want = [cat.down_closure(h) for h in range(len(cat))]
-    loaded = pickle.loads(pickle.dumps(cat))
+    stored = pickle.dumps(cat)
+    assert b"O2Model" not in stored
+    loaded = pickle.loads(stored)
     assert loaded._ncount == {} and loaded._down == {} and loaded._cands == {}
     assert loaded._rowids == {} and cat._rowids != {}
+    assert loaded._models == {} and cat._models != {}
     bare = ProductCatalog.__new__(ProductCatalog)
     bare.__setstate__({k: v for k, v in cat.__dict__.items() if k not in
-                       ("_ncount", "_down", "_cands", "_cols", "_rowids")})
+                       ("_ncount", "_down", "_cands", "_cols", "_rowids",
+                        "_models", "_folds")})
     for c in (loaded, bare):
         assert [c.down_closure(h) for h in range(len(cat))] == want
 
@@ -366,7 +373,9 @@ def test_stored_catalog_answers_queries_with_fresh_memos():
 def test_classes_are_stored_on_their_own_heads(which, request):
     """A class keeps one label per point of its head: 2h for D_h, 1 for
     SO(2), 2 for O(2); spread over the grid, D_h sits on grid points
-    k P/h and nowhere else, and its rows are the labels."""
+    k P/h and nowhere else, and its rows are the labels.  The grid its
+    counts run on, D_{2h} (D_2 for SO(2) and O(2)), is the subgrid of the
+    points k P/2h."""
     if which.startswith("S4"):
         cat = request.getfixturevalue("cube_pipeline").catalog
     else:
@@ -376,7 +385,7 @@ def test_classes_are_stored_on_their_own_heads(which, request):
     for c in cat.classes:
         want = {"D": 2 * c.head, "SO2": 1, "O2": 2, "O2amalg": 2}[c.kind]
         assert c.labels.shape == (want,) and c.labels.all(), c.name
-        rowid = cat.grid_rowid(c.cid)
+        rowid = grid_rowid(cat, c.cid)
         assert rowid.shape == (2 * P,)
         if c.kind == "D":
             on = np.zeros(2 * P, dtype=bool)
@@ -386,3 +395,20 @@ def test_classes_are_stored_on_their_own_heads(which, request):
         else:
             assert (rowid[:P] == c.labels[0]).all(), c.name
             assert (rowid[P:] == (c.labels[1] if c.kind != "SO2" else 0)).all()
+        step = P // (2 * (c.head or 1))
+        assert np.array_equal(cat._rowid(c.cid), rowid[::step]), c.name
+
+
+def test_local_grid_counts_match_the_catalog_grid():
+    """Each count runs on the grid of H's head: on S3 x Z2 with heads
+    1,2,3,6, every candidate pair's n(L, H) and every |N(H)| equal the
+    counts over the catalog-wide grid D_P x K."""
+    cat = ProductCatalog(
+        direct_product(symmetric_group(3), cyclic_group(2)), [1, 2, 3, 6])
+    ref = O2Model(cat.P, cat.K)
+    for h, c in enumerate(cat.classes):
+        table = (grid_rowid(cat, h), cat.rows)
+        assert c.n_model == ref.count_conj_into(*c.gens, table), c.name
+        for l in np.flatnonzero(cat._candidates(h)).tolist():
+            assert cat.n_count(l, h) == ref.count_conj_into(
+                *cat.classes[l].gens, table) // c.n_model, (l, h)

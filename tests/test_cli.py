@@ -194,15 +194,19 @@ def test_s2_transposition_listed_once_and_legacy_form_accepted(tmp_path,
     assert out[2] == (2, "")        # two different images for one generator
 
 
+PRIMES_TO_53 = "1,2,3,5,7,11,13,17,19,23,29,31,37,41,43,47,53"
+
+
 @pytest.mark.parametrize("argv", [
     ["ccs", "S4*Z2"], ["basic-degree", "1", "0", "-1"],
     ["fold", "2", "D1 x Z1"]])
-@pytest.mark.parametrize("heads", ["1,7,11,13,17",
-                                   "1,2,4,8,16,32,64,128,256,512"])
+@pytest.mark.parametrize("heads", ["1,2,4,8,16,32,64,128,256,512",
+                                   PRIMES_TO_53])
 def test_head_list_beyond_the_grid_cap_exits_2(argv, heads, monkeypatch,
                                                capsys):
-    """P = 2 lcm(heads) is 34,034 and 1,024, above the cap of 720; the
-    catalog refuses before it allocates its (2P)^2 grid tables."""
+    """A largest head of 512, above the bound of 360, and a grid period
+    P = 2 lcm(heads) of about 6.5e19, whose class sizes overflow 64-bit
+    integers; the catalog refuses before it builds any grid model."""
     from discdeg import o2model
 
     def no_grid(*args, **kwargs):
@@ -212,6 +216,20 @@ def test_head_list_beyond_the_grid_cap_exits_2(argv, heads, monkeypatch,
     assert cli.main([*argv, "--heads", heads]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, rc, want", [
+    (["ccs", "S4*Z2"], 0, "D17 x S4p"),
+    (["basic-degree", "1", "0", "-1"], 2, "needs catalog heads [2]"),
+    (["fold", "7", "D1 x Z1"], 0, "D7 x Z1")],
+    ids=["ccs", "basic-degree", "fold"])
+def test_head_list_with_a_large_grid_period_answers(argv, rc, want, capsys):
+    """P = 2 lcm(1, 7, 11, 13, 17) = 34,034: each count runs on the grid
+    of its own head, at most D_34 here, so no table grows with P; the
+    basic degree of W1 (x) U0- still needs head 2."""
+    assert cli.main([*argv, "--heads", "1,7,11,13,17"]) == rc
+    out, err = capsys.readouterr()
+    assert want in (err if rc else out)
 
 
 @pytest.mark.parametrize("group, images, matrix", [

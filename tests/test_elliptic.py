@@ -223,10 +223,10 @@ def test_report_refuses_nothing_but_flags_collision():
 
 
 def test_cube51_report_is_the_same_on_a_larger_head_set():
-    """Head-set oracle: cube(5,1) on its required heads (P = 288) and on
-    those plus 32, 36 and 48 (P = 576) gives the same expansion, non-radial
-    families and radial types, class by class name; so the extra classes
-    carry no terms."""
+    """Head-set oracle: cube(5,1) on its required heads (P = 288), on those
+    plus 32, 36 and 48 (P = 576) and on those plus 5 (P = 1,440) gives the
+    same expansion, non-radial families and radial types, class by class
+    name; so the extra classes carry no terms."""
     from discdeg.elliptic import build_context
     problem = cube_problem(5, 1)
     modes = ModeTable(max(float(e.mu) for e in isotypic_spectrum(problem)))
@@ -242,7 +242,7 @@ def test_cube51_report_is_the_same_on_a_larger_head_set():
                 [(n, v) for _, n, v in rep.radial])
     want = records(base)
     assert [len(r) for r in want] == [170, 6, 3]
-    wide = build_context(problem, modes,
-                         heads=base.catalog.heads + [32, 36, 48])
-    assert wide.catalog.P == 576 and len(wide.catalog) > len(base.catalog)
-    assert records(wide) == want
+    for extra, P in (([32, 36, 48], 576), ([5], 1440)):
+        wide = build_context(problem, modes, heads=base.catalog.heads + extra)
+        assert wide.catalog.P == P and len(wide.catalog) > len(base.catalog)
+        assert records(wide) == want, extra

@@ -13,6 +13,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import grid_rowid
 from discdeg.characters import character_table
 from discdeg.elliptic import cube_action
 from discdeg.permgroup import pidentity, pinv, pmul
@@ -70,7 +71,7 @@ def avatar(cat, cid):
     assert c.kind == "D" and c.head in HEADS_24
     step = cat.P // N          # = 6 for the cube catalog grid
     out = set()
-    for o2, k in zip(*np.nonzero(cat.rows[cat.grid_rowid(cid)])):
+    for o2, k in zip(*np.nonzero(cat.rows[grid_rowid(cat, cid)])):
         f, t = (1, o2 - cat.P) if o2 >= cat.P else (0, o2)
         assert t % step == 0, "class does not live on the D24 subgrid"
         out.add((f, t // step, int(k)))
@@ -128,7 +129,7 @@ def test_avatar_order_matches_goursat_count(cube_pipeline):
     for cid in random.Random(3).sample(d24_classes(cat), 40):
         c = cat.classes[cid]
         kp = cat.ktable.classes[c.kp_cid]
-        r = int(cat.rows[cat.grid_rowid(cid)[0]].sum())        # |R|
+        r = int(cat.rows[grid_rowid(cat, cid)[0]].sum())        # |R|
         assert c.size == 2 * c.head * kp.order // (kp.order // r)
 
 
