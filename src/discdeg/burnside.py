@@ -13,13 +13,14 @@ common down-closure of the two supports from the top,
             - sum_{(L') > (L)} m_{L'} * n(L, L') * |W(L')| ) / |W(L)|.
 
 ``BurnsideRing.from_marks`` runs this recurrence for any mark function;
-the basic degrees (see degrees) use it too.  Every division must be
-exact; a remainder indicates corrupted lattice data and raises
-immediately, naming the class.  Products of single generators (H)(K) go
-through the same route and are exposed for oracle testing, but for
-lattices whose ``weyl_order`` is a normalization convention rather than
-the plain normalizer quotient only whole-element products of marks of
-honest elements are guaranteed integral.
+every degree of -id (see degrees) is one such call, so a solve multiplies
+nothing, and ``multiply`` serves ``burnside-mul`` and the tests.  Every
+division must be exact; a remainder indicates corrupted lattice data and
+raises immediately, naming the class.  Products of single generators
+(H)(K) go through the same route and are exposed for oracle testing, but
+for lattices whose ``weyl_order`` is a normalization convention rather
+than the plain normalizer quotient only whole-element products of marks
+of honest elements are guaranteed integral.
 
 The numbers n(L, H) * |W(H)| are the table of marks of the lattice.  The
 lattice object must provide: ``classes`` (sequence with ``cid``,
@@ -134,16 +135,15 @@ class BurnsideRing:
         m: dict[int, int] = {}
         for l in sorted(domain, key=lambda l: (lat.classes[l].size, l),
                         reverse=True):
-            acc = mark(l)
-            for lp, mlp in m.items():
-                if mlp:
-                    acc -= mlp * lat.n_count(l, lp) * lat.classes[lp].weyl_order
+            acc = mark(l) - sum(v * lat.n_count(l, lp) * lat.classes[lp]
+                                .weyl_order for lp, v in m.items())
             w = lat.classes[l].weyl_order
             if acc % w:
                 raise AssertionError(f"non-exact division in the mark "
                                      f"recurrence at {lat.classes[l].name}")
-            m[l] = acc // w
-        return {l: v for l, v in m.items() if v}
+            if acc:
+                m[l] = acc // w
+        return m
 
     def multiply(self, x: BurnsideElement, y: BurnsideElement) -> BurnsideElement:
         full = self.lattice.full_cid

@@ -2,7 +2,7 @@
 
 Machine output is line-delimited JSON with a schema version field; text
 output uses the amalgamated class names in descending class order.  Exit
-status: 0 success, 2 validation error, 3 non-resonance refusal.
+status: 0 success or closed pipe, 2 validation error, 3 non-resonance refusal.
 """
 from __future__ import annotations
 
@@ -408,7 +408,12 @@ def _parser():
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        rc = args.fn(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:   # the reader left (| head): end quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except Refusal as e:
         print(f"refused: {e}", file=sys.stderr)
         return 3

@@ -1,15 +1,15 @@
 """Equivariant degree computations: basic degrees and linearized degrees.
 
-The basic degree of an irreducible representation V is the equivariant
-Brouwer degree of -id on its unit ball.  Its coefficients follow the
-top-down recurrence
+The degree of -id on the unit ball of a representation V has the mark
+(-1)^{dim V^H} at each class (H), so its coefficients follow the top-down
+mark recurrence (``BurnsideRing.from_marks``)
 
     n_H = ( (-1)^{dim V^H} - sum_{(L) > (H)} n_L * n(H, L) * |W(L)| ) / |W(H)|
 
-over the orbit types of V together with the class of the full group.
-It is the mark recurrence of the Burnside ring, solved by
-``BurnsideRing.from_marks`` with the mark (-1)^{dim V^H}.
-Every basic degree is an involution: deg * deg = (G).
+over the orbit types of V together with the class of the full group.  For
+an irreducible V it is the basic degree, an involution: deg * deg = (G).
+Marks multiply, so a product of basic degrees is the degree on the sum of
+their reps: ``linear_degree`` needs one recurrence and no ring product.
 """
 from __future__ import annotations
 
@@ -19,25 +19,31 @@ from .burnside import BurnsideElement, BurnsideRing
 from .reps import IrrDescriptor, RepContext, orbit_types
 
 
+def linear_degree(ring: BurnsideRing, ctx: RepContext,
+                  reps: list[IrrDescriptor]) -> BurnsideElement:
+    """Degree of -id on the sum of ``reps``: their basic degrees' product."""
+    cat = ctx.catalog
+    for rep in reps:
+        if rep.m < 0 or not 0 <= rep.j < len(ctx.gamma_table.irreps):
+            raise ValueError(
+                f"no irreducible {rep} for Gamma = {ctx.gamma.name}")
+        # every orbit type of a mode-m rep has a nonzero fixed space; without
+        # the heads of those classes the degree would be incomplete
+        if rep.m and (missing := sorted(ctx.fixed_point_heads(rep)
+                                        - set(cat.heads))):
+            raise ValueError(f"{rep} needs catalog heads {missing}, missing "
+                             f"from the heads {cat.heads}")
+    # the full class is an orbit type of the trivial rep; visit it once
+    domain = set(orbit_types(ctx, reps)) | {cat.full_cid}
+    return ring.element(ring.from_marks(domain, lambda h: -1 if sum(
+        ctx.fixed_dim(rep, h) for rep in reps) % 2 else 1))
+
+
 def basic_degree(ring: BurnsideRing, ctx: RepContext,
                  rep: IrrDescriptor) -> BurnsideElement:
     """The basic degree of ``rep``, computed once per rep on ``ctx``."""
-    if rep in ctx.basic_degrees:
-        return ctx.basic_degrees[rep]
-    if rep.m < 0 or not 0 <= rep.j < len(ctx.gamma_table.irreps):
-        raise ValueError(f"no irreducible {rep} for Gamma = {ctx.gamma.name}")
-    cat = ctx.catalog
-    # every orbit type of a mode-m rep has a nonzero fixed space; without
-    # the heads of those classes the degree would be incomplete
-    missing = sorted(ctx.fixed_point_heads(rep) - set(cat.heads)
-                     if rep.m else ())
-    if missing:
-        raise ValueError(f"{rep} needs catalog heads {missing}, missing from "
-                         f"the heads {cat.heads}")
-    # the full class is an orbit type of the trivial rep; visit it once
-    domain = set(orbit_types(ctx, rep)) | {cat.full_cid}
-    ctx.basic_degrees[rep] = ring.element(ring.from_marks(
-        domain, lambda h: -1 if ctx.fixed_dim(rep, h) % 2 else 1))
+    if rep not in ctx.basic_degrees:
+        ctx.basic_degrees[rep] = linear_degree(ring, ctx, [rep])
     return ctx.basic_degrees[rep]
 
 
@@ -57,17 +63,13 @@ class SpectralAssignment:
             self.exponents[rep] = self.exponents.get(rep, 0) + count
 
     def odd_reps(self) -> list[IrrDescriptor]:
-        return sorted((r for r, e in self.exponents.items() if e % 2),
-                      key=lambda r: (r.m, r.j, r.sign))
+        return sorted(r for r, e in self.exponents.items() if e % 2)
 
 
 def gdeg_linear(ring: BurnsideRing, ctx: RepContext,
                 assignment: SpectralAssignment) -> BurnsideElement:
     """Degree of the linearized map: product of odd-multiplicity basic degrees."""
-    out = ring.one()
-    for rep in assignment.odd_reps():
-        out = out * basic_degree(ring, ctx, rep)
-    return out
+    return linear_degree(ring, ctx, assignment.odd_reps())
 
 
 def gdeg_field(ring: BurnsideRing, ctx: RepContext,

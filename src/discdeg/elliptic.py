@@ -4,9 +4,10 @@ Pipeline: a finite symmetry group Gamma acting on R^k together with a
 Gamma-commuting linearization matrix A determine isotypic eigenvalues
 mu_j (exact rational projector arithmetic), which are compared against
 the Dirichlet spectrum s_nm of the disc; the resulting negative-spectrum
-counters drive a product of basic degrees in the Burnside ring of
-O(2) x Gamma x Z2, and the final expansion is read off for guaranteed
-non-radial and radial solution orbit types.
+counters pick the basic degrees of odd multiplicity, whose product in the
+Burnside ring of O(2) x Gamma x Z2 is one degree of -id (see degrees), and
+the final expansion is read off for guaranteed non-radial and radial
+solution orbit types; the fold counters read mode-1 basic degrees only.
 """
 from __future__ import annotations
 
@@ -309,20 +310,15 @@ class ClassCounters:
 
 def class_counters(spec, modes, ring: BurnsideRing, ctx: RepContext,
                    cid: int) -> ClassCounters:
-    cat = ctx.catalog
-    m_of: dict[int, int] = {}
-    for nu in range(1, modes.max_mode + 1):
-        raw = {e.j: (n_counter(modes, nu, e.mu) if float(e.mu) > 0 else 0)
-               for e in spec}
-        if not any(raw.values()):
-            m_of[nu] = 0
-            continue
-        h_nu = cat.fold_class(cid, nu)
-        m_of[nu] = sum(raw[e.j] * e.mult for e in spec if raw[e.j]
-                       and basic_degree(ring, ctx, IrrDescriptor(nu, e.j, -1))
-                       .coeff(h_nu) != 0)
+    """m(H_nu): n_nu(mu_j) m_j summed over the j whose mode-nu basic degree
+    has a term at Psi_nu(H), i.e. whose mode-1 one has a term at H, as
+    Psi_nu maps the one onto the other and is injective on classes."""
+    m_of = {nu: sum(n_counter(modes, nu, e.mu) * e.mult for e in spec
+                    if n_counter(modes, nu, e.mu) and basic_degree(
+                        ring, ctx, IrrDescriptor(1, e.j, -1)).coeff(cid))
+            for nu in range(1, modes.max_mode + 1)}
     odd = [v for v, t in m_of.items() if t % 2]
-    return ClassCounters(cid=cid, name=cat.classes[cid].name,
+    return ClassCounters(cid=cid, name=ctx.catalog.classes[cid].name,
                          m_of=m_of, nu0=max(odd) if odd else None)
 
 
@@ -425,13 +421,10 @@ def fold_family_name(cat: ProductCatalog, cid: int) -> str:
 
 def spectral_assignment(spec, modes) -> SpectralAssignment:
     assign = SpectralAssignment()
-    for e in spec:
-        if float(e.mu) <= 0:
-            continue
+    for e in spec:      # no s_nm lies below an eigenvalue mu <= 0
         for m in range(modes.max_mode + 1):
-            cnt = n_counter(modes, m, e.mu)
-            if cnt:
-                assign.add(IrrDescriptor(m, e.j, -1), cnt * e.mult)
+            assign.add(IrrDescriptor(m, e.j, -1),
+                       n_counter(modes, m, e.mu) * e.mult)
     return assign
 
 
@@ -489,9 +482,8 @@ def existence_report(problem: CouplingProblem,
     # only reps with odd multiplicity survive in the degree product, so the
     # radial candidates are the maximal orbit types of the odd mode-0 reps
     odd0 = [r for r in assign.odd_reps() if r.m == 0]
-    radial_types = maximal_orbit_types_union(ctx, odd0) if odd0 else []
-    radial = [(cid, cat.classes[cid].name, gdeg.coeff(cid))
-              for cid in radial_types if gdeg.coeff(cid) != 0]
+    radial = [(cid, cat.classes[cid].name, gdeg.coeff(cid)) for cid
+              in maximal_orbit_types_union(ctx, odd0) if gdeg.coeff(cid)]
 
     return DegreeReport(condition_D=True, condition_D_witness=None,
                         resonant=resonant, spectrum=spec,

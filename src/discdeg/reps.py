@@ -25,7 +25,7 @@ from .characters import character_table
 from .permgroup import FiniteGroup
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class IrrDescriptor:
     m: int          # O(2) mode
     j: int          # index of the Gamma-irreducible
@@ -120,39 +120,39 @@ class RepContext:
         return heads
 
 
-def orbit_types(ctx: RepContext, rep: IrrDescriptor) -> list[int]:
-    """Classes arising as isotropy groups of nonzero vectors in the rep.
+def orbit_types(ctx: RepContext, reps: list[IrrDescriptor]) -> list[int]:
+    """Classes arising as isotropy groups of nonzero vectors in ``reps``' sum.
 
     A class U with nonzero fixed space fails to be an orbit type exactly
     when some strictly larger class T has the same fixed-point dimension
     (a finite union of proper subspaces cannot cover the fixed space), so
     the orbit types are the maximal classes of each nonzero dimension.
-    For m >= 1 the candidates are dihedral-headed, for m = 0 only the
-    full products O(2) x K' can appear.
+    For m >= 1 the candidates are dihedral-headed, for m = 0 only the full
+    products O(2) x K' can appear; a sum has the kinds of its reps.
     """
-    dims = ctx.fixed_dims(rep, "O2" if rep.m == 0 else "D")
+    dims: dict[int, int] = {}
+    for kind in {"O2" if rep.m == 0 else "D" for rep in reps}:
+        for rep in reps:
+            for cid, d in ctx.fixed_dims(rep, kind).items():
+                dims[cid] = dims.get(cid, 0) + d
     return sorted(u for d in set(dims.values()) - {0} for u in _maximal(
         ctx.catalog, [cid for cid, du in dims.items() if du == d]))
-
-
-def maximal_orbit_types(ctx: RepContext, rep: IrrDescriptor) -> list[int]:
-    return _maximal(ctx.catalog, orbit_types(ctx, rep))
 
 
 def maximal_orbit_types_union(ctx: RepContext,
                               reps: list[IrrDescriptor]) -> list[int]:
     """Maximal elements of the union of the orbit types of several reps."""
-    union: set[int] = set()
-    for rep in reps:
-        union |= set(orbit_types(ctx, rep))
-    return _maximal(ctx.catalog, sorted(union))
+    return _maximal(ctx.catalog, sorted(
+        set().union(*(orbit_types(ctx, [rep]) for rep in reps))))
 
 
 def _maximal(cat: ProductCatalog, ots: list[int]) -> list[int]:
-    out = []
-    for u in ots:
-        if not any(t != u and cat.classes[t].size > cat.classes[u].size
-                   and cat.classes[t].size % cat.classes[u].size == 0
-                   and cat.n_count(u, t) > 0 for t in ots):
-            out.append(u)
-    return sorted(out)
+    """The classes of ``ots`` below no other, from the largest down: one below
+    some class of ``ots`` is below a maximal one, larger and kept before."""
+    kept: list[int] = []
+    for u in sorted(ots, key=lambda c: cat.classes[c].size, reverse=True):
+        su = cat.classes[u].size
+        if not any(cat.classes[t].size > su and cat.classes[t].size % su == 0
+                   and cat.n_count(u, t) > 0 for t in kept):
+            kept.append(u)
+    return sorted(kept)

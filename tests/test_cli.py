@@ -374,6 +374,21 @@ def test_solve_imports_no_scipy():
     assert r.stdout.splitlines()[-1] == "0 []", r.stderr
 
 
+def test_closed_output_pipe_exits_0_quietly(cache_dir):
+    """A reader that stops early (``| head -1``) ends the command with exit
+    0, no ``error:`` line and no traceback.  The listing (about 200 KB) is
+    larger than a pipe buffer, so the command is still writing."""
+    env = dict(os.environ, DISCDEG_CACHE_DIR=cache_dir)
+    p = subprocess.Popen(
+        [sys.executable, "-m", "discdeg.cli", "--format", "json", "ccs",
+         "S4*Z2", "--heads", "1,2,3,4,6,8,9,12,18"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert json.loads(p.stdout.readline())["record"] == "class"
+    p.stdout.close()
+    err = p.stderr.read()
+    assert p.wait(timeout=600) == 0 and err == b""
+
+
 def test_non_integral_generator_product_refused_exit_3(run):
     r = run("burnside-mul", "D1 x_{Z2}^{D4d} D4p", "D4 x_{D4}^{Z2m} D4p")
     assert r.returncode == 3

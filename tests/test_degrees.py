@@ -1,6 +1,8 @@
 """Basic degrees, folding, and the coefficient lemmas of the degree engine."""
 import math
+import random
 from collections import Counter
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,9 @@ from hypothesis import strategies as st
 from discdeg.burnside import BurnsideRing
 from discdeg.catalog import ProductCatalog, dihedral_quotient_orders
 from discdeg.degrees import (SpectralAssignment, basic_degree, gdeg_field,
-                             gdeg_linear)
+                             gdeg_linear, linear_degree)
 from discdeg.permgroup import build_group, cyclic_group, direct_product
-from discdeg.reps import (IrrDescriptor, RepContext, maximal_orbit_types,
+from discdeg.reps import (IrrDescriptor, RepContext, _maximal,
                           maximal_orbit_types_union, orbit_types)
 
 # the reps whose basic degrees drive the published worked example,
@@ -105,7 +107,7 @@ def test_basic_degree_maximal_coefficient_formula(cube_pipeline):
     for m, j in ALL_REPS:
         d = _deg(cube_pipeline, m, j)
         rep = IrrDescriptor(m, j, -1)
-        for h in maximal_orbit_types(ctx, rep):
+        for h in maximal_orbit_types_union(ctx, [rep]):
             dim = ctx.fixed_dim(rep, h)
             w = cat.classes[h].weyl_order
             if dim % 2 == 0:
@@ -122,8 +124,8 @@ def _qualifying_pairs(pipe):
     reps = [IrrDescriptor(m, j, -1) for m, j in ALL_REPS]
     for i, r1 in enumerate(reps):
         for r2 in reps[i + 1:]:
-            shared = set(maximal_orbit_types(ctx, r1)) & \
-                set(maximal_orbit_types(ctx, r2))
+            shared = set(maximal_orbit_types_union(ctx, [r1])) & \
+                set(maximal_orbit_types_union(ctx, [r2]))
             for h in shared:
                 if ctx.fixed_dim(r1, h) % 2 and ctx.fixed_dim(r2, h) % 2:
                     yield r1, r2, h
@@ -158,10 +160,10 @@ def test_orbit_types_contain_full_fixed_classes(cube_pipeline):
     from the maximal list."""
     ctx = cube_pipeline.ctx
     rep = IrrDescriptor(1, 4, -1)
-    ots = orbit_types(ctx, rep)
+    ots = orbit_types(ctx, [rep])
     for h in ots:
         assert ctx.fixed_dim(rep, h) > 0
-    mots = set(maximal_orbit_types(ctx, rep))
+    mots = set(maximal_orbit_types_union(ctx, [rep]))
     assert mots <= set(ots)
 
 
@@ -206,3 +208,52 @@ def test_basic_degree_is_the_same_on_a_larger_head_set(gamma, m, j, sign,
     for cid in d2.coeffs:
         c = ctx2.catalog.classes[cid]
         assert c.kind != "D" or c.head in heads1, (rep, c.name)
+
+
+# -- the degree of -id on a sum ------------------------------------------------
+
+def _ring_ctx(gamma, cube_pipeline):
+    if gamma == "S4":
+        return cube_pipeline.ring, cube_pipeline.ctx
+    return _pipeline("S3", [1, 2, 3, 6])
+
+
+@pytest.mark.parametrize("gamma", ["S3", "S4"])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_linear_degree_of_a_sum_is_the_product(gamma, data, cube_pipeline):
+    """deg(-id) on V_0 + V_1 + ..., a mode-0 rep and some of modes 1-3 whose
+    fixed-point heads the catalog holds, is the ring product of their basic
+    degrees."""
+    ring, ctx = _ring_ctx(gamma, cube_pipeline)
+    heads = set(ctx.catalog.heads)
+    reps = [IrrDescriptor(m, j, s) for m in range(4)
+            for j in range(len(ctx.gamma_table.irreps)) for s in (-1, 1)]
+    reps = [r for r in reps if r.m == 0 or ctx.fixed_point_heads(r) <= heads]
+    zero = data.draw(st.sampled_from([r for r in reps if r.m == 0]))
+    rest = data.draw(st.lists(st.sampled_from([r for r in reps if r.m]),
+                              min_size=1, max_size=3, unique=True))
+    want = reduce(lambda x, r: x * basic_degree(ring, ctx, r), rest,
+                  basic_degree(ring, ctx, zero))
+    assert linear_degree(ring, ctx, [zero, *rest]).coeffs == want.coeffs
+
+
+@pytest.mark.parametrize("gamma", ["S3", "S4"])
+def test_ordered_maximal_matches_the_definition(gamma, cube_pipeline):
+    """The classes below no other one, found from the largest down against
+    the kept ones only, are those of the pairwise definition, on random
+    sets of classes together with parts of their down-closures."""
+    cat = _ring_ctx(gamma, cube_pipeline)[1].catalog
+    rng = random.Random(7)
+    for _ in range(20):
+        tops = rng.sample(range(len(cat)), 4)
+        ots = set(tops)
+        for t in tops:
+            down = cat.down_closure(t)
+            ots.update(rng.sample(down, min(len(down), 6)))
+        ots = sorted(ots)
+        want = [u for u in ots if not any(
+            t != u and cat.classes[t].size > cat.classes[u].size
+            and cat.classes[t].size % cat.classes[u].size == 0
+            and cat.n_count(u, t) > 0 for t in ots)]
+        assert _maximal(cat, ots) == want

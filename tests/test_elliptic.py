@@ -1,14 +1,23 @@
 """Application layer: cube matrix spectra, conditions, counters, report."""
+import json
+import os
+import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
+from discdeg import cli
 from discdeg.bessel import ModeTable
-from discdeg.elliptic import (CouplingProblem, GrowthMeta, check_condition_D,
-                              check_s3_1, class_counters, cube_action,
-                              cube_matrix, cube_problem, existence_report,
+from discdeg.degrees import basic_degree, gdeg_linear
+from discdeg.elliptic import (ClassCounters, CouplingProblem, GrowthMeta,
+                              build_context, check_condition_D, check_s3_1,
+                              class_counters, cube_action, cube_matrix,
+                              cube_problem, existence_report,
                               isotypic_spectrum, m_counter, n_counter,
-                              resonant_set, spectrum_summary)
+                              resonant_set, spectral_assignment,
+                              spectrum_summary)
+from discdeg.reps import IrrDescriptor, maximal_orbit_types_union
 
 FIRST_J0_ZERO = 2.40482555769577
 
@@ -222,16 +231,14 @@ def test_report_refuses_nothing_but_flags_collision():
     assert rep.degree is None
 
 
-def test_cube51_report_is_the_same_on_a_larger_head_set():
-    """Head-set oracle: cube(5,1) on its required heads (P = 288), on those
-    plus 32, 36 and 48 (P = 576) and on those plus 5 (P = 1,440) gives the
-    same expansion, non-radial families and radial types, class by class
-    name; so the extra classes carry no terms."""
-    from discdeg.elliptic import build_context
-    problem = cube_problem(5, 1)
+def _same_report_on_larger_head_sets(c, P, sizes, wider):
+    """Head-set oracle: cube(c,1) on its required heads and on those plus
+    more heads gives the same expansion, non-radial families and radial
+    types, class by class name; so the extra classes carry no terms."""
+    problem = cube_problem(c, 1)
     modes = ModeTable(max(float(e.mu) for e in isotypic_spectrum(problem)))
     base = build_context(problem, modes)
-    assert base.catalog.P == 288
+    assert base.catalog.P == P
 
     def records(pipeline):
         rep = existence_report(problem, pipeline=pipeline)
@@ -241,8 +248,152 @@ def test_cube51_report_is_the_same_on_a_larger_head_set():
                   f.witness_coeff) for f in rep.non_radial],
                 [(n, v) for _, n, v in rep.radial])
     want = records(base)
-    assert [len(r) for r in want] == [170, 6, 3]
-    for extra, P in (([32, 36, 48], 576), ([5], 1440)):
+    assert [len(r) for r in want] == sizes
+    for extra, P in wider:
         wide = build_context(problem, modes, heads=base.catalog.heads + extra)
         assert wide.catalog.P == P and len(wide.catalog) > len(base.catalog)
         assert records(wide) == want, extra
+
+
+def test_cube51_report_is_the_same_on_a_larger_head_set():
+    """Heads 32, 36 and 48 added (P = 576), and 5 (P = 1,440)."""
+    _same_report_on_larger_head_sets(
+        5, 288, [170, 6, 3], [([32, 36, 48], 576), ([5], 1440)])
+
+
+def test_cube91_report_is_the_same_on_a_larger_head_set():
+    """Heads 13, 26, 32 and 48 added: P = 10,080 grows to 262,080."""
+    _same_report_on_larger_head_sets(
+        9, 10080, [476, 7, 3], [([13, 26, 32, 48], 262080)])
+
+
+# -- the linearized degree and the fold counters against their definitions ----
+
+_CATALOGS: dict = {}
+
+
+def _solve_data(problem):
+    """Spectrum, mode table and pipeline of ``problem``, with one catalog per
+    group and head set for the whole module."""
+    spec = isotypic_spectrum(problem)
+    modes = ModeTable(max(float(e.mu) for e in spec))
+    assert check_condition_D(spec, modes)[0]
+
+    def cache(tag, build):
+        if tag not in _CATALOGS:
+            _CATALOGS[tag] = build()
+        return _CATALOGS[tag]
+    return spec, modes, build_context(problem, modes, cache=cache)
+
+
+def _seeded_problem(group: str, seed: int, tmp_path):
+    """An S2 swap or an S3 permutation problem with two eigenvalues in
+    (0, 7.5), the larger above j_{3,1} = 6.380, clear of the Bessel zeros."""
+    rng = random.Random(seed)
+    while True:
+        top = Fraction(rng.randrange(6400, 7500), 1000)
+        low = Fraction(rng.randrange(50, int(top * 1000)), 1000)
+        if group == "S2":
+            a, b = (top + low) / 2, (top - low) / 2
+            doc = {"group": "S2", "action_generators": [[1, 0]],
+                   "matrix": [[str(a), str(b)], [str(b), str(a)]]}
+        else:
+            a, b = (top + 2 * low) / 3, (top - low) / 3
+            doc = {"group": "S3", "action_generators": [[1, 0, 2], [1, 2, 0]],
+                   "matrix": [[str(a if i == j else b) for j in range(3)]
+                              for i in range(3)]}
+        path = tmp_path / f"{group}-{seed}.json"
+        path.write_text(json.dumps(doc))
+        problem = cli._load_problem(str(path))
+        spec = isotypic_spectrum(problem)
+        if check_condition_D(spec, ModeTable(float(top)))[0]:
+            return problem
+
+
+SWAP = os.path.join(os.path.dirname(__file__), "..", "examples_local",
+                    "swap.json")
+
+
+@pytest.mark.parametrize("which", [
+    "cube21", "cube31", "cube41", "cube51", "swap", "s2-1", "s2-2", "s3-1",
+    "s3-2"])
+def test_linear_degree_is_the_product_of_the_odd_basic_degrees(which,
+                                                               tmp_path):
+    """gdeg_linear, one mark recurrence over the sum of the odd reps, equals
+    the ring product of their basic degrees."""
+    if which.startswith("cube"):
+        problem = cube_problem(int(which[4]), 1)
+    elif which == "swap":
+        problem = cli._load_problem(SWAP)
+    else:
+        problem = _seeded_problem(which[:2].upper(), int(which[3]), tmp_path)
+    spec, modes, pipe = _solve_data(problem)
+    assign = spectral_assignment(spec, modes)
+    odd = assign.odd_reps()
+    assert odd
+    want = reduce(lambda x, r: x * basic_degree(pipe.ring, pipe.ctx, r), odd,
+                  pipe.ring.one())
+    assert gdeg_linear(pipe.ring, pipe.ctx, assign).coeffs == want.coeffs
+
+
+def _class_counters_by_fold(spec, modes, ring, ctx, cid) -> ClassCounters:
+    """The counters by their definition: the mode-nu basic degree at the
+    nu-fold of the class."""
+    cat = ctx.catalog
+    m_of = {}
+    for nu in range(1, modes.max_mode + 1):
+        raw = {e.j: (n_counter(modes, nu, e.mu) if float(e.mu) > 0 else 0)
+               for e in spec}
+        if not any(raw.values()):
+            m_of[nu] = 0
+            continue
+        h_nu = cat.fold_class(cid, nu)
+        m_of[nu] = sum(raw[e.j] * e.mult for e in spec if raw[e.j]
+                       and basic_degree(ring, ctx, IrrDescriptor(nu, e.j, -1))
+                       .coeff(h_nu) != 0)
+    odd = [v for v, t in m_of.items() if t % 2]
+    return ClassCounters(cid=cid, name=cat.classes[cid].name,
+                         m_of=m_of, nu0=max(odd) if odd else None)
+
+
+@pytest.mark.parametrize("c", [4, 5])
+def test_fold_counters_read_off_the_mode_1_basic_degrees(c):
+    """For every maximal mode-1 class H, irreducible U_j and nu up to the
+    largest mode with a negative eigenvalue, the mode-nu basic degree has a term at Psi_nu(H) exactly
+    when the mode-1 one has a term at H; so the counters read off mode 1
+    are those of their definition."""
+    spec, modes, pipe = _solve_data(cube_problem(c, 1))
+    cat, ring, ctx = pipe.catalog, pipe.ring, pipe.ctx
+    reps = [IrrDescriptor(1, j, -1) for j in range(len(ctx.gamma_table.irreps))]
+    m1 = maximal_orbit_types_union(ctx, reps)
+    top = max(m for m, n in modes.counts.items() if n)
+    assert len(m1) == 7 and top == c - 1
+    for h in m1:
+        for rep in reps:
+            at_h = basic_degree(ring, ctx, rep).coeff(h) != 0
+            for nu in range(2, top + 1):
+                d = basic_degree(ring, ctx, IrrDescriptor(nu, rep.j, -1))
+                assert (d.coeff(cat.fold_class(h, nu)) != 0) == at_h, (h, rep)
+        assert (class_counters(spec, modes, ring, ctx, h)
+                == _class_counters_by_fold(spec, modes, ring, ctx, h))
+
+
+def test_solve_multiplies_nothing_and_builds_only_mode_1_basic_degrees(
+        cube41, cube_pipeline, monkeypatch):
+    """The cube(4,1) report takes its degree from one mark recurrence and
+    its counters from the mode-1 basic degrees: no ring product is formed
+    and no basic degree of mode 2 or more is built."""
+    from discdeg.burnside import BurnsideRing
+    from discdeg.elliptic import PipelineContext
+    from discdeg.permgroup import symmetric_group
+    from discdeg.reps import RepContext
+
+    def no_product(*args):
+        raise AssertionError("ring product on the solve path")
+    monkeypatch.setattr(BurnsideRing, "multiply", no_product)
+    cat = cube_pipeline.catalog
+    pipe = PipelineContext(catalog=cat, ring=BurnsideRing(cat),
+                           ctx=RepContext(cat, symmetric_group(4)))
+    rep = existence_report(cube41, pipeline=pipe)
+    assert len(rep.degree.coeffs) == 85 and len(rep.non_radial) == 5
+    assert {r.m for r in pipe.ctx.basic_degrees} == {1}
