@@ -136,22 +136,27 @@ def bessel_zeros(m: int, upper: float) -> list[float]:
         raise ValueError(f"upper bound must lie in (0, {X_MAX}], got {upper}")
     if not isinstance(m, int) or m < 0 or m > M_MAX:
         raise ValueError(f"order must be an integer in [0, {M_MAX}], got {m}")
+    return _zero_levels(m, upper)[m]
+
+
+def _zero_levels(M: int, upper: float) -> list[list[float]]:
+    """The zeros in (0, upper] of J_0, ..., J_M, by one interlacing walk."""
     # each interlacing level loses at most its last bracket, so extend the
     # working range by one spacing (< pi + 1) per level
-    work = min(upper + _TAIL + (math.pi + 1.0) * m, X_MAX)
-    prev = _zeros_j0(work)
-    for mu in range(1, m + 1):
+    work = min(upper + _TAIL + (math.pi + 1.0) * M, X_MAX)
+    levels = [_zeros_j0(work)]
+    for mu in range(1, M + 1):
         nxt = []
-        for a, b in zip(prev, prev[1:]):
+        for a, b in zip(levels[-1], levels[-1][1:]):
             fa, fb = bessel_j(mu, a), bessel_j(mu, b)
             if not fa * fb < 0.0:
                 raise AssertionError(
                     f"interlacing bracket failed for J_{mu} on ({a}, {b})")
             nxt.append(_brentq(lambda x: bessel_j(mu, x), a, b))
-        prev = nxt
-    if prev and prev[-1] <= upper and work < X_MAX:
+        levels.append(nxt)
+    if levels[-1] and levels[-1][-1] <= upper and work < X_MAX:
         raise AssertionError("working range too small; zeros may be missing")
-    return [z for z in prev if z <= upper]
+    return [[z for z in zs if z <= upper] for zs in levels]
 
 
 def first_zero(m: int) -> float:
@@ -205,8 +210,8 @@ class ModeTable:
         while watson_lower(M) < self.mu_max:
             M += 1
         self.max_mode = M
-        for m in range(M + 1):
-            zs = bessel_zeros(m, min(self.mu_max + _TAIL, X_MAX))
+        for m, zs in enumerate(_zero_levels(M, min(self.mu_max + _TAIL,
+                                                   X_MAX))):
             kept = 0
             for n, z in enumerate(zs, start=1):
                 self.zeros[(n, m)] = z

@@ -24,12 +24,13 @@ of honest elements are guaranteed integral.
 
 The numbers n(L, H) * |W(H)| are the table of marks of the lattice.  The
 lattice object must provide: ``classes`` (sequence with ``cid``,
-``weyl_order``, ``name``), ``n_count(l, h)``, ``down_closure(h)``,
-``full_cid`` (class of the whole group, the ring identity) and optionally
-``fold_class(cid, nu)``.  The product catalog answers ``n_count`` by
-counting the group elements that conjugate a few generators of L into H,
-memoized per pair, and ``down_closure`` once per class; nothing is
-precomputed when a catalog is loaded.
+``weyl_order``, ``name``), ``n_count(l, h)``, ``column(h)`` (the nonzero
+n(l, h) by l), ``down_closure(h)``, ``full_cid`` (class of the whole
+group, the ring identity) and optionally ``fold_class(cid, nu)``.  The
+ring reads whole columns.  The product catalog counts a column on first
+use, all its candidates L in one pass over the group elements that
+conjugate a few generators of L into H, and keeps it for the process;
+nothing is precomputed when a catalog is loaded.
 """
 from __future__ import annotations
 
@@ -124,25 +125,29 @@ class BurnsideRing:
     def mark(self, coeffs: dict[int, int], l: int) -> int:
         """Number of fixed points of a class-l subgroup on the element."""
         lat = self.lattice
-        return sum(v * lat.n_count(l, h) * lat.classes[h].weyl_order
+        return sum(v * lat.column(h).get(l, 0) * lat.classes[h].weyl_order
                    for h, v in coeffs.items() if v)
 
     def from_marks(self, domain, mark) -> dict[int, int]:
         """Nonzero coefficients m_L, L in ``domain``, of the element whose
         mark at L is ``mark(L)``, by the top-down recurrence above.  The
-        domain must hold every class whose coefficient can be nonzero."""
+        domain must hold every class whose coefficient can be nonzero.
+        Each coefficient found is pushed down its column at once, so the
+        sum over (L') > (L) visits only the classes below some L'."""
         lat = self.lattice
         m: dict[int, int] = {}
+        above: dict[int, int] = {}      # l -> the sum over the L' found
         for l in sorted(domain, key=lambda l: (lat.classes[l].size, l),
                         reverse=True):
-            acc = mark(l) - sum(v * lat.n_count(l, lp) * lat.classes[lp]
-                                .weyl_order for lp, v in m.items())
+            acc = mark(l) - above.get(l, 0)
             w = lat.classes[l].weyl_order
             if acc % w:
                 raise AssertionError(f"non-exact division in the mark "
                                      f"recurrence at {lat.classes[l].name}")
             if acc:
                 m[l] = acc // w
+                for lo, n in lat.column(l).items():
+                    above[lo] = above.get(lo, 0) + acc * n
         return m
 
     def multiply(self, x: BurnsideElement, y: BurnsideElement) -> BurnsideElement:

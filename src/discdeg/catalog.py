@@ -48,8 +48,18 @@ counted over g in D_P x K, P = 2 lcm(heads), and the Weyl order is
 into D_h, so it lies in D_{2h} x K: the count on H's grid is the one on
 D_P.  An SO(2)- or O(2)-headed class is the same over every rotation and
 every reflection, so its count on D_P is P/2 times the one on D_2; sizes
-and |N(H)| are given as on D_P.  Counts are only made for pairs that pass
-cheap necessary conditions, tested for all classes at once on columns.
+and |N(H)| are given as on D_P.
+
+A query counts the whole column of H at once, on first use in a process.
+Its candidates L pass cheap necessary conditions, tested for all classes
+at once on per-process columns: |L| divides |H|, the K-projections are
+subconjugate and, under a D_h head, L is D-headed with head and kernel
+dividing H's.  Under a D_h head L must also pass the histogram test:
+conjugation keeps an element's reflection bit, rotation order and K-class,
+so L has at most as many elements as H in each such bin.  The survivors
+are counted in one numpy pass, and the column is kept as the nonzero
+n(L, H) by L.  The histograms and the padded generators are rebuilt per
+process, never stored.
 """
 from __future__ import annotations
 
@@ -168,8 +178,8 @@ class ProductCatalog:
     def __setstate__(self, state):
         """Set the stored state; the per-process memos start empty."""
         self.__dict__.update(state)
-        self._ncount, self._down, self._cands, self._rowids = {}, {}, {}, {}
-        self._models, self._cols, self._folds = {}, None, None
+        self._ncount, self._models = {}, {}
+        self._cols = self._folds = None
 
     # -- construction -------------------------------------------------------
 
@@ -266,11 +276,14 @@ class ProductCatalog:
             -1, n, 1)
         return rowid.ravel()
 
-    def _count(self, gens: np.ndarray, head: int, rowid: np.ndarray) -> int:
-        """#{g in D_P x K : g x g^-1 in H for each x in ``gens``}, for H on
-        ``head`` with ``rowid``, counted on the grid D_p of the head: the
-        D_P point (f, t) is (f, t p / P) there, and under SO(2) or O(2)
-        any rotation t > 0 is rotation 1 (see the module notes)."""
+    def _count(self, gens: np.ndarray, head: int,
+               rowid: np.ndarray) -> np.ndarray:
+        """#{g in D_P x K : g x g^-1 in H for each x in gens[:, i]} for each
+        i, for H on ``head`` with ``rowid`` (or one H per i, with rowid
+        (m, 2p)), counted on the grid D_p of the head: the D_P point (f, t)
+        is (f, t p / P) there, and under SO(2) or O(2) any rotation t > 0
+        is rotation 1 (see the module notes).  ``gens`` is a (2, m, n)
+        stack of generating sets (see ``_stack``)."""
         p = 2 * (head or 1)
         if p not in self._models:
             self._models[p] = O2Model(p, self.K)
@@ -281,30 +294,45 @@ class ProductCatalog:
         return n if head else n * (self.P // 2)
 
     def _rowid(self, cid: int) -> np.ndarray:
-        """Class ``cid`` on the grid of its head, kept for the process."""
-        if cid not in self._rowids:
-            c = self.classes[cid]
-            self._rowids[cid] = self._on_grid(c.head, c.labels)
-        return self._rowids[cid]
+        """Class ``cid`` on the grid of its head."""
+        c = self.classes[cid]
+        return self._on_grid(c.head, c.labels)
 
     def _dedupe_and_register(self, raw: list[dict]):
         self._fingerprint(raw)
-        buckets: dict[tuple, list[dict]] = {}
-        for rec in raw:
+        buckets: dict[tuple, list[int]] = {}
+        for i, rec in enumerate(raw):
             key = (rec["kind"], rec["head"], rec["kp_cid"], rec["size"],
                    rec["bucket"], rec["fp"])
-            buckets.setdefault(key, []).append(rec)
+            buckets.setdefault(key, []).append(i)
 
-        # records in one bucket have the same size, so a conjugate of a kept
-        # representative inside a record is the whole record
+        # Records in one bucket have the same size, so a conjugate of one
+        # inside another is the whole record.  Each round keeps the first
+        # record of every bucket and counts it into each record of its
+        # bucket, every record on one head in one pass: into itself this
+        # gives |N(U)|, and the records it misses are the next round's
+        # buckets, in order.
+        pads, ngens = _stack([rec["gens"] for rec in raw])
+        head = np.array([rec["head"] for rec in raw])
         kept: list[dict] = []
-        for key, group in sorted(buckets.items()):
-            reps: list[dict] = []
-            for rec in group:
-                if not any(self._count(o["gens"], rec["head"], rec["rowid"])
-                           for o in reps):
-                    reps.append(rec)
-            kept.extend(reps)
+        pending = [group for _, group in sorted(buckets.items())]
+        while pending:
+            recs = np.concatenate(pending)
+            first = np.repeat([g[0] for g in pending], list(map(len, pending)))
+            n = np.empty(len(recs), dtype=np.int64)
+            for h in np.unique(head[recs]).tolist():
+                at = np.flatnonzero(head[recs] == h)
+                n[at] = self._count(
+                    pads[:, first[at], :ngens[first[at]].max()], h,
+                    np.stack([raw[i]["rowid"] for i in recs[at].tolist()]))
+            n = np.split(n, np.cumsum(list(map(len, pending)))[:-1])
+            for g, c in zip(pending, n):
+                raw[g[0]]["n_model"] = int(c[0])
+                kept.append(raw[g[0]])
+            pending = [rest for g, c in zip(pending, n)
+                       if (rest := [i for i, x in zip(g, c) if not x])]
+        for rec in raw:
+            del rec["rowid"]
 
         kept.sort(key=lambda r: (r["size"], r["kind"], r["head"], r["bucket"],
                                  r["kp_cid"], r["fp"]))
@@ -315,14 +343,13 @@ class ProductCatalog:
             k = tally[rec["name"]] = tally.get(rec["name"], 0) + 1
             rec["name"] += f" ~{k}" if k > 1 else ""
             del rec["fp"]
-            n_model = self._count(rec["gens"], rec["head"], rec.pop("rowid"))
-            nw = n_model // rec["size"]
+            nw = rec["n_model"] // rec["size"]
             # reported convention: dihedral-headed classes whose O(2)-side
             # kernel is rotation-only get half the plain normalizer quotient
             # (the central coset is not counted)
             rot_kernel = not self.rows[rec["labels"][rec["head"]:], 0].any()
             self.classes.append(ProductClass(
-                cid=cid, **rec, n_model=n_model, normalizer_weyl_order=nw,
+                cid=cid, **rec, normalizer_weyl_order=nw,
                 weyl_order=nw // 2 if rec["kind"] == "D" and rot_kernel else nw))
         self.by_name = {c.name: c.cid for c in self.classes}
         self.full_cid = self.by_name[
@@ -372,45 +399,93 @@ class ProductCatalog:
     def n_count(self, l: int, h: int) -> int:
         """Number of conjugates of class-h subgroups containing a fixed
         class-l subgroup."""
-        key = (l, h)
-        if key not in self._ncount:
+        return self.column(h).get(l, 0)
+
+    def column(self, h: int) -> dict[int, int]:
+        """The nonzero n(l, h) by l, in increasing order: every candidate
+        l of h (``_candidates``, and under a D-headed h the histogram test)
+        counted in one pass on first use."""
+        if h not in self._ncount:
             c = self.classes[h]
-            self._ncount[key] = (
-                self._count(self.classes[l].gens, c.head, self._rowid(h))
-                // c.n_model
-                if self._candidates(h)[l] else 0)
-        return self._ncount[key]
+            ls = np.flatnonzero(self._candidates(h))
+            if c.kind == "D":
+                ls = self._within_histogram(h, ls)
+            _, _, _, pads, ngens = self._index()
+            n, r = np.divmod(self._count(pads[:, ls, :ngens[ls].max()],
+                                         c.head, self._rowid(h)), c.n_model)
+            if r.any():
+                raise AssertionError(f"non-exact division by |N(H)| at "
+                                     f"{c.name}")
+            self._ncount[h] = dict(zip(ls[n > 0].tolist(), n[n > 0].tolist()))
+        return self._ncount[h]
+
+    def _index(self):
+        """Per-process columns over all classes, built on first query:
+        (kleq, class columns, element histograms, padded generators, their
+        lengths).  ``kleq[a, b]`` tells whether K-class a is subconjugate
+        to b: some member of b holds no element outside a's representative.
+        The class columns are size, D-headed, head, bucket and K-projection.
+        The histogram of a D-headed class counts its elements by (reflection
+        bit, rotation order, K-class) over its head: rotation k of D_h has
+        order h / gcd(h, k), and reflections share one bin.  It sums the
+        K-class counts of each point's row, one head at a time."""
+        if self._cols is None:
+            kt, heads, classes = self.ktable, self.heads, self.classes
+            kleq = ~(kt._masks[kt._rep] @ ~kt._masks.T) @ (
+                kt._cid[:, None] == np.arange(len(kt)))
+            size, head, bucket, kp = np.array(
+                [[getattr(c, f) for c in classes]
+                 for f in ("size", "head", "bucket", "kp_cid")])
+            cols = np.stack([size, head > 0, np.maximum(head, 1),
+                             np.maximum(bucket, 1), kp])
+            # K-class of each element: its least conjugate
+            _, kcls = np.unique(self.K._tables()[2].min(axis=0),
+                                return_inverse=True)
+            rowhist = self.rows @ np.eye(kcls.max() + 1)[kcls]
+            dh = np.flatnonzero(head)
+            labels = np.concatenate([classes[i].labels for i in dh.tolist()])
+            start = np.cumsum(2 * head[dh]) - 2 * head[dh]
+            hist = np.zeros((len(classes), len(heads) + 1, rowhist.shape[1]),
+                            dtype=np.int32)
+            for h in heads:
+                at = np.flatnonzero(head[dh] == h)
+                k = np.arange(h)
+                bins = np.r_[np.searchsorted(heads, h // np.gcd(h, k)),
+                             np.full(h, len(heads))]
+                hist[dh[at]] = np.einsum(
+                    "bp,pmk->mbk", bins == np.arange(len(heads) + 1)[:, None],
+                    rowhist[labels[start[at] + np.arange(2 * h)[:, None]]],
+                    optimize=True)
+            self._cols = (kleq, cols, hist.reshape(len(classes), -1),
+                          *_stack([c.gens for c in classes]))
+        return self._cols
 
     def _candidates(self, h: int) -> np.ndarray:
         """Mask of the l passing necessary tests for (l) <= (h): |l| divides
         |h|, K-projections are subconjugate, and under a D-headed h only
         D-headed l whose head and rotation kernel divide h's."""
-        if h not in self._cands:
-            if self._cols is None:
-                kt = self.ktable
-                kleq = np.array([[kt.leq(a, b) for b in range(len(kt))]
-                                 for a in range(len(kt))])
-                self._cols = kleq, np.array(
-                    [(c.size, c.kind == "D", max(c.head, 1), max(c.bucket, 1),
-                      c.kp_cid) for c in self.classes]).T
-            kleq, (size, dihedral, head, bucket, kp) = self._cols
-            c = self.classes[h]
-            ok = (c.size % size == 0) & kleq[kp, c.kp_cid]
-            if c.kind == "D":
-                ok &= ((dihedral == 1) & (c.head % head == 0)
-                       & (c.bucket % bucket == 0))
-            self._cands[h] = ok
-        return self._cands[h]
+        kleq, (size, dihedral, head, bucket, kp), _, _, _ = self._index()
+        c = self.classes[h]
+        ok = (c.size % size == 0) & kleq[kp, c.kp_cid]
+        if c.kind == "D":
+            ok &= ((dihedral == 1) & (c.head % head == 0)
+                   & (c.bucket % bucket == 0))
+        return ok
+
+    def _within_histogram(self, h: int, ls: np.ndarray) -> np.ndarray:
+        """The D-headed l of ``ls`` whose element histogram is at most that
+        of the D-headed class h in every bin.  Conjugation keeps the
+        reflection bit, the rotation order and the K-class of an element,
+        so a conjugate of l inside h needs no more."""
+        hist = self._index()[2]
+        return ls[(hist[ls] <= hist[h]).all(axis=1)]
 
     def leq(self, l: int, h: int) -> bool:
         return self.n_count(l, h) > 0
 
     def down_closure(self, h: int) -> tuple[int, ...]:
-        """Classes subconjugate to class h, computed once per class."""
-        if h not in self._down:
-            self._down[h] = tuple(l for l in np.flatnonzero(
-                self._candidates(h)).tolist() if self.n_count(l, h) > 0)
-        return self._down[h]
+        """Classes subconjugate to class h."""
+        return tuple(self.column(h))
 
     # -- folding -------------------------------------------------------------
 
@@ -424,6 +499,9 @@ class ProductCatalog:
         as Inn(D_q) with y -> yx at every h, so the dedupe keeps the same
         gluings at every head.  O(2)- and SO(2)-headed classes are fixed.
         """
+        if nu < 1:
+            raise ValueError(f"fold index nu must be a positive integer, "
+                             f"got {nu}")
         c = self.classes[cid]
         if nu == 1 or c.kind != "D":
             return cid
@@ -434,6 +512,16 @@ class ProductCatalog:
             self._folds = {(d.glue, d.head): d.cid for d in self.classes
                            if d.kind == "D"}
         return self._folds[c.glue, c.head * nu]
+
+
+def _stack(gens: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The (2, m, n) stack of m generating sets (2, n_i), each padded to the
+    longest by repeating its first generator, which changes no count, and
+    the lengths n_i."""
+    n = np.array([g.shape[1] for g in gens])
+    j = np.arange(n.max())
+    return np.concatenate(gens, axis=1)[
+        :, (np.cumsum(n) - n)[:, None] + np.where(j < n[:, None], j, 0)], n
 
 
 def cached_catalog(K: FiniteGroup, heads: list[int], cache,

@@ -9,15 +9,17 @@ each query on the grid of its subgroup's head, D_{2h} for D_h and D_2 for
 SO(2) and O(2), so P is at most twice the largest head.
 
 The model keeps two conjugation tables, ``o2_conj[g, x]`` (2P x 2P) and
-K's own ``k_conj[g, x]`` (|K| x |K|), both g x g^-1.  Over each grid point
-a catalog subgroup holds none or one coset of a normal subgroup R of K',
-so its membership table is factored as (rowid, rows): (a, k) is in it iff
-rows[rowid[a], k], for boolean rows over K (row 0 empty, the others
-cosets).  The one lattice primitive, ``count_conj_into``, counts the g in
-D_P x K that conjugate a list of elements into a subgroup; on a generating
-set of L that is #{g : gLg^-1 <= H}, which gives n(L, H) and |N(H)|.  It
-groups the grid points a by the tuple of row ids that a x a^-1 lands on
-and gathers the K side once per distinct tuple.
+``k_orbit[x, g]`` (|K| x |K|, K's own table transposed), both g x g^-1.
+Over each grid point a catalog subgroup holds none or one coset of a
+normal subgroup R of K', so its membership table is factored as
+(rowid, rows): (a, k) is in it iff rows[rowid[a], k], for boolean rows
+over K (row 0 empty, the others cosets).  The one lattice primitive,
+``count_conj_into``, counts for each of a stack of subgroups L the g in
+D_P x K that conjugate every listed element of L into a subgroup H, one
+H for the whole stack or one per L; on a generating set of L that is
+#{g : gLg^-1 <= H}, which gives n(L, H) and |N(H)|.  It groups the pairs
+(L, grid point a) by L and the tuple of row ids that a x a^-1 lands on,
+and gathers the K side once per distinct group, all in one numpy pass.
 """
 from __future__ import annotations
 
@@ -34,21 +36,33 @@ class O2Model:
         # rotation t to t or -t and reflection (1, t) to (1, 2c + t or 2c - t)
         self.o2_conj = np.block([[rot, P + (2 * c + t) % P],
                                  [-rot % P, P + (2 * c - t) % P]])
-        self.k_conj = K._tables()[2]
+        # k_orbit[x] lists g x g^-1 over g; |K| <= 720 fits int16
+        self.k_orbit = np.ascontiguousarray(K._tables()[2].T, dtype=np.int16)
 
     def count_conj_into(self, Lo2: np.ndarray, Lk: np.ndarray,
-                        table: tuple[np.ndarray, np.ndarray]) -> int:
-        """Number of g in D_P x K with g x g^{-1} in H for every listed x.
+                        table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """For each row i, the number of g in D_P x K with g x g^{-1} in H
+        for every x listed in row i.
 
-        ``Lo2``, ``Lk`` list the elements x (a generating set of L suffices:
-        then the count is #{g : g L g^{-1} <= H}); ``table`` is the
-        factored membership table (rowid, rows) of H.
+        ``Lo2``, ``Lk`` (m, n) list the o2 and k indices of n elements of
+        each of m subgroups L (a generating set suffices: then the count
+        is #{g : g L g^{-1} <= H}; repeat an element to pad a short list);
+        ``table`` is the factored membership table (rowid, rows) of H, or
+        of one H per row when ``rowid`` is (m, 2P).
         """
         rowid, rows = table
-        ids = rowid[self.o2_conj[:, Lo2]]              # (2P, n) row ids
-        ids = ids[ids.all(axis=1)]                     # row 0 is empty
-        keys = np.ascontiguousarray(ids).view(f"V{ids.itemsize * len(Lo2)}")
-        _, first, weight = np.unique(keys.ravel(), return_index=True,
-                                     return_counts=True)
-        ok = rows[ids[first][:, None, :], self.k_conj[:, Lk]]   # (u, nK, n)
-        return int(ok.all(axis=2).sum(axis=1) @ weight)
+        m, n = Lo2.shape
+        ids = np.broadcast_to(rowid, (m, rowid.shape[-1]))[
+            np.arange(m)[:, None], self.o2_conj[:, Lo2]]  # (2P, m, n) row ids
+        hit = ids.all(axis=2)                          # row 0 is empty
+        keys = np.empty((np.count_nonzero(hit), n + 1), dtype=ids.dtype)
+        keys[:, 0], keys[:, 1:] = np.nonzero(hit)[1], ids[hit]
+        _, first, weight = np.unique(
+            keys.view(f"V{keys.itemsize * (n + 1)}").ravel(),
+            return_index=True, return_counts=True)
+        l, ids = keys[first, 0], keys[first, 1:]
+        ok = True                   # (u, |K|), one generator at a time
+        for j in range(n):
+            ok = ok & rows[ids[:, j, None], self.k_orbit[Lk[l, j]]]
+        # float64 sums, exact: each count is at most 2P |K|
+        return np.bincount(l, ok.sum(axis=1) * weight, m).astype(np.int64)

@@ -256,10 +256,15 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 
 def dihedral_perm_group(n: int) -> FiniteGroup:
-    """Dihedral group of order 2n on n points (n >= 3)."""
-    rot = tuple(list(range(1, n)) + [0])
-    ref = tuple((n - i) % n for i in range(n))
-    return FiniteGroup(n, [rot, ref], name=f"D{n}")
+    """Dihedral group of order 2n: the rotations and reflections of the
+    n-gon on its vertices for n >= 3.  D1 (order 2) and D2 (order 4) are
+    too small to act faithfully on n points, so there the reflection also
+    swaps two added points n and n + 1."""
+    fixed, swap = ([n, n + 1], [n + 1, n]) if n <= 2 else ([], [])
+    rot = tuple(list(range(1, n)) + [0] + fixed)
+    ref = tuple([(n - i) % n for i in range(n)] + swap)
+    return FiniteGroup(len(rot), [g for g in (rot, ref)
+                                  if g != tuple(range(len(g)))], name=f"D{n}")
 
 
 def direct_product(*groups: FiniteGroup) -> FiniteGroup:
@@ -297,6 +302,9 @@ def build_group(descriptor: str) -> FiniteGroup:
         if not m:
             raise ValueError(f"unrecognized group descriptor {part!r}")
         kind, n = m.group(1), int(m.group(2))
+        if n == 0 and kind in "ZD":
+            raise ValueError(f"group {part} has order 0; Z and D atoms need "
+                             f"n >= 1")
         builder = {"S": symmetric_group, "A": alternating_group,
                    "Z": cyclic_group, "D": dihedral_perm_group}[kind]
         groups.append(builder(n))
@@ -426,8 +434,13 @@ class SubgroupClassTable:
     def by_name(self) -> dict[str, int]:
         return {r.name: r.cid for r in self.classes}
 
+    def column(self, h: int) -> dict[int, int]:
+        """The nonzero n(l, h) by l, in increasing order."""
+        return {l: n for l in range(len(self.classes))
+                if (n := self.n_count(l, h))}
+
     def down_closure(self, h: int) -> list[int]:
-        return [l for l in range(len(self.classes)) if self.n_count(l, h) > 0]
+        return list(self.column(h))
 
     def fold_class(self, cid: int, nu: int) -> int:
         if nu == 1:

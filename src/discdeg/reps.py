@@ -151,8 +151,6 @@ def _maximal(cat: ProductCatalog, ots: list[int]) -> list[int]:
     some class of ``ots`` is below a maximal one, larger and kept before."""
     kept: list[int] = []
     for u in sorted(ots, key=lambda c: cat.classes[c].size, reverse=True):
-        su = cat.classes[u].size
-        if not any(cat.classes[t].size > su and cat.classes[t].size % su == 0
-                   and cat.n_count(u, t) > 0 for t in kept):
+        if not any(u in cat.column(t) for t in kept):
             kept.append(u)
     return sorted(kept)

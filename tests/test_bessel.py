@@ -112,6 +112,16 @@ def test_mode_table_cube():
     assert t.count_below(1, 1.0) == 0
 
 
+@pytest.mark.parametrize("mu", [0.5, 3.9, 7.6, 15.0])
+def test_mode_table_walks_the_levels_once(mu):
+    """The table's single interlacing walk gives every mode's zeros exactly
+    as a separate ``bessel_zeros`` call per mode does."""
+    t = ModeTable(mu)
+    upper = mu + 4.0
+    assert t.zeros == {(n, m): z for m in range(t.max_mode + 1)
+                       for n, z in enumerate(bessel_zeros(m, upper), 1)}
+
+
 def test_mode_table_nearest():
     t = ModeTable(7.0)
     n, m, s = t.nearest(2.404)

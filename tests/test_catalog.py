@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import grid_rowid
-from discdeg.catalog import ProductCatalog
+from discdeg.catalog import ProductCatalog, _stack
 from discdeg.elliptic import fold_family_name
 from discdeg.o2model import O2Model
 from discdeg.permgroup import (build_group, cyclic_group, direct_product,
@@ -358,13 +358,12 @@ def test_stored_catalog_answers_queries_with_fresh_memos():
     stored = pickle.dumps(cat)
     assert b"O2Model" not in stored
     loaded = pickle.loads(stored)
-    assert loaded._ncount == {} and loaded._down == {} and loaded._cands == {}
-    assert loaded._rowids == {} and cat._rowids != {}
+    assert loaded._ncount == {} and cat._ncount != {}
     assert loaded._models == {} and cat._models != {}
+    assert loaded._cols is None and cat._cols is not None
     bare = ProductCatalog.__new__(ProductCatalog)
     bare.__setstate__({k: v for k, v in cat.__dict__.items() if k not in
-                       ("_ncount", "_down", "_cands", "_cols", "_rowids",
-                        "_models", "_folds")})
+                       ("_ncount", "_cols", "_models", "_folds")})
     for c in (loaded, bare):
         assert [c.down_closure(h) for h in range(len(cat))] == want
 
@@ -399,6 +398,32 @@ def test_classes_are_stored_on_their_own_heads(which, request):
         assert np.array_equal(cat._rowid(c.cid), rowid[::step]), c.name
 
 
+@pytest.mark.parametrize("which", ["S4*Z2 cube heads", "S3*Z2 heads 1,2,3,6"])
+def test_histogram_test_drops_only_zero_counts(which, request):
+    """Under a D-headed h, a candidate l whose element histogram exceeds
+    h's in some bin is never below h: each whole candidate column, counted
+    in one pass without the histogram test, is zero at every pair the test
+    drops, and its nonzero part is the column the catalog keeps."""
+    if which.startswith("S4"):
+        cat = request.getfixturevalue("cube_pipeline").catalog
+    else:
+        cat = ProductCatalog(
+            direct_product(symmetric_group(3), cyclic_group(2)), [1, 2, 3, 6])
+    pads, ngens = cat._index()[3:]
+    dropped = 0
+    for h, c in enumerate(cat.classes):
+        if c.kind == "D":
+            ls = np.flatnonzero(cat._candidates(h))
+            n = cat._count(pads[:, ls, :ngens[ls].max()], c.head,
+                           cat._rowid(h)) // c.n_model
+            drop = ~np.isin(ls, cat._within_histogram(h, ls))
+            assert not n[drop].any(), c.name
+            assert cat.column(h) == dict(zip(ls[n > 0].tolist(),
+                                             n[n > 0].tolist())), c.name
+            dropped += drop.sum()
+    assert dropped > 0
+
+
 def test_local_grid_counts_match_the_catalog_grid():
     """Each count runs on the grid of H's head: on S3 x Z2 with heads
     1,2,3,6, every candidate pair's n(L, H) and every |N(H)| equal the
@@ -408,7 +433,9 @@ def test_local_grid_counts_match_the_catalog_grid():
     ref = O2Model(cat.P, cat.K)
     for h, c in enumerate(cat.classes):
         table = (grid_rowid(cat, h), cat.rows)
-        assert c.n_model == ref.count_conj_into(*c.gens, table), c.name
-        for l in np.flatnonzero(cat._candidates(h)).tolist():
-            assert cat.n_count(l, h) == ref.count_conj_into(
-                *cat.classes[l].gens, table) // c.n_model, (l, h)
+        assert c.n_model == ref.count_conj_into(
+            *c.gens[:, None], table)[0], c.name
+        ls = np.flatnonzero(cat._candidates(h))
+        want = ref.count_conj_into(
+            *_stack([cat.classes[l].gens for l in ls])[0], table) // c.n_model
+        assert [cat.n_count(l, h) for l in ls] == want.tolist(), c.name

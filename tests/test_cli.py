@@ -163,6 +163,35 @@ def test_every_group_atom_exits_with_a_documented_status(atom, tmp_path):
     assert cli.main(["solve", str(prob)]) in (0, 2, 3)
 
 
+@pytest.mark.parametrize("argv", [["ccs", "S4*Z0"], ["ccs", "D0"],
+                                  ["chartab", "Z0"]])
+def test_order_zero_group_atoms_exit_2(argv, capsys):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "order 0" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("n, classes", [(1, 2), (2, 5), (3, 4), (4, 8)])
+def test_dihedral_atoms_have_order_2n(n, classes, capsys):
+    """D1 is Z2 and D2 is Z2 x Z2 (every subgroup its own class)."""
+    assert cli.main(["--format", "json", "ccs", f"D{n}"]) == 0
+    recs = jlines(capsys.readouterr().out)
+    assert len(recs) == classes
+    assert max(r["order"] for r in recs) == 2 * n
+
+
+@pytest.mark.parametrize("nu, name", [("0", "O(2) x H0o1"),
+                                      ("-3", "SO(2) x H0o1"),
+                                      ("0", "D1 x H0o1"), ("-2", "D2 x H0o1")])
+def test_fold_index_below_1_exits_2(nu, name, capsys):
+    assert cli.main(["fold", nu, name, "--group", "S3*Z2",
+                     "--heads", "1,2,3,6"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "positive" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_unsupported_character_table_exits_2(capsys):
     assert cli.main(["chartab", "D4"]) == 2
     err = capsys.readouterr().err
