@@ -442,20 +442,17 @@ class ProductCatalog:
             _, kcls = np.unique(self.K._tables()[2].min(axis=0),
                                 return_inverse=True)
             rowhist = self.rows @ np.eye(kcls.max() + 1)[kcls]
-            dh = np.flatnonzero(head)
-            labels = np.concatenate([classes[i].labels for i in dh.tolist()])
-            start = np.cumsum(2 * head[dh]) - 2 * head[dh]
             hist = np.zeros((len(classes), len(heads) + 1, rowhist.shape[1]),
                             dtype=np.int32)
             for h in heads:
-                at = np.flatnonzero(head[dh] == h)
+                at = np.flatnonzero(head == h)
                 k = np.arange(h)
                 bins = np.r_[np.searchsorted(heads, h // np.gcd(h, k)),
                              np.full(h, len(heads))]
-                hist[dh[at]] = np.einsum(
+                labels = np.stack([classes[i].labels for i in at.tolist()])
+                hist[at] = np.einsum(
                     "bp,pmk->mbk", bins == np.arange(len(heads) + 1)[:, None],
-                    rowhist[labels[start[at] + np.arange(2 * h)[:, None]]],
-                    optimize=True)
+                    rowhist[labels.T], optimize=True)
             self._cols = (kleq, cols, hist.reshape(len(classes), -1),
                           *_stack([c.gens for c in classes]))
         return self._cols
