@@ -50,16 +50,29 @@ D_P.  An SO(2)- or O(2)-headed class is the same over every rotation and
 every reflection, so its count on D_P is P/2 times the one on D_2; sizes
 and |N(H)| are given as on D_P.
 
-A query counts the whole column of H at once, on first use in a process.
-Its candidates L pass cheap necessary conditions, tested for all classes
+A query takes the whole column of H at once, on first use in a process.
+Under H = O(2) x K' it counts nothing: L lies in a conjugate of H iff
+pi_K(L) lies in the conjugate of K', so n(L, H) = n_K(pi_K L, K').  Else
+its candidates L pass cheap necessary conditions, tested for all classes
 at once on per-process columns: |L| divides |H|, the K-projections are
 subconjugate and, under a D_h head, L is D-headed with head and kernel
 dividing H's.  Under a D_h head L must also pass the histogram test:
 conjugation keeps an element's reflection bit, rotation order and K-class,
 so L has at most as many elements as H in each such bin.  The survivors
 are counted in one numpy pass, and the column is kept as the nonzero
-n(L, H) by L.  The histograms and the padded generators are rebuilt per
-process, never stored.
+n(L, H) by L.
+
+The stored state (``__getstate__``, the attributes STORED) holds the same
+number of arrays at any class count: K and its subgroup table, the heads, P,
+``rows``, ``rotation_rows``, and the classes as columns.  ``ints`` is one
+record array of the integers INTS, ``labels`` and ``kgens`` hold the
+labels and the K side of the generators of each class in turn, and
+``names`` is one string, a name a line; each integer column takes the
+smallest dtype that holds it.  The O(2) side of the generators is fixed
+by P, head and kind (``_o2_gens``).  A load and a build both end in
+``_register``, which checks that the columns fit and makes the
+``ProductClass`` views on slices of them.  Grid models, histograms and
+padded generators are rebuilt per process, never stored.
 """
 from __future__ import annotations
 
@@ -75,6 +88,12 @@ from .permgroup import (FiniteGroup, SubgroupClassTable, _element_orders,
 from .naming import name_subgroup_classes
 
 MAX_HEAD = 360   # largest head h: its grid D_{2h} has a (4h)^2 table
+KINDS = ("D", "O2", "O2amalg", "SO2")   # sorted: codes order as names do
+INTS = ("kind", "head", "kp_cid", "bucket", "size", "weyl_order",   # per class
+        "normalizer_weyl_order", "n_model", "glue_step", "glue_iso",
+        "n_labels", "n_gens")
+STORED = ("K", "ktable", "heads", "P", "rows", "rotation_rows", "full_cid",
+          "ints", "labels", "kgens", "names")
 
 
 # ---------------------------------------------------------------------------
@@ -167,24 +186,55 @@ class ProductCatalog:
         if not any(r.name for r in self.ktable.classes):
             name_subgroup_classes(self.ktable)
         self.P = P
-        self.classes: list[ProductClass] = []
-        self.__setstate__({})
+        self._ncount, self._models = {}, {}
         self._build()
 
     def __getstate__(self):
-        """The stored state: no per-process memo (the _-named attributes)."""
-        return {k: v for k, v in vars(self).items() if k[0] != "_"}
+        """The stored state: the attributes named in STORED."""
+        return {k: getattr(self, k) for k in STORED}
 
     def __setstate__(self, state):
         """Set the stored state; the per-process memos start empty."""
-        self.__dict__.update(state)
+        self.__dict__.update({k: state[k] for k in STORED})
         self._ncount, self._models = {}, {}
+        self._register()
+
+    def _register(self):
+        """Check that the columns fit, and build the ``ProductClass`` views
+        on slices of them and ``by_name`` (see the module notes)."""
+        names, ints = self.names.split("\n"), self.ints
+        if (ints.dtype.names != INTS or len(ints) != len(names)
+                or ints["n_labels"].sum() != len(self.labels)
+                or ints["n_gens"].sum() != len(self.kgens)):
+            raise ValueError(f"stored catalog columns do not fit its "
+                             f"{len(names)} classes")
+        nlab, ngen = (ints[f].astype(np.intp) for f in ("n_labels", "n_gens"))
+        self._label_at = np.cumsum(nlab) - nlab
+        self._gens = np.stack([_o2_gens(self.P, ints["kind"], ints["head"],
+                                        ngen), self.kgens.astype(np.intp)])
+        la, ga = self._label_at.tolist(), np.cumsum(ngen).tolist()
+        self.classes = [ProductClass(
+            cid, KINDS[k], h, kp, b, self.labels[la[cid]:la[cid] + nl],
+            self._gens[:, ga[cid] - ng:ga[cid]], s, w, names[cid], (step, iso),
+            n, nw) for cid, (k, h, kp, b, s, w, nw, n, step, iso, nl, ng)
+            in enumerate(ints.tolist())]
+        self.by_name = {name: cid for cid, name in enumerate(names)}
         self._cols = self._folds = None
+
+    def head_blocks(self, kind: str):
+        """(head, class ids, their labels as rows) for each head of ``kind``,
+        gathered from the flat labels (no ``np.unique``: numpy.ma import)."""
+        head = self.ints["head"]
+        of_kind = self.ints["kind"] == KINDS.index(kind)
+        for h in sorted(set(head[of_kind].tolist())):
+            ids = np.flatnonzero(of_kind & (head == h))
+            yield h, ids, self.labels[self._label_at[ids][:, None] + np.arange(
+                self.ints["n_labels"][ids[0]])]
 
     # -- construction -------------------------------------------------------
 
     def _build(self):
-        P, ktable = self.P, self.ktable
+        ktable = self.ktable
         blocks = [np.zeros((1, self.K.order), dtype=bool)]     # row 0: empty
         raw: list[dict] = []
         rotation_rows: list[list[int]] = []
@@ -196,13 +246,11 @@ class ProductCatalog:
             generators are the lifts of the head's rotation step and
             reflection, then R's generators."""
             n = head or 1
-            # (grid point, head point) of the rotation step (none for D1)
-            # and of the reflection (none for SO(2))
-            lifts = ([] if head == 1 else [(P // n if head else 1, 1 % n)]) + (
-                [(P, n)] if kind != "SO2" else [])
-            gens = np.array([[a for a, _ in lifts] + [0] * len(r_gens),
-                             [cosets[labels[p], 0] for _, p in lifts] + r_gens],
-                            dtype=np.intp)
+            # head points of the rotation step (none for D1) and of the
+            # reflection (none for SO(2)); the O(2) side is ``_o2_gens``
+            points = ([] if head == 1 else [1 % n]) + (
+                [n] if kind != "SO2" else [])
+            kgens = [cosets[labels[p], 0] for p in points] + r_gens
             labels = (base + labels).astype(np.int32)
             name = {"O2": "O(2)", "SO2": "SO(2)", "O2amalg": "O(2)"}.get(
                 kind, f"D{head}")
@@ -212,9 +260,11 @@ class ProductCatalog:
                 name += f" {kp.name}"
             else:
                 name += f" x {kp.name}"
-            raw.append(dict(kind=kind, head=head, kp_cid=kp.cid, bucket=bucket,
-                            labels=labels, rowid=self._on_grid(head, labels),
-                            gens=gens, name=name, glue=(i, iso)))
+            raw.append(dict(kind=KINDS.index(kind), head=head, kp_cid=kp.cid,
+                            bucket=bucket, labels=labels, n_labels=len(labels),
+                            rowid=self._on_grid(head, labels), kgens=kgens,
+                            n_gens=len(kgens), name=name, glue_step=i,
+                            glue_iso=iso))
 
         kmul = self.K._tables()[0]
         korder = _element_orders(kmul)
@@ -283,7 +333,7 @@ class ProductCatalog:
         (m, 2p)), counted on the grid D_p of the head: the D_P point (f, t)
         is (f, t p / P) there, and under SO(2) or O(2) any rotation t > 0
         is rotation 1 (see the module notes).  ``gens`` is a (2, m, n)
-        stack of generating sets (see ``_stack``)."""
+        stack of generating sets (see ``_pad``)."""
         p = 2 * (head or 1)
         if p not in self._models:
             self._models[p] = O2Model(p, self.K)
@@ -312,15 +362,18 @@ class ProductCatalog:
         # bucket, every record on one head in one pass: into itself this
         # gives |N(U)|, and the records it misses are the next round's
         # buckets, in order.
-        pads, ngens = _stack([rec["gens"] for rec in raw])
-        head = np.array([rec["head"] for rec in raw])
+        kind, head, ngens = (np.array([rec[f] for rec in raw])
+                             for f in ("kind", "head", "n_gens"))
+        pads = _pad(np.stack([_o2_gens(self.P, kind, head, ngens),
+                              np.concatenate([rec["kgens"] for rec in raw])]),
+                    ngens)
         kept: list[dict] = []
         pending = [group for _, group in sorted(buckets.items())]
         while pending:
             recs = np.concatenate(pending)
             first = np.repeat([g[0] for g in pending], list(map(len, pending)))
             n = np.empty(len(recs), dtype=np.int64)
-            for h in np.unique(head[recs]).tolist():
+            for h in sorted(set(head[recs].tolist())):
                 at = np.flatnonzero(head[recs] == h)
                 n[at] = self._count(
                     pads[:, first[at], :ngens[first[at]].max()], h,
@@ -331,29 +384,30 @@ class ProductCatalog:
                 kept.append(raw[g[0]])
             pending = [rest for g, c in zip(pending, n)
                        if (rest := [i for i, x in zip(g, c) if not x])]
-        for rec in raw:
-            del rec["rowid"]
 
         kept.sort(key=lambda r: (r["size"], r["kind"], r["head"], r["bucket"],
                                  r["kp_cid"], r["fp"]))
         # the amalgamated notation does not always pin the class (several
         # non-conjugate gluings can share it); disambiguate deterministically
         tally: dict[str, int] = {}
-        for cid, rec in enumerate(kept):
+        for rec in kept:
             k = tally[rec["name"]] = tally.get(rec["name"], 0) + 1
             rec["name"] += f" ~{k}" if k > 1 else ""
-            del rec["fp"]
-            nw = rec["n_model"] // rec["size"]
+            nw = rec["normalizer_weyl_order"] = rec["n_model"] // rec["size"]
             # reported convention: dihedral-headed classes whose O(2)-side
             # kernel is rotation-only get half the plain normalizer quotient
             # (the central coset is not counted)
             rot_kernel = not self.rows[rec["labels"][rec["head"]:], 0].any()
-            self.classes.append(ProductClass(
-                cid=cid, **rec, normalizer_weyl_order=nw,
-                weyl_order=nw // 2 if rec["kind"] == "D" and rot_kernel else nw))
-        self.by_name = {c.name: c.cid for c in self.classes}
-        self.full_cid = self.by_name[
-            f"O(2) x {self.ktable.classes[self.ktable.full_cid].name}"]
+            rec["weyl_order"] = nw // 2 if rec["head"] and rot_kernel else nw
+        names = [rec["name"] for rec in kept]
+        self.ints = np.rec.fromarrays([_small([rec[f] for rec in kept])
+                                       for f in INTS], names=INTS)
+        self.labels, self.kgens = (_small(np.concatenate(
+            [rec[f] for rec in kept])) for f in ("labels", "kgens"))
+        self.names = "\n".join(names)
+        self.full_cid = names.index(
+            f"O(2) x {self.ktable.classes[self.ktable.full_cid].name}")
+        self._register()
 
     def _fingerprint(self, raw: list[dict]):
         """Set each record's size, as on D_P, and fingerprint: how many of
@@ -402,68 +456,73 @@ class ProductCatalog:
         return self.column(h).get(l, 0)
 
     def column(self, h: int) -> dict[int, int]:
-        """The nonzero n(l, h) by l, in increasing order: every candidate
-        l of h (``_candidates``, and under a D-headed h the histogram test)
-        counted in one pass on first use."""
+        """The nonzero n(l, h) by l, in increasing order, on first use: read
+        off the K lattice under h = O(2) x K', else every candidate l of h
+        (``_candidates``, and under a D-headed h the histogram test) counted
+        in one pass."""
         if h not in self._ncount:
             c = self.classes[h]
-            ls = np.flatnonzero(self._candidates(h))
-            if c.kind == "D":
-                ls = self._within_histogram(h, ls)
-            _, _, _, pads, ngens = self._index()
-            n, r = np.divmod(self._count(pads[:, ls, :ngens[ls].max()],
-                                         c.head, self._rowid(h)), c.n_model)
-            if r.any():
-                raise AssertionError(f"non-exact division by |N(H)| at "
-                                     f"{c.name}")
+            nk, cols, _, pads, ngens = self._index()
+            if c.kind == "O2":
+                # L lies in a conjugate of O(2) x K' iff pi_K(L) lies in the
+                # conjugate of K': n(L, O(2) x K') = n_K(pi_K L, K')
+                ls, n = np.arange(len(self)), nk[cols[4], c.kp_cid]
+            else:
+                ls = np.flatnonzero(self._candidates(h))
+                if c.kind == "D":
+                    ls = self._within_histogram(h, ls)
+                n, r = np.divmod(self._count(pads[:, ls, :ngens[ls].max()],
+                                             c.head, self._rowid(h)),
+                                 c.n_model)
+                if r.any():
+                    raise AssertionError(f"non-exact division by |N(H)| at "
+                                         f"{c.name}")
             self._ncount[h] = dict(zip(ls[n > 0].tolist(), n[n > 0].tolist()))
         return self._ncount[h]
 
     def _index(self):
         """Per-process columns over all classes, built on first query:
-        (kleq, class columns, element histograms, padded generators, their
-        lengths).  ``kleq[a, b]`` tells whether K-class a is subconjugate
-        to b: some member of b holds no element outside a's representative.
-        The class columns are size, D-headed, head, bucket and K-projection.
+        (nk, class columns, element histograms, padded generators, their
+        lengths).  ``nk[a, b]`` is n_K(a, b), the members of K-class b that
+        hold a's representative, nonzero iff a is subconjugate to b.  The
+        class columns are size, D-headed, head, bucket and K-projection.
         The histogram of a D-headed class counts its elements by (reflection
         bit, rotation order, K-class) over its head: rotation k of D_h has
         order h / gcd(h, k), and reflections share one bin.  It sums the
         K-class counts of each point's row, one head at a time."""
         if self._cols is None:
-            kt, heads, classes = self.ktable, self.heads, self.classes
-            kleq = ~(kt._masks[kt._rep] @ ~kt._masks.T) @ (
+            kt, heads, n = self.ktable, self.heads, len(self)
+            nk = (~(kt._masks[kt._rep] @ ~kt._masks.T)).astype(np.int64) @ (
                 kt._cid[:, None] == np.arange(len(kt)))
-            size, head, bucket, kp = np.array(
-                [[getattr(c, f) for c in classes]
-                 for f in ("size", "head", "bucket", "kp_cid")])
+            size, head, bucket, kp = (self.ints[f].astype(np.int64) for f in
+                                      ("size", "head", "bucket", "kp_cid"))
             cols = np.stack([size, head > 0, np.maximum(head, 1),
                              np.maximum(bucket, 1), kp])
             # K-class of each element: its least conjugate
             _, kcls = np.unique(self.K._tables()[2].min(axis=0),
                                 return_inverse=True)
             rowhist = self.rows @ np.eye(kcls.max() + 1)[kcls]
-            hist = np.zeros((len(classes), len(heads) + 1, rowhist.shape[1]),
+            hist = np.zeros((n, len(heads) + 1, rowhist.shape[1]),
                             dtype=np.int32)
-            for h in heads:
-                at = np.flatnonzero(head == h)
+            for h, at, labels in self.head_blocks("D"):
                 k = np.arange(h)
                 bins = np.r_[np.searchsorted(heads, h // np.gcd(h, k)),
                              np.full(h, len(heads))]
-                labels = np.stack([classes[i].labels for i in at.tolist()])
                 hist[at] = np.einsum(
                     "bp,pmk->mbk", bins == np.arange(len(heads) + 1)[:, None],
                     rowhist[labels.T], optimize=True)
-            self._cols = (kleq, cols, hist.reshape(len(classes), -1),
-                          *_stack([c.gens for c in classes]))
+            ngens = self.ints["n_gens"].astype(np.int64)
+            self._cols = (nk, cols, hist.reshape(n, -1),
+                          _pad(self._gens, ngens), ngens)
         return self._cols
 
     def _candidates(self, h: int) -> np.ndarray:
         """Mask of the l passing necessary tests for (l) <= (h): |l| divides
         |h|, K-projections are subconjugate, and under a D-headed h only
         D-headed l whose head and rotation kernel divide h's."""
-        kleq, (size, dihedral, head, bucket, kp), _, _, _ = self._index()
+        nk, (size, dihedral, head, bucket, kp), _, _, _ = self._index()
         c = self.classes[h]
-        ok = (c.size % size == 0) & kleq[kp, c.kp_cid]
+        ok = (c.size % size == 0) & (nk[kp, c.kp_cid] > 0)
         if c.kind == "D":
             ok &= ((dihedral == 1) & (c.head % head == 0)
                    & (c.bucket % bucket == 0))
@@ -511,14 +570,32 @@ class ProductCatalog:
         return self._folds[c.glue, c.head * nu]
 
 
-def _stack(gens: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The (2, m, n) stack of m generating sets (2, n_i), each padded to the
-    longest by repeating its first generator, which changes no count, and
-    the lengths n_i."""
-    n = np.array([g.shape[1] for g in gens])
+def _pad(gens: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The (2, m, max n) stack of the m generating sets of ``gens``, which
+    holds n[i] generators (2, n[i]) for each i in turn, each padded to the
+    longest by repeating its first generator, which changes no count."""
     j = np.arange(n.max())
-    return np.concatenate(gens, axis=1)[
-        :, (np.cumsum(n) - n)[:, None] + np.where(j < n[:, None], j, 0)], n
+    return gens[:, (np.cumsum(n) - n)[:, None]
+                + np.where(j < n[:, None], j, 0)]
+
+
+def _o2_gens(P: int, kind: np.ndarray, head: np.ndarray,
+             n: np.ndarray) -> np.ndarray:
+    """The O(2) side of the generating sets of classes of ``kind`` codes on
+    ``head``, n generators each, in turn (see ``_build``): the rotation
+    step P/h (1 under SO(2) and O(2); none for D1), the reflection P (none
+    for SO(2)), then the identity under R's generators."""
+    kind, head = np.repeat(kind, n), np.repeat(head.astype(np.int64), n)
+    j, rot = np.arange(len(head)) - np.repeat(np.cumsum(n) - n, n), head != 1
+    step = np.where(head > 0, P // np.maximum(head, 1), 1)
+    return np.where(rot & (j == 0), step, np.where(
+        (j == rot) & (kind != KINDS.index("SO2")), P, 0))
+
+
+def _small(a) -> np.ndarray:
+    """``a`` in the smallest integer dtype that holds its values."""
+    return np.array(a, dtype=np.result_type(*map(np.min_scalar_type,
+                                                 (np.min(a), np.max(a)))))
 
 
 def cached_catalog(K: FiniteGroup, heads: list[int], cache,

@@ -17,8 +17,8 @@ from pickle import UnpicklingError   # perfbench/tracer.py swaps out `pickle`
 
 SCHEMA = 1
 CACHE_ENV = "DISCDEG_CACHE_DIR"
-# format 9: no grid model stored; counts run on each class's own head grid
-CACHE_FORMAT = 9
+# format 10: the catalog's classes stored as a few flat columns
+CACHE_FORMAT = 10
 
 
 class Refusal(Exception):
@@ -58,7 +58,7 @@ def _cached(tag: str, build):
         with open(path, "rb") as fh:
             try:
                 return pickle.load(fh)
-            except (EOFError, UnpicklingError, ValueError) as e:
+            except (EOFError, KeyError, UnpicklingError, ValueError) as e:
                 raise ValueError(f"unreadable cache file {path}: {e}")
     obj = build()
     os.makedirs(cache_dir, exist_ok=True)

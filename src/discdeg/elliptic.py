@@ -2,7 +2,7 @@
 
 Pipeline: a finite symmetry group Gamma acting on R^k together with a
 Gamma-commuting linearization matrix A determine isotypic eigenvalues
-mu_j (exact rational projector arithmetic), which are compared against
+mu_j (exact projector arithmetic, in integers), which are compared against
 the Dirichlet spectrum s_nm of the disc; the resulting negative-spectrum
 counters pick the basic degrees of odd multiplicity, whose product in the
 Burnside ring of O(2) x Gamma x Z2 is one degree of -id (see degrees), and
@@ -11,6 +11,7 @@ solution orbit types; the fold counters read mode-1 basic degrees only.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -202,40 +203,40 @@ def isotypic_spectrum(problem: CouplingProblem,
                       ctx_table=None) -> list[IsotypicEigenvalue]:
     """Eigenvalue mu_j of A on each nonzero isotypic component of V.
 
-    The projector P_j = (deg chi_j / |Gamma|) sum_g chi_j(g) rho(g) is
-    exact rational; condition (B2) requires A P_j = mu_j P_j, which is
-    verified entrywise and rejected with a diagnostic otherwise.
+    The projector P_j = (deg chi_j / |Gamma|) S_j, S_j = sum_g chi_j(g)
+    rho(g), is exact rational; condition (B2) requires A P_j = mu_j P_j,
+    which is verified entrywise and rejected with a diagnostic otherwise.
+    All in integers: with A = A' / D over the least common denominator D,
+    A P_j = mu_j P_j iff A' S_j = D mu_j S_j.
     """
     from .characters import character_table
-    G = problem.gamma
+    G, k = problem.gamma, problem.dim
     table = ctx_table or character_table(G)
-    k, A = problem.dim, problem.matrix
+    D = math.lcm(*(Fraction(v).denominator for r in problem.matrix for v in r))
+    A = [[int(Fraction(v) * D) for v in row] for row in problem.matrix]
     mults = isotypic_multiplicities(table, problem.permutation_character())
     out = []
-    n = G.order
     for j, m_j in enumerate(mults):
         if m_j == 0:
             continue
-        deg = table.degrees[j]
-        # P_j[i][l] = (deg/|G|) * sum_g chi_j(g) [action(g): l -> i]
-        P = [[Fraction(0)] * k for _ in range(k)]
+        # S[i][l] = sum_g chi_j(g) [action(g): l -> i]
+        S = [[0] * k for _ in range(k)]
         for g in G.elements:
-            chi = table.value(j, g)
-            if chi == 0:
-                continue
-            p = problem.action[g]
-            for l in range(k):
-                P[p[l]][l] += Fraction(chi)
-        P = [[Fraction(deg, n) * v for v in row] for row in P]
-        # A P_j must be a scalar multiple of P_j
-        AP = [[sum(A[i][t] * P[t][l] for t in range(k)) for l in range(k)]
-              for i in range(k)]
-        i0, l0 = next((i, l) for i in range(k) for l in range(k) if P[i][l])
-        mu = AP[i0][l0] / P[i0][l0]
-        if any(AP[i][l] != mu * P[i][l] for i in range(k) for l in range(k)):
+            if chi := table.value(j, g):
+                p = problem.action[g]
+                for l in range(k):
+                    S[p[l]][l] += chi
+        AS = [[sum(a * S[t][l] for t, a in enumerate(row) if a)
+               for l in range(k)] for row in A]
+        i0, l0 = next((i, l) for i in range(k) for l in range(k) if S[i][l])
+        # A' S must be a scalar multiple of S
+        if any(AS[i][l] * S[i0][l0] != AS[i0][l0] * S[i][l]
+               for i in range(k) for l in range(k)):
             raise ValueError(f"matrix is not scalar on isotypic component "
                              f"{j}; condition (B2) fails")
-        out.append(IsotypicEigenvalue(j=j, mu=mu, mult=m_j, dim=m_j * deg))
+        out.append(IsotypicEigenvalue(
+            j=j, mu=Fraction(AS[i0][l0], D * S[i0][l0]), mult=m_j,
+            dim=m_j * table.degrees[j]))
     return out
 
 

@@ -64,18 +64,16 @@ class RepContext:
         if key in self._dim_cache:
             return self._dim_cache[key]
         if kind not in self._kind_labels:
-            cs = [c for c in self.catalog.classes if c.kind == kind]
             self._kind_labels[kind] = [
-                ([c.cid for c in cs if c.head == h],
-                 np.stack([c.labels for c in cs if c.head == h]))
-                for h in sorted({c.head for c in cs})]
+                (h, ids.tolist(), labels)
+                for h, ids, labels in self.catalog.head_blocks(kind)]
         rows = self.catalog.rows
         c = rows @ self._chi(rep)
         dims = {}
-        for ids, labels in self._kind_labels[kind]:
+        for h, ids, labels in self._kind_labels[kind]:
             # W_m at each head point: 1 for m = 0; else 2 cos(2 pi m k / h)
             # at rotation k of D_h, 0 at reflections and on SO(2) and O(2)
-            n, h = labels.shape[1], self.catalog.classes[ids[0]].head
+            n = labels.shape[1]
             w = (np.ones(n) if rep.m == 0 else np.zeros(n) if h == 0 else
                  np.r_[2.0 * np.cos(2.0 * math.pi * rep.m * np.arange(h) / h),
                        np.zeros(h)])

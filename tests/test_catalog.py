@@ -1,5 +1,6 @@
 """Product-catalog structure: the 33 finite classes, lattice laws, folding."""
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from conftest import grid_rowid
-from discdeg.catalog import ProductCatalog, _stack
+from discdeg import cli
+from discdeg.catalog import ProductCatalog
 from discdeg.elliptic import fold_family_name
 from discdeg.o2model import O2Model
 from discdeg.permgroup import (build_group, cyclic_group, direct_product,
@@ -167,11 +169,8 @@ def catalog_digests(cat) -> dict[str, str]:
     return out
 
 
-@pytest.mark.parametrize("group, heads", [
-    ("S4*Z2", "1,2,3,4,6,8,9,12,18"), ("S3*Z2", "1,2,3,6")])
-def test_catalog_matches_golden_digests(group, heads, request):
-    """Catalog identity: every stored field of every class, and the rows,
-    as frozen in golden/catalog_digests.json."""
+def _golden_catalog(group, heads, request):
+    """The catalog of a golden digest entry, and the entry."""
     if group == "S4*Z2":
         cat = request.getfixturevalue("cube_pipeline").catalog
         assert cat.heads == [int(h) for h in heads.split(",")]
@@ -180,7 +179,56 @@ def test_catalog_matches_golden_digests(group, heads, request):
                              [int(h) for h in heads.split(",")])
     with open(os.path.join(os.path.dirname(__file__), "golden",
                            "catalog_digests.json")) as fh:
-        assert catalog_digests(cat) == json.load(fh)[f"{group}|{heads}"]
+        return cat, json.load(fh)[f"{group}|{heads}"]
+
+
+GOLDEN_CATALOGS = pytest.mark.parametrize("group, heads", [
+    ("S4*Z2", "1,2,3,4,6,8,9,12,18"), ("S3*Z2", "1,2,3,6")])
+
+
+@GOLDEN_CATALOGS
+def test_catalog_matches_golden_digests(group, heads, request):
+    """Catalog identity: every stored field of every class, and the rows,
+    as frozen in golden/catalog_digests.json."""
+    cat, want = _golden_catalog(group, heads, request)
+    assert catalog_digests(cat) == want
+
+
+@GOLDEN_CATALOGS
+def test_stored_catalog_matches_golden_digests(group, heads, request,
+                                               tmp_path, monkeypatch):
+    """A catalog stored through the cache and loaded back from its columns
+    has the golden digests too."""
+    cat, want = _golden_catalog(group, heads, request)
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    assert cli._cached("catalog", lambda: cat) is cat
+    loaded = cli._cached("catalog", lambda: pytest.fail("rebuilt"))
+    assert loaded is not cat and catalog_digests(loaded) == want
+
+
+def _count_arrays(obj) -> int:
+    """The number of numpy arrays pickled with ``obj``."""
+    seen = []
+
+    class Counter(pickle.Pickler):
+        def reducer_override(self, x):
+            if isinstance(x, np.ndarray):
+                seen.append(x)
+            return NotImplemented
+    Counter(io.BytesIO()).dump(obj)
+    return len(seen)
+
+
+def test_stored_state_is_a_few_flat_columns(cube_pipeline):
+    """The stored cube-heads catalog holds as many arrays as one on fewer
+    heads of the same K, whatever its class count, and pickles to under
+    400,000 bytes."""
+    cat = cube_pipeline.catalog
+    small = ProductCatalog(cat.K, [1, 2], ktable=cat.ktable)
+    assert len(small) < len(cat) == 1919
+    assert _count_arrays(cat.__getstate__()) == _count_arrays(
+        small.__getstate__())
+    assert len(pickle.dumps(cat)) < 400_000
 
 
 def test_divisor_closure_required():
@@ -362,8 +410,7 @@ def test_stored_catalog_answers_queries_with_fresh_memos():
     assert loaded._models == {} and cat._models != {}
     assert loaded._cols is None and cat._cols is not None
     bare = ProductCatalog.__new__(ProductCatalog)
-    bare.__setstate__({k: v for k, v in cat.__dict__.items() if k not in
-                       ("_ncount", "_cols", "_models", "_folds")})
+    bare.__setstate__(cat.__getstate__())
     for c in (loaded, bare):
         assert [c.down_closure(h) for h in range(len(cat))] == want
 
@@ -424,6 +471,27 @@ def test_histogram_test_drops_only_zero_counts(which, request):
     assert dropped > 0
 
 
+@pytest.mark.parametrize("which", ["S4*Z2 cube heads", "S3*Z2 heads 1,2,3,6"])
+def test_o2_columns_are_read_off_the_k_lattice(which, request):
+    """Under h = O(2) x K' the column is read off the K lattice, as
+    n_K(pi_K L, K'); it equals every candidate of h counted on the grid."""
+    if which.startswith("S4"):
+        cat = request.getfixturevalue("cube_pipeline").catalog
+    else:
+        cat = ProductCatalog(
+            direct_product(symmetric_group(3), cyclic_group(2)), [1, 2, 3, 6])
+    pads, ngens = cat._index()[3:]
+    o2 = [h for h, c in enumerate(cat.classes) if c.kind == "O2"]
+    assert len(o2) == len(cat.ktable)
+    for h in o2:
+        c = cat.classes[h]
+        ls = np.flatnonzero(cat._candidates(h))
+        n = cat._count(pads[:, ls, :ngens[ls].max()], c.head,
+                       cat._rowid(h)) // c.n_model
+        assert cat.column(h) == dict(zip(ls[n > 0].tolist(),
+                                         n[n > 0].tolist())), c.name
+
+
 def test_local_grid_counts_match_the_catalog_grid():
     """Each count runs on the grid of H's head: on S3 x Z2 with heads
     1,2,3,6, every candidate pair's n(L, H) and every |N(H)| equal the
@@ -436,6 +504,10 @@ def test_local_grid_counts_match_the_catalog_grid():
         assert c.n_model == ref.count_conj_into(
             *c.gens[:, None], table)[0], c.name
         ls = np.flatnonzero(cat._candidates(h))
-        want = ref.count_conj_into(
-            *_stack([cat.classes[l].gens for l in ls])[0], table) // c.n_model
+        # each generating set padded to the longest by repeating its last
+        gens = [cat.classes[l].gens for l in ls]
+        m = max(g.shape[1] for g in gens)
+        want = ref.count_conj_into(*np.stack([np.pad(
+            g, ((0, 0), (0, m - g.shape[1])), mode="edge") for g in gens],
+            axis=1), table) // c.n_model
         assert [cat.n_count(l, h) for l in ls] == want.tolist(), c.name

@@ -553,6 +553,35 @@ def test_unreadable_cache_file_exits_2_naming_it(garble, tmp_path,
     assert len(err.splitlines()) == 1
     assert path.read_bytes() == bad              # left as it was, not rebuilt
 
+@pytest.mark.parametrize("column, garble, why", [
+    ("labels", lambda a: a[:-1], "columns do not fit"),
+    ("names", None, "'names'")], ids=["label-dropped", "names-missing"])
+def test_stored_catalog_whose_columns_do_not_fit_exits_2(
+        column, garble, why, tmp_path, monkeypatch, capsys):
+    """A stored catalog state with one label dropped, or with a column
+    missing, is refused on load as an unreadable cache file, and the file
+    is left as it was."""
+    from discdeg.catalog import ProductCatalog
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    argv = ["ccs", "S3*Z2", "--heads", "1,2"]
+    assert cli.main(argv) == 0
+    [path] = tmp_path.iterdir()
+    state = pickle.loads(path.read_bytes()).__getstate__()
+    if garble:
+        state[column] = garble(state[column])
+    else:
+        del state[column]
+    bad = ProductCatalog.__new__(ProductCatalog)
+    bad.__getstate__ = lambda: state     # pickled as a catalog with this state
+    path.write_bytes(planted := pickle.dumps(bad))
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unreadable cache file") and path.name in err
+    assert why in err and len(err.splitlines()) == 1
+    assert path.read_bytes() == planted
+
+
 def test_catalog_shared_by_commands_and_warm_solve_skips_subgroup_table(
         tmp_path, monkeypatch, capsys):
     cache = tmp_path / "cache"

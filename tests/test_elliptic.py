@@ -314,6 +314,60 @@ SWAP = os.path.join(os.path.dirname(__file__), "..", "examples_local",
                     "swap.json")
 
 
+def _fraction_spectrum(problem):
+    """The isotypic spectrum in Fraction arithmetic, projector by projector:
+    the oracle of the integer ``isotypic_spectrum``."""
+    from discdeg.characters import character_table, isotypic_multiplicities
+    G, k, A = problem.gamma, problem.dim, problem.matrix
+    table = character_table(G)
+    out = []
+    for j, m_j in enumerate(isotypic_multiplicities(
+            table, problem.permutation_character())):
+        if m_j == 0:
+            continue
+        deg = table.degrees[j]
+        P = [[Fraction(0)] * k for _ in range(k)]
+        for g in G.elements:
+            p = problem.action[g]
+            for l in range(k):
+                P[p[l]][l] += Fraction(deg * table.value(j, g), G.order)
+        AP = [[sum(A[i][t] * P[t][l] for t in range(k)) for l in range(k)]
+              for i in range(k)]
+        i0, l0 = next((i, l) for i in range(k) for l in range(k) if P[i][l])
+        mu = AP[i0][l0] / P[i0][l0]
+        if any(AP[i][l] != mu * P[i][l] for i in range(k) for l in range(k)):
+            raise ValueError(f"not scalar on isotypic component {j}")
+        out.append((j, mu, m_j, m_j * deg))
+    return out
+
+
+@pytest.mark.parametrize("which", [
+    "cube21", "cube31", "cube41", "cube51", "cube61", "swap", "s2-1", "s2-2",
+    "s3-1", "s3-2", "non-scalar"])
+def test_integer_spectrum_matches_the_fraction_projectors(which, tmp_path):
+    """The spectrum computed in integers equals the one of the rational
+    projectors, and a matrix that breaks (B2) is refused by both."""
+    if which.startswith("cube"):
+        problem = cube_problem(int(which[4]), 1)
+    elif which == "swap":
+        problem = cli._load_problem(SWAP)
+    elif which == "non-scalar":
+        from discdeg.permgroup import symmetric_group
+        A = [[Fraction(v) for v in row] for row in
+             [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]]
+        problem = CouplingProblem(
+            gamma=symmetric_group(2), matrix=A,
+            action={(0, 1): (0, 1, 2, 3), (1, 0): (1, 0, 3, 2)})
+        for spectrum in (isotypic_spectrum, _fraction_spectrum):
+            with pytest.raises(ValueError):
+                spectrum(problem)
+        return
+    else:
+        problem = _seeded_problem(which[:2].upper(), int(which[3]), tmp_path)
+    assert [(e.j, e.mu, e.mult, e.dim) for e in isotypic_spectrum(problem)] \
+        == _fraction_spectrum(problem)
+
+
 @pytest.mark.parametrize("which", [
     "cube21", "cube31", "cube41", "cube51", "swap", "s2-1", "s2-2", "s3-1",
     "s3-2"])
