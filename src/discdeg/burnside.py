@@ -23,14 +23,15 @@ than the plain normalizer quotient only whole-element products of marks
 of honest elements are guaranteed integral.
 
 The numbers n(L, H) * |W(H)| are the table of marks of the lattice.  The
-lattice object must provide: ``classes`` (sequence with ``cid``,
-``weyl_order``, ``name``), ``n_count(l, h)``, ``column(h)`` (the nonzero
-n(l, h) by l), ``down_closure(h)``, ``full_cid`` (class of the whole
-group, the ring identity) and optionally ``fold_class(cid, nu)``.  The
-ring reads whole columns.  The product catalog counts a column on first
-use, all its candidates L in one pass over the group elements that
-conjugate a few generators of L into H, and keeps it for the process;
-nothing is precomputed when a catalog is loaded.
+lattice, a ``SubgroupClassTable`` or a ``ProductCatalog``, provides by
+class id the lists ``names``, ``weyl_orders`` and ``sizes`` (Python ints:
+no mark product wraps at 2^63), ``by_name``, ``column(h)`` (the nonzero
+n(l, h) by l), ``down_closure(h)``, ``full_cid`` (class of the whole group,
+the ring identity) and, for ``fold``, ``fold_class(cid, nu)``.  The ring
+reads whole columns.  The product catalog counts a column on first use,
+all its candidates L in one pass over the group elements that conjugate a
+few generators of L into H, and keeps it for the process; nothing is
+precomputed when a catalog is loaded.
 """
 from __future__ import annotations
 
@@ -93,7 +94,7 @@ class BurnsideElement:
     def terms(self) -> list[tuple[str, int]]:
         """(name, coefficient) pairs, classes in descending order."""
         cs = sorted(self.coeffs, reverse=True)
-        return [(self.ring.lattice.classes[c].name, self.coeffs[c]) for c in cs]
+        return [(self.ring.lattice.names[c], self.coeffs[c]) for c in cs]
 
     def __repr__(self):
         if not self.coeffs:
@@ -125,7 +126,7 @@ class BurnsideRing:
     def mark(self, coeffs: dict[int, int], l: int) -> int:
         """Number of fixed points of a class-l subgroup on the element."""
         lat = self.lattice
-        return sum(v * lat.column(h).get(l, 0) * lat.classes[h].weyl_order
+        return sum(v * lat.column(h).get(l, 0) * lat.weyl_orders[h]
                    for h, v in coeffs.items() if v)
 
     def from_marks(self, domain, mark) -> dict[int, int]:
@@ -137,13 +138,13 @@ class BurnsideRing:
         lat = self.lattice
         m: dict[int, int] = {}
         above: dict[int, int] = {}      # l -> the sum over the L' found
-        for l in sorted(domain, key=lambda l: (lat.classes[l].size, l),
+        for l in sorted(domain, key=lambda l: (lat.sizes[l], l),
                         reverse=True):
             acc = mark(l) - above.get(l, 0)
-            w = lat.classes[l].weyl_order
+            w = lat.weyl_orders[l]
             if acc % w:
                 raise AssertionError(f"non-exact division in the mark "
-                                     f"recurrence at {lat.classes[l].name}")
+                                     f"recurrence at {lat.names[l]}")
             if acc:
                 m[l] = acc // w
                 for lo, n in lat.column(l).items():

@@ -62,22 +62,21 @@ so L has at most as many elements as H in each such bin.  The survivors
 are counted in one numpy pass, and the column is kept as the nonzero
 n(L, H) by L.
 
-The stored state (``__getstate__``, the attributes STORED) holds the same
-number of arrays at any class count: K and its subgroup table, the heads, P,
-``rows``, ``rotation_rows``, and the classes as columns.  ``ints`` is one
-record array of the integers INTS, ``labels`` and ``kgens`` hold the
-labels and the K side of the generators of each class in turn, and
-``names`` is one string, a name a line; each integer column takes the
-smallest dtype that holds it.  The O(2) side of the generators is fixed
-by P, head and kind (``_o2_gens``).  A load and a build both end in
-``_register``, which checks that the columns fit and makes the
-``ProductClass`` views on slices of them.  Grid models, histograms and
-padded generators are rebuilt per process, never stored.
+The catalog is its columns, with no object per class: ``classes`` has a
+row of the integers COLUMNS per class, ``labels`` and ``kgens`` hold the
+labels and the K side of the generators of each class in turn, and each
+takes the smallest dtype that holds it.  The O(2) side of the generators
+is fixed by P, head and kind (``_o2_gens``).  The stored state (the
+attributes STORED) is these, K and its subgroup table, the heads, P,
+``rows``, ``rotation_rows`` and the names as one string.  A load and a
+build both end in ``_register``, which checks that the columns fit and
+makes ``by_name`` and the lists ``names``, ``weyl_orders`` and ``sizes``
+that the ring reads, of Python ints that never wrap.  Grid models,
+histograms and padded generators are rebuilt per process, never stored.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -89,31 +88,14 @@ from .naming import name_subgroup_classes
 
 MAX_HEAD = 360   # largest head h: its grid D_{2h} has a (4h)^2 table
 KINDS = ("D", "O2", "O2amalg", "SO2")   # sorted: codes order as names do
-INTS = ("kind", "head", "kp_cid", "bucket", "size", "weyl_order",   # per class
-        "normalizer_weyl_order", "n_model", "glue_step", "glue_iso",
-        "n_labels", "n_gens")
+# per class: kind code, head (h for D_h, else 0), K-projection's class in the
+# K table, |U ^ (SO(2) x 1)| (d for a kernel Z_d), grid elements, reported
+# Weyl order, |N(U)/U|, |N(U)| in D_P x K, gluing (step, isomorphism or -1)
+COLUMNS = ("kind", "head", "kp_cid", "bucket", "size", "weyl_order",
+           "normalizer_weyl_order", "n_model", "glue_step", "glue_iso",
+           "n_labels", "n_gens")
 STORED = ("K", "ktable", "heads", "P", "rows", "rotation_rows", "full_cid",
-          "ints", "labels", "kgens", "names")
-
-
-# ---------------------------------------------------------------------------
-# product classes
-
-@dataclass
-class ProductClass:
-    cid: int
-    kind: str                   # "D", "SO2", "O2", "O2amalg"
-    head: int                   # h for D-kind, 0 otherwise
-    kp_cid: int                 # class id of the K-projection in the K table
-    bucket: int                 # |U ^ (SO(2) x 1)|: d for D-kind kernels Z_d
-    labels: np.ndarray          # row of catalog.rows over each head point
-    gens: np.ndarray            # (2, g): o2 and k indices of a generating set
-    size: int                   # number of grid elements
-    weyl_order: int             # reported Weyl order (coefficient normalization)
-    name: str
-    glue: tuple[int, int]       # (gluing step, isomorphism index or -1)
-    n_model: int = 0            # |N(U)| in D_P x K, counted on U's grid
-    normalizer_weyl_order: int = 0  # |N(U)/U|, the plain normalizer quotient
+          "classes", "labels", "kgens", "names")
 
 
 def _dihedral_isos(mul: np.ndarray, q: int):
@@ -166,6 +148,20 @@ def dihedral_quotient_orders(ktable: SubgroupClassTable) -> frozenset[int]:
                                in gluing_steps(ktable) if isos})
 
 
+def required_heads(ktable: SubgroupClassTable,
+                   active_modes: set[int]) -> list[int]:
+    """Divisor-closed head set covering all orbit types and folds.
+
+    Heads of dihedral-kind orbit types of a mode-m representation are of
+    the form r*m, with r the rotation order of a dihedral subquotient of
+    K; folding a mode-1 orbit type to level nu lands on head r*nu, so
+    ranging m over the active modes covers both uses.
+    """
+    base = {r * m for r in dihedral_quotient_orders(ktable)
+            for m in (active_modes or {1})}       # holds 1 * 1 or 1 * m
+    return sorted({d for h in base for d in range(1, h + 1) if h % d == 0})
+
+
 class ProductCatalog:
     """Catalog of finite-Weyl subgroup classes of O(2) x K on a grid model."""
 
@@ -190,46 +186,45 @@ class ProductCatalog:
         self._build()
 
     def __getstate__(self):
-        """The stored state: the attributes named in STORED."""
-        return {k: getattr(self, k) for k in STORED}
+        """The stored state: the attributes STORED, names as one string."""
+        return {k: getattr(self, k) for k in STORED} | {
+            "names": "\n".join(self.names)}
 
     def __setstate__(self, state):
         """Set the stored state; the per-process memos start empty."""
-        self.__dict__.update({k: state[k] for k in STORED})
+        self.__dict__.update({k: state[k] for k in STORED if k != "names"})
         self._ncount, self._models = {}, {}
-        self._register()
+        self._register(state["names"])
 
-    def _register(self):
-        """Check that the columns fit, and build the ``ProductClass`` views
-        on slices of them and ``by_name`` (see the module notes)."""
-        names, ints = self.names.split("\n"), self.ints
-        if (ints.dtype.names != INTS or len(ints) != len(names)
-                or ints["n_labels"].sum() != len(self.labels)
-                or ints["n_gens"].sum() != len(self.kgens)):
+    def _register(self, names: str):
+        """Check that the columns fit ``names``, one a line, and make the
+        lists ``names``, ``weyl_orders`` and ``sizes`` and ``by_name``; no
+        loop runs over the classes (see the module notes)."""
+        self.names, cols = names.split("\n"), self.classes
+        if (cols.dtype.names != COLUMNS or len(cols) != len(self.names)
+                or cols["n_labels"].sum() != len(self.labels)
+                or cols["n_gens"].sum() != len(self.kgens)):
             raise ValueError(f"stored catalog columns do not fit its "
-                             f"{len(names)} classes")
-        nlab, ngen = (ints[f].astype(np.intp) for f in ("n_labels", "n_gens"))
-        self._label_at = np.cumsum(nlab) - nlab
-        self._gens = np.stack([_o2_gens(self.P, ints["kind"], ints["head"],
-                                        ngen), self.kgens.astype(np.intp)])
-        la, ga = self._label_at.tolist(), np.cumsum(ngen).tolist()
-        self.classes = [ProductClass(
-            cid, KINDS[k], h, kp, b, self.labels[la[cid]:la[cid] + nl],
-            self._gens[:, ga[cid] - ng:ga[cid]], s, w, names[cid], (step, iso),
-            n, nw) for cid, (k, h, kp, b, s, w, nw, n, step, iso, nl, ng)
-            in enumerate(ints.tolist())]
-        self.by_name = {name: cid for cid, name in enumerate(names)}
+                             f"{len(self.names)} classes")
+        self.weyl_orders = cols["weyl_order"].tolist()
+        self.sizes = cols["size"].tolist()
+        self.by_name = dict(zip(self.names, range(len(self.names))))
         self._cols = self._folds = None
+
+    def labels_of(self, cid: int) -> np.ndarray:
+        """The row of ``rows`` over each point of the head of class cid."""
+        n = self.classes["n_labels"]
+        return self.labels[int(n[:cid].sum()):int(n[:cid + 1].sum())]
 
     def head_blocks(self, kind: str):
         """(head, class ids, their labels as rows) for each head of ``kind``,
         gathered from the flat labels (no ``np.unique``: numpy.ma import)."""
-        head = self.ints["head"]
-        of_kind = self.ints["kind"] == KINDS.index(kind)
-        for h in sorted(set(head[of_kind].tolist())):
-            ids = np.flatnonzero(of_kind & (head == h))
-            yield h, ids, self.labels[self._label_at[ids][:, None] + np.arange(
-                self.ints["n_labels"][ids[0]])]
+        cols, n = self.classes, self.classes["n_labels"].astype(np.intp)
+        of_kind = cols["kind"] == KINDS.index(kind)
+        for h in sorted(set(cols["head"][of_kind].tolist())):
+            ids = np.flatnonzero(of_kind & (cols["head"] == h))
+            yield h, ids, self.labels[(np.cumsum(n) - n)[ids][:, None]
+                                      + np.arange(n[ids[0]])]
 
     # -- construction -------------------------------------------------------
 
@@ -345,8 +340,8 @@ class ProductCatalog:
 
     def _rowid(self, cid: int) -> np.ndarray:
         """Class ``cid`` on the grid of its head."""
-        c = self.classes[cid]
-        return self._on_grid(c.head, c.labels)
+        return self._on_grid(int(self.classes["head"][cid]),
+                             self.labels_of(cid))
 
     def _dedupe_and_register(self, raw: list[dict]):
         self._fingerprint(raw)
@@ -400,14 +395,16 @@ class ProductCatalog:
             rot_kernel = not self.rows[rec["labels"][rec["head"]:], 0].any()
             rec["weyl_order"] = nw // 2 if rec["head"] and rot_kernel else nw
         names = [rec["name"] for rec in kept]
-        self.ints = np.rec.fromarrays([_small([rec[f] for rec in kept])
-                                       for f in INTS], names=INTS)
+        cols = [_small([rec[f] for rec in kept]) for f in COLUMNS]
+        self.classes = np.empty(len(kept), dtype=[
+            (f, c.dtype) for f, c in zip(COLUMNS, cols)])
+        for f, c in zip(COLUMNS, cols):
+            self.classes[f] = c
         self.labels, self.kgens = (_small(np.concatenate(
             [rec[f] for rec in kept])) for f in ("labels", "kgens"))
-        self.names = "\n".join(names)
         self.full_cid = names.index(
             f"O(2) x {self.ktable.classes[self.ktable.full_cid].name}")
-        self._register()
+        self._register("\n".join(names))
 
     def _fingerprint(self, raw: list[dict]):
         """Set each record's size, as on D_P, and fingerprint: how many of
@@ -451,8 +448,7 @@ class ProductCatalog:
         return len(self.classes)
 
     def n_count(self, l: int, h: int) -> int:
-        """Number of conjugates of class-h subgroups containing a fixed
-        class-l subgroup."""
+        """The number of conjugates of a class-h subgroup holding one of l."""
         return self.column(h).get(l, 0)
 
     def column(self, h: int) -> dict[int, int]:
@@ -461,41 +457,38 @@ class ProductCatalog:
         (``_candidates``, and under a D-headed h the histogram test) counted
         in one pass."""
         if h not in self._ncount:
-            c = self.classes[h]
+            kind, head, kp, n_model = self.classes[
+                ["kind", "head", "kp_cid", "n_model"]][h].item()
             nk, cols, _, pads, ngens = self._index()
-            if c.kind == "O2":
+            if KINDS[kind] == "O2":
                 # L lies in a conjugate of O(2) x K' iff pi_K(L) lies in the
                 # conjugate of K': n(L, O(2) x K') = n_K(pi_K L, K')
-                ls, n = np.arange(len(self)), nk[cols[4], c.kp_cid]
+                ls, n = np.arange(len(self)), nk[cols[4], kp]
             else:
                 ls = np.flatnonzero(self._candidates(h))
-                if c.kind == "D":
+                if head:
                     ls = self._within_histogram(h, ls)
                 n, r = np.divmod(self._count(pads[:, ls, :ngens[ls].max()],
-                                             c.head, self._rowid(h)),
-                                 c.n_model)
+                                             head, self._rowid(h)), n_model)
                 if r.any():
                     raise AssertionError(f"non-exact division by |N(H)| at "
-                                         f"{c.name}")
+                                         f"{self.names[h]}")
             self._ncount[h] = dict(zip(ls[n > 0].tolist(), n[n > 0].tolist()))
         return self._ncount[h]
 
     def _index(self):
         """Per-process columns over all classes, built on first query:
         (nk, class columns, element histograms, padded generators, their
-        lengths).  ``nk[a, b]`` is n_K(a, b), the members of K-class b that
-        hold a's representative, nonzero iff a is subconjugate to b.  The
+        lengths).  ``nk`` is the K table's (``SubgroupClassTable.nk``).  The
         class columns are size, D-headed, head, bucket and K-projection.
         The histogram of a D-headed class counts its elements by (reflection
         bit, rotation order, K-class) over its head: rotation k of D_h has
         order h / gcd(h, k), and reflections share one bin.  It sums the
         K-class counts of each point's row, one head at a time."""
         if self._cols is None:
-            kt, heads, n = self.ktable, self.heads, len(self)
-            nk = (~(kt._masks[kt._rep] @ ~kt._masks.T)).astype(np.int64) @ (
-                kt._cid[:, None] == np.arange(len(kt)))
-            size, head, bucket, kp = (self.ints[f].astype(np.int64) for f in
-                                      ("size", "head", "bucket", "kp_cid"))
+            heads, n = self.heads, len(self)
+            size, head, bucket, kp = (self.classes[f].astype(np.int64) for f
+                                      in ("size", "head", "bucket", "kp_cid"))
             cols = np.stack([size, head > 0, np.maximum(head, 1),
                              np.maximum(bucket, 1), kp])
             # K-class of each element: its least conjugate
@@ -511,9 +504,11 @@ class ProductCatalog:
                 hist[at] = np.einsum(
                     "bp,pmk->mbk", bins == np.arange(len(heads) + 1)[:, None],
                     rowhist[labels.T], optimize=True)
-            ngens = self.ints["n_gens"].astype(np.int64)
-            self._cols = (nk, cols, hist.reshape(n, -1),
-                          _pad(self._gens, ngens), ngens)
+            ngens = self.classes["n_gens"].astype(np.int64)
+            gens = np.stack([_o2_gens(self.P, self.classes["kind"], head,
+                                      ngens), self.kgens.astype(np.intp)])
+            self._cols = (self.ktable.nk, cols, hist.reshape(n, -1),
+                          _pad(gens, ngens), ngens)
         return self._cols
 
     def _candidates(self, h: int) -> np.ndarray:
@@ -521,11 +516,10 @@ class ProductCatalog:
         |h|, K-projections are subconjugate, and under a D-headed h only
         D-headed l whose head and rotation kernel divide h's."""
         nk, (size, dihedral, head, bucket, kp), _, _, _ = self._index()
-        c = self.classes[h]
-        ok = (c.size % size == 0) & (nk[kp, c.kp_cid] > 0)
-        if c.kind == "D":
-            ok &= ((dihedral == 1) & (c.head % head == 0)
-                   & (c.bucket % bucket == 0))
+        ok = (size[h] % size == 0) & (nk[kp, kp[h]] > 0)
+        if dihedral[h]:
+            ok &= ((dihedral == 1) & (head[h] % head == 0)
+                   & (bucket[h] % bucket == 0))
         return ok
 
     def _within_histogram(self, h: int, ls: np.ndarray) -> np.ndarray:
@@ -558,16 +552,18 @@ class ProductCatalog:
         if nu < 1:
             raise ValueError(f"fold index nu must be a positive integer, "
                              f"got {nu}")
-        c = self.classes[cid]
-        if nu == 1 or c.kind != "D":
+        glue = ["glue_step", "glue_iso", "head"]
+        *key, head = self.classes[glue][cid].item()
+        if nu == 1 or not head:
             return cid
-        if c.head * nu not in self.heads:
+        if head * nu not in self.heads:
             raise ValueError(
-                f"folded head D{c.head * nu} outside catalog heads {self.heads}")
+                f"folded head D{head * nu} outside catalog heads {self.heads}")
         if self._folds is None:
-            self._folds = {(d.glue, d.head): d.cid for d in self.classes
-                           if d.kind == "D"}
-        return self._folds[c.glue, c.head * nu]
+            ds = np.flatnonzero(self.classes["head"])
+            self._folds = dict(zip(self.classes[glue][ds].tolist(),
+                                   ds.tolist()))
+        return self._folds[(*key, head * nu)]
 
 
 def _pad(gens: np.ndarray, n: np.ndarray) -> np.ndarray:

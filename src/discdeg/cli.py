@@ -17,8 +17,8 @@ from pickle import UnpicklingError   # perfbench/tracer.py swaps out `pickle`
 
 SCHEMA = 1
 CACHE_ENV = "DISCDEG_CACHE_DIR"
-# format 10: the catalog's classes stored as a few flat columns
-CACHE_FORMAT = 10
+# format 11: the catalog's classes stored as one structured array, no views
+CACHE_FORMAT = 11
 
 
 class Refusal(Exception):
@@ -45,8 +45,8 @@ def _cached(tag: str, build):
     The key holds ``CACHE_FORMAT``, so an object pickled in another layout
     is never loaded.  A new file is written aside and renamed into place,
     so no reader sees a partly written one.  A stored file that cannot be
-    read back (truncated, empty or garbled) is an error naming the file,
-    not a silent rebuild.
+    read back (truncated, empty, garbled, or not what its tag names) is an
+    error naming the file, not a silent rebuild.
     """
     cache_dir = os.environ.get(CACHE_ENV)
     if not cache_dir:
@@ -57,9 +57,13 @@ def _cached(tag: str, build):
     if os.path.exists(path):
         with open(path, "rb") as fh:
             try:
-                return pickle.load(fh)
+                obj = pickle.load(fh)
             except (EOFError, KeyError, UnpicklingError, ValueError) as e:
                 raise ValueError(f"unreadable cache file {path}: {e}")
+        if not _holds(kind := tag.partition("|")[0], obj):
+            raise ValueError(f"unreadable cache file {path}: a "
+                             f"{type(obj).__name__} under a {kind} key")
+        return obj
     obj = build()
     os.makedirs(cache_dir, exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
@@ -71,6 +75,14 @@ def _cached(tag: str, build):
         if os.path.exists(tmp):
             os.unlink(tmp)
     return obj
+
+
+def _holds(kind: str, obj) -> bool:
+    """Whether ``obj`` is a catalog or a head list, as ``kind`` names."""
+    from .catalog import ProductCatalog
+    heads = isinstance(obj, list) and all(type(h) is int for h in obj)
+    return {"catalog": isinstance(obj, ProductCatalog),
+            "heads": heads}.get(kind, True)
 
 
 def _parse_heads(s: str) -> list[int]:
@@ -88,20 +100,21 @@ def _parse_heads(s: str) -> list[int]:
 
 def cmd_ccs(args) -> int:
     if args.heads:
-        from .catalog import cached_catalog
+        from .catalog import KINDS, cached_catalog
         cat = cached_catalog(_build_group(args.group),
                              _parse_heads(args.heads), _cached)
-        recs = [{"record": "class", "cid": c.cid, "name": c.name,
-                 "kind": c.kind, "weyl": c.weyl_order} for c in cat.classes]
-        text = [f"{c.cid:5d}  W={c.weyl_order:<4d} ({c.name})"
-                for c in cat.classes]
+        rows = list(enumerate(zip(cat.names, cat.weyl_orders,
+                                  cat.classes["kind"].tolist())))
+        recs = [{"record": "class", "cid": cid, "name": name, "weyl": w,
+                 "kind": KINDS[kind]} for cid, (name, w, kind) in rows]
+        text = [f"{cid:5d}  W={w:<4d} ({name})" for cid, (name, w, _) in rows]
     else:
         from .naming import name_subgroup_classes
         from .permgroup import SubgroupClassTable
         table = SubgroupClassTable(_build_group(args.group))
         name_subgroup_classes(table)
         recs = [{"record": "class", "cid": r.cid, "name": r.name,
-                 "order": r.order, "weyl": r.weyl_order, "size": r.size}
+                 "order": r.order, "weyl": r.weyl_order, "size": r.order}
                 for r in table.classes]
         text = [f"{r.cid:3d}  |H|={r.order:<3d} W={r.weyl_order:<3d} ({r.name})"
                 for r in table.classes]
@@ -123,17 +136,12 @@ def cmd_chartab(args) -> int:
 
 def _context(args):
     """Catalog, ring and rep data for ``--group Gamma*Z2``, built as solve does."""
-    from .burnside import BurnsideRing
-    from .catalog import cached_catalog
-    from .permgroup import cyclic_group, direct_product
-    from .reps import RepContext
+    from .degrees import build_context
     gamma_desc, _, z2 = args.group.rpartition("*")
     if not gamma_desc or z2.strip() != "Z2":
         raise ValueError("group must be a direct product Gamma*Z2")
-    gamma = _build_group(gamma_desc)
-    cat = cached_catalog(direct_product(gamma, cyclic_group(2)),
-                         _parse_heads(args.heads), _cached)
-    return cat, BurnsideRing(cat), RepContext(cat, gamma)
+    return build_context(_build_group(gamma_desc),
+                         heads=_parse_heads(args.heads), cache=_cached)
 
 
 def _element_records(el, record: str):
@@ -143,17 +151,17 @@ def _element_records(el, record: str):
 def cmd_basic_degree(args) -> int:
     from .degrees import basic_degree
     from .reps import IrrDescriptor
-    cat, ring, ctx = _context(args)
-    el = basic_degree(ring, ctx, IrrDescriptor(args.m, args.j, args.sign))
+    p = _context(args)
+    el = basic_degree(p.ring, p.ctx, IrrDescriptor(args.m, args.j, args.sign))
     _emit(args.format, _element_records(el, "term"), [repr(el)])
     return 0
 
 
 def cmd_burnside_mul(args) -> int:
-    cat, ring, _ = _context(args)
+    ring = _context(args).ring
     try:
-        a = ring.generator(cat.by_name[args.left])
-        b = ring.generator(cat.by_name[args.right])
+        a = ring.generator(ring.lattice.by_name[args.left])
+        b = ring.generator(ring.lattice.by_name[args.right])
     except KeyError as e:
         raise ValueError(f"unknown class name {e.args[0]!r}")
     try:
@@ -166,13 +174,12 @@ def cmd_burnside_mul(args) -> int:
 
 
 def cmd_fold(args) -> int:
-    cat, _, _ = _context(args)
+    cat = _context(args).catalog
     try:
         cid = cat.by_name[args.name]
     except KeyError:
         raise ValueError(f"unknown class name {args.name!r}")
-    out = cat.fold_class(cid, args.nu)
-    name = cat.classes[out].name
+    name = cat.names[cat.fold_class(cid, args.nu)]
     _emit(args.format,
           [{"record": "fold", "name": args.name, "nu": args.nu,
             "result": name}],

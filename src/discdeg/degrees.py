@@ -14,9 +14,39 @@ their reps: ``linear_degree`` needs one recurrence and no ring product.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .burnside import BurnsideElement, BurnsideRing
+from .catalog import ProductCatalog, cached_catalog, required_heads
+from .permgroup import (FiniteGroup, SubgroupClassTable, cyclic_group,
+                        direct_product)
 from .reps import IrrDescriptor, RepContext, orbit_types
+
+
+@dataclass
+class PipelineContext:
+    """Catalog, ring and representation data shared across a run."""
+    catalog: ProductCatalog
+    ring: BurnsideRing
+    ctx: RepContext
+
+
+def build_context(gamma: FiniteGroup, modes=None, heads=None,
+                  cache=None) -> PipelineContext:
+    """Catalog, ring and rep data for O(2) x Gamma x Z2 on ``heads``, or on
+    those the active modes of the ``bessel.ModeTable`` ``modes`` need.  The
+    head list and the catalog go through ``cache(tag, build)`` when given,
+    so a stored catalog is found without the subgroup table of K."""
+    cache = cache or (lambda tag, build: build())
+    K = direct_product(gamma, cyclic_group(2))
+    ktable = lru_cache(maxsize=1)(lambda: SubgroupClassTable(K))
+    if heads is None:
+        active = sorted(m for m, c in modes.counts.items() if m >= 1 and c > 0)
+        heads = cache(f"heads|{K.name}|{active}",
+                      lambda: required_heads(ktable(), set(active)))
+    cat = cached_catalog(K, heads, cache, make_ktable=ktable)
+    return PipelineContext(catalog=cat, ring=BurnsideRing(cat),
+                           ctx=RepContext(cat, gamma))
 
 
 def linear_degree(ring: BurnsideRing, ctx: RepContext,

@@ -20,11 +20,12 @@ import numpy as np
 
 from .bessel import ModeTable
 from .burnside import BurnsideElement, BurnsideRing
-from .catalog import ProductCatalog, cached_catalog, dihedral_quotient_orders
+from .catalog import ProductCatalog
 from .characters import isotypic_multiplicities
-from .degrees import SpectralAssignment, basic_degree, gdeg_field
-from .permgroup import (FiniteGroup, Perm, closure, cyclic_group,
-                        direct_product, pidentity, symmetric_group)
+from .degrees import (PipelineContext, SpectralAssignment, basic_degree,
+                      build_context, gdeg_field)
+from .permgroup import (FiniteGroup, Perm, closure, pidentity,
+                        symmetric_group)
 from .reps import IrrDescriptor, RepContext, maximal_orbit_types_union
 
 D_GUARD = 1e-8          # tolerance band for condition (D)
@@ -319,62 +320,12 @@ def class_counters(spec, modes, ring: BurnsideRing, ctx: RepContext,
                         ring, ctx, IrrDescriptor(1, e.j, -1)).coeff(cid))
             for nu in range(1, modes.max_mode + 1)}
     odd = [v for v, t in m_of.items() if t % 2]
-    return ClassCounters(cid=cid, name=ctx.catalog.classes[cid].name,
+    return ClassCounters(cid=cid, name=ctx.catalog.names[cid],
                          m_of=m_of, nu0=max(odd) if odd else None)
 
 
 # ---------------------------------------------------------------------------
-# catalog sizing
-
-def required_heads(K_table, active_modes: set[int]) -> list[int]:
-    """Divisor-closed head set covering all orbit types and folds.
-
-    Heads of dihedral-kind orbit types of a mode-m representation are of
-    the form r*m, with r the rotation order of a dihedral subquotient of
-    K; folding a mode-1 orbit type to level nu lands on head r*nu, so
-    ranging m over the active modes covers both uses.
-    """
-    rs = dihedral_quotient_orders(K_table)
-    base = {r * m for r in rs for m in (active_modes or {1})}
-    heads = set()
-    for h in base:
-        heads.update(d for d in range(1, h + 1) if h % d == 0)
-    return sorted(heads) or [1]
-
-
-# ---------------------------------------------------------------------------
 # full pipeline
-
-@dataclass
-class PipelineContext:
-    """Catalog, ring and representation data shared across a run."""
-    catalog: ProductCatalog
-    ring: BurnsideRing
-    ctx: RepContext
-
-
-def build_context(problem: CouplingProblem, modes: ModeTable,
-                  heads: list[int] | None = None,
-                  cache=None) -> PipelineContext:
-    """Catalog, ring and representation data for ``problem``.
-
-    The head list (keyed by K and the active modes) and the catalog go
-    through ``cache(tag, build)`` when one is given, so a stored catalog is
-    found without building the subgroup table of K.
-    """
-    from .permgroup import SubgroupClassTable
-
-    cache = cache or (lambda tag, build: build())
-    K = direct_product(problem.gamma, cyclic_group(2))
-    ktable = lru_cache(maxsize=1)(lambda: SubgroupClassTable(K))
-    if heads is None:
-        active = sorted(m for m, c in modes.counts.items() if m >= 1 and c > 0)
-        heads = cache(f"heads|{K.name}|{active}",
-                      lambda: required_heads(ktable(), set(active)))
-    cat = cached_catalog(K, heads, cache, make_ktable=ktable)
-    return PipelineContext(catalog=cat, ring=BurnsideRing(cat),
-                           ctx=RepContext(cat, problem.gamma))
-
 
 @dataclass
 class NonRadialFamily:
@@ -402,22 +353,22 @@ class DegreeReport:
 
 def fold_family_name(cat: ProductCatalog, cid: int) -> str:
     """Name of the fold family {Psi_nu(H)}, with symbolic parameter m."""
-    c = cat.classes[cid]
-    if c.kind != "D":
+    head, name = int(cat.classes["head"][cid]), cat.names[cid]
+    if not head:
         raise ValueError("fold families are defined for dihedral-headed classes")
     # the O(2)-side kernel: the head points whose row holds the identity of K
     kernel = np.flatnonzero(
-        cat.rows[c.labels, cat.K.index_of[pidentity(cat.K.degree)]])
-    z = int((kernel < c.head).sum())
-    has_refl = bool((kernel >= c.head).any())
-    head_part, sep, rest = c.name.partition(" x_")
+        cat.rows[cat.labels_of(cid), cat.K.index_of[pidentity(cat.K.degree)]])
+    z = int((kernel < head).sum())
+    has_refl = bool((kernel >= head).any())
+    head_part, sep, rest = name.partition(" x_")
     if not sep:
         # full product D_h x K' folds to D_{h m} x K'
-        _, _, kname = c.name.partition(" x ")
-        return f"D{c.head}m x {kname}"
+        _, _, kname = name.partition(" x ")
+        return f"D{head}m x {kname}"
     sym = "D" if has_refl else "Z"
     kern = f"{sym}m" if z == 1 else f"{sym}{z}m"
-    return f"D{c.head}m^{{{kern}}} x_{rest}"
+    return f"D{head}m^{{{kern}}} x_{rest}"
 
 
 def spectral_assignment(spec, modes) -> SpectralAssignment:
@@ -454,7 +405,7 @@ def existence_report(problem: CouplingProblem,
                             non_radial=[], radial=[])
 
     if pipeline is None:
-        pipeline = build_context(problem, modes, cache=cache)
+        pipeline = build_context(problem.gamma, modes, cache=cache)
     cat, ring, ctx = pipeline.catalog, pipeline.ring, pipeline.ctx
 
     mode_counts = {m: m_counter(spec, modes, m)
@@ -478,12 +429,12 @@ def existence_report(problem: CouplingProblem,
         if non_radial[-1].witness_coeff == 0:
             raise AssertionError(
                 f"odd counter at {cc.name} but zero degree coefficient at "
-                f"{cat.classes[h0].name}")
+                f"{cat.names[h0]}")
 
     # only reps with odd multiplicity survive in the degree product, so the
     # radial candidates are the maximal orbit types of the odd mode-0 reps
     odd0 = [r for r in assign.odd_reps() if r.m == 0]
-    radial = [(cid, cat.classes[cid].name, gdeg.coeff(cid)) for cid
+    radial = [(cid, cat.names[cid], gdeg.coeff(cid)) for cid
               in maximal_orbit_types_union(ctx, odd0) if gdeg.coeff(cid)]
 
     return DegreeReport(condition_D=True, condition_D_witness=None,

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -366,16 +367,13 @@ class SubgroupClassRecord:
     members: list[frozenset[Perm]]
     name: str = ""
 
-    @property
-    def size(self) -> int:   # uniform field name across lattice providers
-        return self.order
-
 
 class SubgroupClassTable:
     """Conjugacy classes of subgroups of a finite group, with n-counts.
 
     ``n_count(l, h)`` is the number of conjugates of a class-h subgroup
-    that contain a fixed class-l subgroup.
+    that contain a fixed class-l subgroup.  As a catalog does, it lists
+    ``names``, ``weyl_orders`` and ``sizes`` (orders) for the ring.
     """
 
     def __init__(self, G: FiniteGroup):
@@ -408,17 +406,37 @@ class SubgroupClassTable:
             self.class_of.update(dict.fromkeys(self.classes[-1].members, cid))
         self._rep = [orbit[0] for orbit in orbits]   # position of each rep
         self.subgroups = subs
-        self._ncount: dict[tuple[int, int], int] = {}
+
+    def __getstate__(self):
+        """The pickled state: all but what is built per process."""
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("nk", "sizes", "weyl_orders")}
 
     def __len__(self) -> int:
         return len(self.classes)
 
+    @cached_property
+    def nk(self) -> np.ndarray:
+        """n_K(a, b) for all classes a, b: the members of class b that hold
+        a's representative, nonzero iff a is subconjugate to b."""
+        held = ~(self._masks[self._rep] @ ~self._masks.T)   # rep a <= p
+        return held.astype(np.int64) @ (self._cid[:, None]
+                                         == np.arange(len(self)))
+
+    @cached_property
+    def sizes(self) -> list[int]:
+        return [r.order for r in self.classes]
+
+    @cached_property
+    def weyl_orders(self) -> list[int]:
+        return [r.weyl_order for r in self.classes]
+
+    @property
+    def names(self) -> list[str]:
+        return [r.name for r in self.classes]
+
     def n_count(self, l: int, h: int) -> int:
-        key = (l, h)
-        if key not in self._ncount:
-            L = self.classes[l].representative
-            self._ncount[key] = sum(1 for H in self.classes[h].members if L <= H)
-        return self._ncount[key]
+        return int(self.nk[l, h])
 
     def leq(self, l: int, h: int) -> bool:
         return self.n_count(l, h) > 0
@@ -436,16 +454,11 @@ class SubgroupClassTable:
 
     def column(self, h: int) -> dict[int, int]:
         """The nonzero n(l, h) by l, in increasing order."""
-        return {l: n for l in range(len(self.classes))
-                if (n := self.n_count(l, h))}
+        ls = np.flatnonzero(self.nk[:, h])
+        return dict(zip(ls.tolist(), self.nk[ls, h].tolist()))
 
     def down_closure(self, h: int) -> list[int]:
         return list(self.column(h))
-
-    def fold_class(self, cid: int, nu: int) -> int:
-        if nu == 1:
-            return cid
-        raise ValueError("fold is only defined on product lattices")
 
     def normal_subgroups_of(self, H: frozenset[Perm]) -> list[frozenset[Perm]]:
         mask = np.zeros(self.group.order, dtype=bool)

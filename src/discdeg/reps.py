@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import ProductCatalog
+from .catalog import KINDS, ProductCatalog
 from .characters import character_table
 from .permgroup import FiniteGroup
 
@@ -56,7 +56,8 @@ class RepContext:
         self.basic_degrees: dict = {}    # by rep, kept by degrees.basic_degree
 
     def fixed_dim(self, rep: IrrDescriptor, cid: int) -> int:
-        return self.fixed_dims(rep, self.catalog.classes[cid].kind)[cid]
+        kind = KINDS[self.catalog.classes["kind"][cid]]
+        return self.fixed_dims(rep, kind)[cid]
 
     def fixed_dims(self, rep: IrrDescriptor, kind: str) -> dict[int, int]:
         """dim of the fixed space of every class of ``kind``, by class id."""
@@ -82,7 +83,7 @@ class RepContext:
             for i in np.flatnonzero((np.abs(d - r) > 1e-6) | (r < 0))[:1]:
                 raise AssertionError(
                     f"fixed-point dimension {d[i]} not a nonneg integer for "
-                    f"{rep} at {self.catalog.classes[ids[i]].name}")
+                    f"{rep} at {self.catalog.names[ids[i]]}")
             dims.update(zip(ids, r.astype(int).tolist()))
         self._dim_cache[key] = dict(sorted(dims.items()))
         return self._dim_cache[key]
@@ -148,7 +149,7 @@ def _maximal(cat: ProductCatalog, ots: list[int]) -> list[int]:
     """The classes of ``ots`` below no other, from the largest down: one below
     some class of ``ots`` is below a maximal one, larger and kept before."""
     kept: list[int] = []
-    for u in sorted(ots, key=lambda c: cat.classes[c].size, reverse=True):
+    for u in sorted(ots, key=cat.sizes.__getitem__, reverse=True):
         if not any(u in cat.column(t) for t in kept):
             kept.append(u)
     return sorted(kept)

@@ -1,15 +1,17 @@
 """Shared fixtures: the expensive product catalog is built once per test run.
 
 ``grid_rowid`` is the reference form of a catalog class for the
-element-wise oracles: the class spread over the catalog-wide grid D_P."""
+element-wise oracles: the class spread over the catalog-wide grid D_P.
+``class_gens`` is a class's generating set, and ``kinds`` the kind names
+of all classes, read off the catalog's columns."""
 import numpy as np
 import pytest
 
 from discdeg.bessel import ModeTable
 from discdeg.burnside import BurnsideRing
-from discdeg.catalog import ProductCatalog
-from discdeg.elliptic import (PipelineContext, cube_problem,
-                              existence_report, isotypic_spectrum)
+from discdeg.catalog import KINDS, ProductCatalog
+from discdeg.degrees import PipelineContext
+from discdeg.elliptic import cube_problem, existence_report, isotypic_spectrum
 from discdeg.permgroup import (SubgroupClassTable, cyclic_group,
                                direct_product, symmetric_group)
 from discdeg.reps import RepContext
@@ -21,12 +23,24 @@ def grid_rowid(cat, cid: int) -> np.ndarray:
     """The row id over each of the 2P points of D_P of class ``cid``: point
     k of D_h at grid point k P/h, the labels of SO(2) and O(2) over every
     grid rotation or reflection."""
-    c = cat.classes[cid]
-    n = c.head or 1
+    head, labels = int(cat.classes["head"][cid]), cat.labels_of(cid)
+    n = head or 1
     rowid = np.zeros((2, n, cat.P // n), dtype=np.int32)
-    rowid[:len(c.labels) // n, :, :1 if c.head else None] = c.labels.reshape(
+    rowid[:len(labels) // n, :, :1 if head else None] = labels.reshape(
         -1, n, 1)
     return rowid.ravel()
+
+
+def class_gens(cat, cid: int) -> np.ndarray:
+    """The (2, g) generating set of class ``cid``: D_P and K indices."""
+    pads, ngens = cat._index()[3:]
+    return pads[:, cid, :ngens[cid]]
+
+
+def kinds(cat) -> list[str]:
+    """The kind of every class of a product catalog: "D", "SO2", "O2" or
+    "O2amalg"."""
+    return [KINDS[k] for k in cat.classes["kind"].tolist()]
 
 
 @pytest.fixture(scope="session")

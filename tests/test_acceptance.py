@@ -125,7 +125,7 @@ def test_criterion_6_maximal_types_and_folds(cube_pipeline):
     cat, ctx = cube_pipeline.catalog, cube_pipeline.ctx
     reps1 = [IrrDescriptor(1, j, -1) for j in (0, 1, 3, 4)]
     m1 = maximal_orbit_types_union(ctx, reps1)
-    assert {cat.classes[c].name for c in m1} == MAXIMAL_SEVEN
+    assert {cat.names[c] for c in m1} == MAXIMAL_SEVEN
     for nu in (2, 3):
         reps = [IrrDescriptor(nu, j, -1) for j in (0, 1, 3, 4)]
         assert ({cat.fold_class(c, nu) for c in m1}
@@ -178,15 +178,14 @@ def test_criterion_8_full_degree(cube_pipeline):
     assert len(deg.coeffs) == 85
     buckets = {}
     for cid, v in deg.coeffs.items():
-        c = cat.classes[cid]
-        buckets.setdefault(c.bucket if c.kind == "D" else 0,
-                           {})[c.name] = v
+        head, bucket = cat.classes[["head", "bucket"]][cid].item()
+        buckets.setdefault(bucket if head else 0, {})[cat.names[cid]] = v
     assert set(buckets) == {0, 1, 2, 3}
     assert buckets[0] == BUCKET_0_TERMS
     assert Counter(buckets[1].values()) == BUCKET_1_MULTISET
     assert len(buckets[1]) == 56
     for nu in (2, 3):
-        folded = {cat.classes[cat.fold_class(cat.by_name[n], nu)].name: v
+        folded = {cat.names[cat.fold_class(cat.by_name[n], nu)]: v
                   for n, v in FOLD_BASE_TERMS.items()}
         assert buckets[nu] == folded
     # name-addressable spot values of the printed expansion
@@ -257,7 +256,7 @@ def test_criterion_10_truncation_agreement(cube_pipeline):
             for b in probe:
                 assert m.mul(a, b) in A
     # n-counts against conjugate counting
-    big = [c for c in cids if cat.classes[c].size >= 8]
+    big = [c for c in cids if cat.sizes[c] >= 8]
     orbits = {}
     done = 0
     while done < 15:
@@ -274,8 +273,7 @@ def test_criterion_10_truncation_agreement(cube_pipeline):
         rep = IrrDescriptor(1, j, -1)
         mats = _rep_matrices(cat, 1, j)
         for cid in maximal_orbit_types_union(ctx, [rep]):
-            c = cat.classes[cid]
-            if c.kind != "D" or c.head not in HEADS_24:
+            if int(cat.classes["head"][cid]) not in HEADS_24:   # 0 unless D
                 continue
             A = avatar(cat, cid)
             dim = mats[(0, 0, m.eid)].shape[0]
@@ -286,7 +284,7 @@ def test_criterion_10_truncation_agreement(cube_pipeline):
             v = null.T @ nprng.standard_normal(null.shape[0])
             stab = {g for g in m.elements
                     if np.allclose(mats[g] @ v, v, atol=1e-8)}
-            assert stab == set(A), c.name
+            assert stab == set(A), cat.names[cid]
 
 
 def test_criterion_10_lemma_identities(cube_pipeline):

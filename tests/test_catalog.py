@@ -9,7 +9,7 @@ import pickle
 import numpy as np
 import pytest
 
-from conftest import grid_rowid
+from conftest import class_gens, grid_rowid, kinds
 from discdeg import cli
 from discdeg.catalog import ProductCatalog
 from discdeg.elliptic import fold_family_name
@@ -42,19 +42,20 @@ def test_catalog_shape(cube_pipeline):
     assert cat.P == 144
     assert sorted(cat.heads) == [1, 2, 3, 4, 6, 8, 9, 12, 18]
     # full class present and topmost
-    full = cat.classes[cat.full_cid]
-    assert full.name == "O(2) x S4p"
-    for c in cat.classes:
-        assert cat.leq(c.cid, cat.full_cid)
+    assert cat.names[cat.full_cid] == "O(2) x S4p"
+    for cid in range(len(cat)):
+        assert cat.leq(cid, cat.full_cid)
 
 
 def test_catalog_weyl_positive_and_reported_convention(cube_pipeline):
     cat = cube_pipeline.catalog
-    for c in cat.classes:
-        assert c.weyl_order >= 1
-        if c.kind == "D":
-            assert c.normalizer_weyl_order in (c.weyl_order, 2 * c.weyl_order)
-        assert cat.n_count(c.cid, c.cid) == 1
+    nws = cat.classes["normalizer_weyl_order"].tolist()
+    for cid, (kind, w, nw) in enumerate(zip(kinds(cat), cat.weyl_orders,
+                                            nws)):
+        assert w >= 1
+        if kind == "D":
+            assert nw in (w, 2 * w)
+        assert cat.n_count(cid, cid) == 1
 
 
 def test_leq_is_partial_order_sample(cube_pipeline):
@@ -89,39 +90,41 @@ def test_ncount_consistency_with_leq(cube_pipeline):
 
 def test_fold_identity_is_trivial(cube_pipeline):
     cat = cube_pipeline.catalog
-    for c in cat.classes[:50]:
-        if c.kind == "D":
-            assert cat.fold_class(c.cid, 1) == c.cid
+    for cid, kind in enumerate(kinds(cat)[:50]):
+        if kind == "D":
+            assert cat.fold_class(cid, 1) == cid
 
 
 def test_fold_head_multiplies(cube_pipeline):
     cat = cube_pipeline.catalog
-    for c in cat.classes:
-        if c.kind != "D" or c.head * 3 not in cat.heads:
+    head = cat.classes["head"].tolist()     # 0 unless D-headed
+    for cid, h in enumerate(head):
+        if not h or h * 3 not in cat.heads:
             continue
-        out = cat.classes[cat.fold_class(c.cid, 3)]
-        assert out.head == c.head * 3
-        assert out.size == 3 * c.size        # kernel grows by the fold factor
+        out = cat.fold_class(cid, 3)
+        assert head[out] == h * 3
+        # kernel grows by the fold factor
+        assert cat.sizes[out] == 3 * cat.sizes[cid]
 
 
 def test_fold_composes(cube_pipeline):
     cat = cube_pipeline.catalog
     done = 0
-    for c in cat.classes:
-        if c.kind != "D" or c.head * 6 not in cat.heads:
+    for cid, h in enumerate(cat.classes["head"].tolist()):
+        if not h or h * 6 not in cat.heads:
             continue
-        via2 = cat.fold_class(cat.fold_class(c.cid, 2), 3)
-        via3 = cat.fold_class(cat.fold_class(c.cid, 3), 2)
-        assert via2 == via3 == cat.fold_class(c.cid, 6)
+        via2 = cat.fold_class(cat.fold_class(cid, 2), 3)
+        via3 = cat.fold_class(cat.fold_class(cid, 3), 2)
+        assert via2 == via3 == cat.fold_class(cid, 6)
         done += 1
     assert done > 0
 
 
 def test_fold_outside_heads_rejected(cube_pipeline):
     cat = cube_pipeline.catalog
-    c = next(c for c in cat.classes if c.kind == "D" and c.head == 18)
+    cid = cat.classes["head"].tolist().index(18)
     with pytest.raises(ValueError):
-        cat.fold_class(c.cid, 2)    # head 36 is outside the catalog
+        cat.fold_class(cid, 2)    # head 36 is outside the catalog
 
 
 def test_folds_match_golden(cube_pipeline):
@@ -129,25 +132,26 @@ def test_folds_match_golden(cube_pipeline):
     D-headed class with a fold nu >= 2 inside the heads, in cid order."""
     cat = cube_pipeline.catalog
     got = []
-    for c in cat.classes:
+    for cid, (name, head) in enumerate(zip(cat.names,
+                                           cat.classes["head"].tolist())):
         for nu in range(1, max(cat.heads) + 1):
-            if c.kind != "D" or nu == 1:
-                assert cat.fold_class(c.cid, nu) == c.cid
-            elif c.head * nu not in cat.heads:
+            if not head or nu == 1:
+                assert cat.fold_class(cid, nu) == cid
+            elif head * nu not in cat.heads:
                 with pytest.raises(ValueError):
-                    cat.fold_class(c.cid, nu)
+                    cat.fold_class(cid, nu)
             else:
-                if not got or got[-1]["name"] != c.name:
-                    got.append({"name": c.name, "folds": {}})
-                got[-1]["folds"][str(nu)] = cat.classes[
-                    cat.fold_class(c.cid, nu)].name
+                if not got or got[-1]["name"] != name:
+                    got.append({"name": name, "folds": {}})
+                got[-1]["folds"][str(nu)] = cat.names[cat.fold_class(cid, nu)]
     with open(os.path.join(os.path.dirname(__file__), "golden",
                            "folds_s4z2.jsonl")) as fh:
         assert got == [json.loads(line) for line in fh]
 
 
-# every stored field of a ProductClass but its labels, digested over the
-# classes in cid order; "rowid" is the class spread over the grid
+# every stored per-class value but the labels, digested over the classes in
+# cid order; "glue" is (glue_step, glue_iso), "rowid" the class spread over
+# the grid and "gens" its generating set
 DIGEST_FIELDS = ("name", "kind", "head", "kp_cid", "bucket", "size",
                  "weyl_order", "normalizer_weyl_order", "n_model", "glue",
                  "rowid", "gens")
@@ -155,16 +159,20 @@ DIGEST_FIELDS = ("name", "kind", "head", "kp_cid", "bucket", "size",
 
 def catalog_digests(cat) -> dict[str, str]:
     """One SHA-256 per class field, over all classes in cid order, and one
-    over the catalog's rows; each hashes the compact JSON of the values."""
+    over the catalog's rows; each hashes the compact JSON of the values,
+    read off the catalog's columns."""
     def sha(values):
         text = json.dumps(values, separators=(",", ":"))
         return hashlib.sha256(text.encode()).hexdigest()
 
-    def plain(v):
-        return v.tolist() if isinstance(v, np.ndarray) else v
-    out = {f: sha([plain(grid_rowid(cat, c.cid) if f == "rowid"
-                         else getattr(c, f)) for c in cat.classes])
-           for f in DIGEST_FIELDS}
+    cids = range(len(cat))
+    values = {f: cat.classes[f].tolist() for f in DIGEST_FIELDS
+              if f in cat.classes.dtype.names}
+    values |= {"name": cat.names, "kind": kinds(cat),
+               "glue": cat.classes[["glue_step", "glue_iso"]].tolist(),
+               "rowid": [grid_rowid(cat, c).tolist() for c in cids],
+               "gens": [class_gens(cat, c).tolist() for c in cids]}
+    out = {f: sha(values[f]) for f in DIGEST_FIELDS}
     out["rows"] = sha(cat.rows.astype(int).tolist())
     return out
 
@@ -206,6 +214,26 @@ def test_stored_catalog_matches_golden_digests(group, heads, request,
     assert loaded is not cat and catalog_digests(loaded) == want
 
 
+def test_lists_the_ring_reads_are_plain_and_survive_the_cache(
+        cube_pipeline, tmp_path, monkeypatch):
+    """What the benchmark and the ring read: a row of ``classes`` per class
+    and P, and the lists ``names``, ``weyl_orders`` and ``sizes`` of str
+    and int (numpy integers would wrap at 2^63 in the exact marks); the
+    same on a freshly built cube catalog and on one loaded back through
+    the cache."""
+    fresh = cube_pipeline.catalog
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    assert cli._cached("catalog", lambda: fresh) is fresh
+    loaded = cli._cached("catalog", lambda: pytest.fail("rebuilt"))
+    for cat in (fresh, loaded):
+        assert len(cat.classes) == len(cat) == 1919 and cat.P == 144
+        assert all(type(x) is str for x in cat.names)
+        assert all(type(x) is int for x in cat.weyl_orders + cat.sizes)
+    assert loaded is not fresh
+    for f in ("names", "weyl_orders", "sizes"):
+        assert getattr(loaded, f) == getattr(fresh, f), f
+
+
 def _count_arrays(obj) -> int:
     """The number of numpy arrays pickled with ``obj``."""
     seen = []
@@ -242,15 +270,14 @@ def test_small_catalog_matches_sub_catalog():
     also with no dihedral head at all."""
     K = direct_product(cyclic_group(2), cyclic_group(2))
     big = ProductCatalog(K, [1, 2, 3, 4, 6])
-    big_names = {c.name for c in big.classes}
     for small in (ProductCatalog(K, []), ProductCatalog(K, [1, 2])):
-        assert {c.name for c in small.classes} <= big_names
+        assert set(small.names) <= set(big.names)
         # lattice relations agree on the common part
-        for a in small.classes:
-            for b in small.classes:
-                A, B = big.by_name[a.name], big.by_name[b.name]
-                assert small.leq(a.cid, b.cid) == big.leq(A, B)
-                assert small.n_count(a.cid, b.cid) == big.n_count(A, B)
+        for a, a_name in enumerate(small.names):
+            for b, b_name in enumerate(small.names):
+                A, B = big.by_name[a_name], big.by_name[b_name]
+                assert small.leq(a, b) == big.leq(A, B)
+                assert small.n_count(a, b) == big.n_count(A, B)
 
 
 # -- the generator-based lattice queries against element-wise brute force -------
@@ -275,7 +302,10 @@ def test_generators_and_counts_match_brute_force(heads):
     K = direct_product(symmetric_group(3), cyclic_group(2))
     cat = ProductCatalog(K, heads)
     P = cat.P
-    assert {c.kind for c in cat.classes} == {"D", "SO2", "O2", "O2amalg"}
+    assert set(kinds(cat)) == {"D", "SO2", "O2", "O2amalg"}
+    cids = range(len(cat))
+    head, kp_cid, n_model = (cat.classes[f].tolist()
+                             for f in ("head", "kp_cid", "n_model"))
     G = [(o2, k) for o2 in range(2 * P) for k in K.elements]
 
     def mul(x, y):
@@ -286,20 +316,21 @@ def test_generators_and_counts_match_brute_force(heads):
 
     assert not cat.rows[0].any()
     elems = [frozenset((int(o2), K.elements[k]) for o2, k in
-                       zip(*np.nonzero(cat.rows[grid_rowid(cat, c.cid)])))
-             for c in cat.classes]
-    assert [len(E) for E in elems] == [c.size for c in cat.classes]
+                       zip(*np.nonzero(cat.rows[grid_rowid(cat, cid)])))
+             for cid in cids]
+    assert [len(E) for E in elems] == cat.sizes
     conjugates = []
-    for c, E in zip(cat.classes, elems):
-        gens = [(int(o2), K.elements[k]) for o2, k in c.gens.T.tolist()]
+    for cid, E in enumerate(elems):
+        gens = [(int(o2), K.elements[k])
+                for o2, k in class_gens(cat, cid).T.tolist()]
         closure, frontier = {(0, pidentity(K.degree))}, [(0, pidentity(K.degree))]
         while frontier:
             frontier = [y for y in {mul(x, s) for x in frontier for s in gens}
                         if y not in closure]
             closure.update(frontier)
-        assert closure == E, c.name
+        assert closure == E, cat.names[cid]
         images = [frozenset(conj(g, x) for x in E) for g in G]
-        assert c.n_model == sum(1 for im in images if im == E), c.name
+        assert n_model[cid] == sum(1 for im in images if im == E), cid
         conjugates.append(set(images))
     for l, L in enumerate(elems):
         for h, Hs in enumerate(conjugates):
@@ -310,27 +341,27 @@ def test_generators_and_counts_match_brute_force(heads):
     # fold family names: the O(2)-side kernel, the grid points paired with
     # the identity of K, is Z_z (D_z with reflections), written Zzm or Dzm
     e = pidentity(K.degree)
-    for c, E in zip(cat.classes, elems):
-        if c.kind != "D" or " x_" not in c.name:
+    for cid, E in enumerate(elems):
+        if not head[cid] or " x_" not in cat.names[cid]:
             continue
         kernel = [o2 for o2, k in E if k == e]
         z = sum(o2 < P for o2 in kernel)
         sym = "D" if any(o2 >= P for o2 in kernel) else "Z"
-        want = f"D{c.head}m^{{{sym}{z if z > 1 else ''}m}} x_"
-        assert fold_family_name(cat, c.cid).startswith(want), c.name
+        want = f"D{head[cid]}m^{{{sym}{z if z > 1 else ''}m}} x_"
+        assert fold_family_name(cat, cid).startswith(want), cat.names[cid]
     # folds: the pullback of the element set along t -> nu t, found among
     # the conjugates of every class
-    for c, E in zip(cat.classes, elems):
+    for cid, E in enumerate(elems):
         over: dict[int, list] = {}
         for o2, k in E:
             over.setdefault(o2, []).append(k)
         for nu in range(1, max(heads) + 1):
-            if c.kind != "D" or nu * c.head not in heads:
+            if not head[cid] or nu * head[cid] not in heads:
                 continue
             S = frozenset((f * P + t, k) for f in (0, 1) for t in range(P)
                           for k in over.get(f * P + nu * t % P, ()))
             want = [i for i, Hs in enumerate(conjugates) if S in Hs]
-            assert [cat.fold_class(c.cid, nu)] == want, (c.name, nu)
+            assert [cat.fold_class(cid, nu)] == want, (cat.names[cid], nu)
     # fixed-point dimensions: the character of W_m (x) U_j^sign averaged
     # element by element over each class
     ctx = RepContext(cat, symmetric_group(3))
@@ -344,26 +375,26 @@ def test_generators_and_counts_match_brute_force(heads):
                        * (-1 if sign < 0 and g[zoff] != zoff else 1)
                        for g in K.elements]
                 rep = IrrDescriptor(m, j, sign)
-                for c in cat.classes:
+                for cid in cids:
                     d = sum(w[o2] * chi[k] for o2, k in zip(*np.nonzero(
-                        cat.rows[grid_rowid(cat, c.cid)]))) / c.size
-                    assert abs(d - round(d)) < 1e-9, (rep, c.name)
-                    assert ctx.fixed_dim(rep, c.cid) == round(d), (rep, c.name)
+                        cat.rows[grid_rowid(cat, cid)]))) / cat.sizes[cid]
+                    assert abs(d - round(d)) < 1e-9, (rep, cat.names[cid])
+                    assert ctx.fixed_dim(rep, cid) == round(d), (rep, cid)
     # Weyl orders of the O(2)- and SO(2)-headed classes, from K alone
     def normalizer(S):
         return {g for g in K.elements
                 if {pmul(pmul(g, s), pinv(g)) for s in S} == S}
-    for c in cat.classes:
-        kp = cat.ktable.classes[c.kp_cid]
-        if c.kind == "O2":
-            assert c.weyl_order == kp.weyl_order, c.name
-        elif c.kind == "SO2":
-            assert c.weyl_order == 2 * kp.weyl_order, c.name
-        elif c.kind == "O2amalg":
+    for cid, (kind, w) in enumerate(zip(kinds(cat), cat.weyl_orders)):
+        kp = cat.ktable.classes[kp_cid[cid]]
+        if kind == "O2":
+            assert w == kp.weyl_order, cat.names[cid]
+        elif kind == "SO2":
+            assert w == 2 * kp.weyl_order, cat.names[cid]
+        elif kind == "O2amalg":
             R = {K.elements[k] for k in
-                 np.flatnonzero(cat.rows[grid_rowid(cat, c.cid)[0]])}
+                 np.flatnonzero(cat.rows[grid_rowid(cat, cid)[0]])}
             nk = len(normalizer(set(kp.representative)) & normalizer(R))
-            assert c.weyl_order == 2 * nk // kp.order, c.name
+            assert w == 2 * nk // kp.order, cat.names[cid]
 
 
 
@@ -380,11 +411,12 @@ def test_generators_close_to_each_class(which, request):
     k_mul = np.array([[K.index_of[pmul(a, b)] for b in K.elements]
                       for a in K.elements])
     e = K.index_of[pidentity(K.degree)]
-    for c in cat.classes:
+    for cid, name in enumerate(cat.names):
         seen = np.zeros(2 * P * K.order, dtype=bool)     # flat o2 * |K| + k
         seen[e] = True
         o2, k = np.array([0]), np.array([e])
-        gens = list(zip(*np.divmod(c.gens[0], P), c.gens[1]))
+        gens = class_gens(cat, cid)
+        gens = list(zip(*np.divmod(gens[0], P), gens[1]))
         while len(o2):
             fa, ta = np.divmod(o2, P)
             flat = np.unique(np.concatenate([
@@ -394,7 +426,7 @@ def test_generators_close_to_each_class(which, request):
             seen[flat] = True
             o2, k = np.divmod(flat, K.order)
         seen = seen.reshape(2 * P, K.order)
-        assert np.array_equal(seen, cat.rows[grid_rowid(cat, c.cid)]), c.name
+        assert np.array_equal(seen, cat.rows[grid_rowid(cat, cid)]), name
 
 def test_stored_catalog_answers_queries_with_fresh_memos():
     """Memos are per process: a loaded catalog starts them empty, also when
@@ -428,21 +460,23 @@ def test_classes_are_stored_on_their_own_heads(which, request):
         cat = ProductCatalog(
             direct_product(symmetric_group(3), cyclic_group(2)), [1, 2, 3, 6])
     P = cat.P
-    for c in cat.classes:
-        want = {"D": 2 * c.head, "SO2": 1, "O2": 2, "O2amalg": 2}[c.kind]
-        assert c.labels.shape == (want,) and c.labels.all(), c.name
-        rowid = grid_rowid(cat, c.cid)
+    for cid, (name, kind, head) in enumerate(zip(
+            cat.names, kinds(cat), cat.classes["head"].tolist())):
+        labels = cat.labels_of(cid)
+        want = {"D": 2 * head, "SO2": 1, "O2": 2, "O2amalg": 2}[kind]
+        assert labels.shape == (want,) and labels.all(), name
+        rowid = grid_rowid(cat, cid)
         assert rowid.shape == (2 * P,)
-        if c.kind == "D":
+        if kind == "D":
             on = np.zeros(2 * P, dtype=bool)
-            on[np.r_[0:P:P // c.head, P:2 * P:P // c.head]] = True
-            assert not rowid[~on].any(), c.name
-            assert rowid[on].tolist() == c.labels.tolist(), c.name
+            on[np.r_[0:P:P // head, P:2 * P:P // head]] = True
+            assert not rowid[~on].any(), name
+            assert rowid[on].tolist() == labels.tolist(), name
         else:
-            assert (rowid[:P] == c.labels[0]).all(), c.name
-            assert (rowid[P:] == (c.labels[1] if c.kind != "SO2" else 0)).all()
-        step = P // (2 * (c.head or 1))
-        assert np.array_equal(cat._rowid(c.cid), rowid[::step]), c.name
+            assert (rowid[:P] == labels[0]).all(), name
+            assert (rowid[P:] == (labels[1] if kind != "SO2" else 0)).all()
+        step = P // (2 * (head or 1))
+        assert np.array_equal(cat._rowid(cid), rowid[::step]), name
 
 
 @pytest.mark.parametrize("which", ["S4*Z2 cube heads", "S3*Z2 heads 1,2,3,6"])
@@ -458,15 +492,16 @@ def test_histogram_test_drops_only_zero_counts(which, request):
             direct_product(symmetric_group(3), cyclic_group(2)), [1, 2, 3, 6])
     pads, ngens = cat._index()[3:]
     dropped = 0
-    for h, c in enumerate(cat.classes):
-        if c.kind == "D":
+    for h, (head, n_model) in enumerate(
+            cat.classes[["head", "n_model"]].tolist()):
+        if head:
             ls = np.flatnonzero(cat._candidates(h))
-            n = cat._count(pads[:, ls, :ngens[ls].max()], c.head,
-                           cat._rowid(h)) // c.n_model
+            n = cat._count(pads[:, ls, :ngens[ls].max()], head,
+                           cat._rowid(h)) // n_model
             drop = ~np.isin(ls, cat._within_histogram(h, ls))
-            assert not n[drop].any(), c.name
+            assert not n[drop].any(), cat.names[h]
             assert cat.column(h) == dict(zip(ls[n > 0].tolist(),
-                                             n[n > 0].tolist())), c.name
+                                             n[n > 0].tolist())), cat.names[h]
             dropped += drop.sum()
     assert dropped > 0
 
@@ -481,15 +516,14 @@ def test_o2_columns_are_read_off_the_k_lattice(which, request):
         cat = ProductCatalog(
             direct_product(symmetric_group(3), cyclic_group(2)), [1, 2, 3, 6])
     pads, ngens = cat._index()[3:]
-    o2 = [h for h, c in enumerate(cat.classes) if c.kind == "O2"]
+    o2 = [h for h, kind in enumerate(kinds(cat)) if kind == "O2"]
     assert len(o2) == len(cat.ktable)
     for h in o2:
-        c = cat.classes[h]
         ls = np.flatnonzero(cat._candidates(h))
-        n = cat._count(pads[:, ls, :ngens[ls].max()], c.head,
-                       cat._rowid(h)) // c.n_model
+        n = cat._count(pads[:, ls, :ngens[ls].max()], 0,
+                       cat._rowid(h)) // int(cat.classes["n_model"][h])
         assert cat.column(h) == dict(zip(ls[n > 0].tolist(),
-                                         n[n > 0].tolist())), c.name
+                                         n[n > 0].tolist())), cat.names[h]
 
 
 def test_local_grid_counts_match_the_catalog_grid():
@@ -499,15 +533,15 @@ def test_local_grid_counts_match_the_catalog_grid():
     cat = ProductCatalog(
         direct_product(symmetric_group(3), cyclic_group(2)), [1, 2, 3, 6])
     ref = O2Model(cat.P, cat.K)
-    for h, c in enumerate(cat.classes):
+    for h, n_model in enumerate(cat.classes["n_model"].tolist()):
         table = (grid_rowid(cat, h), cat.rows)
-        assert c.n_model == ref.count_conj_into(
-            *c.gens[:, None], table)[0], c.name
+        assert n_model == ref.count_conj_into(
+            *class_gens(cat, h)[:, None], table)[0], cat.names[h]
         ls = np.flatnonzero(cat._candidates(h))
         # each generating set padded to the longest by repeating its last
-        gens = [cat.classes[l].gens for l in ls]
+        gens = [class_gens(cat, l) for l in ls]
         m = max(g.shape[1] for g in gens)
         want = ref.count_conj_into(*np.stack([np.pad(
             g, ((0, 0), (0, m - g.shape[1])), mode="edge") for g in gens],
-            axis=1), table) // c.n_model
-        assert [cat.n_count(l, h) for l in ls] == want.tolist(), c.name
+            axis=1), table) // n_model
+        assert [cat.n_count(l, h) for l in ls] == want.tolist(), cat.names[h]

@@ -582,6 +582,28 @@ def test_stored_catalog_whose_columns_do_not_fit_exits_2(
     assert path.read_bytes() == planted
 
 
+@pytest.mark.parametrize("argv, kind, planted", [
+    (["ccs", "S3*Z2", "--heads", "1,2"], "ProductCatalog", [1, 2]),
+    (["solve", SWAP], "list", "x")], ids=["list-as-catalog", "str-as-heads"])
+def test_cache_file_holding_another_object_exits_2(argv, kind, planted,
+                                                   tmp_path, monkeypatch,
+                                                   capsys):
+    """A cache file that unpickles to another object than its key names (a
+    catalog, or a head list) is refused on load as an unreadable cache
+    file, and the file is left as it was."""
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    assert cli.main(argv) == 0
+    [path] = [p for p in tmp_path.iterdir()
+              if type(pickle.loads(p.read_bytes())).__name__ == kind]
+    path.write_bytes(bad := pickle.dumps(planted))
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unreadable cache file") and path.name in err
+    assert len(err.splitlines()) == 1
+    assert path.read_bytes() == bad
+
+
 def test_catalog_shared_by_commands_and_warm_solve_skips_subgroup_table(
         tmp_path, monkeypatch, capsys):
     cache = tmp_path / "cache"

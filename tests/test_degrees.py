@@ -74,7 +74,7 @@ def test_fold_of_basic_degree_is_folded_mode(cube_pipeline):
 
 
 def test_maximal_mode1_types_are_the_published_seven(cube_pipeline):
-    names = {cube_pipeline.catalog.classes[c].name
+    names = {cube_pipeline.catalog.names[c]
              for c in maximal_orbit_types_union(
                  cube_pipeline.ctx,
                  [IrrDescriptor(1, j, -1) for j in (0, 1, 3, 4)])}
@@ -109,13 +109,13 @@ def test_basic_degree_maximal_coefficient_formula(cube_pipeline):
         rep = IrrDescriptor(m, j, -1)
         for h in maximal_orbit_types_union(ctx, [rep]):
             dim = ctx.fixed_dim(rep, h)
-            w = cat.classes[h].weyl_order
+            w = cat.weyl_orders[h]
             if dim % 2 == 0:
                 x = 0
             else:
                 assert w in (1, 2)
                 x = 2 // w
-            assert d.coeff(h) == -x, (m, j, cat.classes[h].name)
+            assert d.coeff(h) == -x, (m, j, cat.names[h])
 
 
 def _qualifying_pairs(pipe):
@@ -206,8 +206,8 @@ def test_basic_degree_is_the_same_on_a_larger_head_set(gamma, m, j, sign,
     assert d2.terms() == d1.terms(), rep
     heads1 = set(ctx1.catalog.heads)
     for cid in d2.coeffs:
-        c = ctx2.catalog.classes[cid]
-        assert c.kind != "D" or c.head in heads1, (rep, c.name)
+        head = int(ctx2.catalog.classes["head"][cid])     # 0 unless D
+        assert not head or head in heads1, (rep, ctx2.catalog.names[cid])
 
 
 # -- the degree of -id on a sum ------------------------------------------------
@@ -252,8 +252,8 @@ def test_ordered_maximal_matches_the_definition(gamma, cube_pipeline):
             down = cat.down_closure(t)
             ots.update(rng.sample(down, min(len(down), 6)))
         ots = sorted(ots)
+        size = cat.sizes
         want = [u for u in ots if not any(
-            t != u and cat.classes[t].size > cat.classes[u].size
-            and cat.classes[t].size % cat.classes[u].size == 0
+            t != u and size[t] > size[u] and size[t] % size[u] == 0
             and cat.n_count(u, t) > 0 for t in ots)]
         assert _maximal(cat, ots) == want

@@ -9,9 +9,9 @@ import pytest
 
 from discdeg import cli
 from discdeg.bessel import ModeTable
-from discdeg.degrees import basic_degree, gdeg_linear
+from discdeg.degrees import basic_degree, build_context, gdeg_linear
 from discdeg.elliptic import (ClassCounters, CouplingProblem, GrowthMeta,
-                              build_context, check_condition_D, check_s3_1,
+                              check_condition_D, check_s3_1,
                               class_counters, cube_action, cube_matrix,
                               cube_problem, existence_report,
                               isotypic_spectrum, m_counter, n_counter,
@@ -237,12 +237,12 @@ def _same_report_on_larger_head_sets(c, P, sizes, wider):
     types, class by class name; so the extra classes carry no terms."""
     problem = cube_problem(c, 1)
     modes = ModeTable(max(float(e.mu) for e in isotypic_spectrum(problem)))
-    base = build_context(problem, modes)
+    base = build_context(problem.gamma, modes)
     assert base.catalog.P == P
 
     def records(pipeline):
         rep = existence_report(problem, pipeline=pipeline)
-        name = {c.cid: c.name for c in pipeline.catalog.classes}
+        name = pipeline.catalog.names
         return ({name[c]: v for c, v in rep.degree.coeffs.items()},
                 [(f.base_name, f.nu0, f.family_name, name[f.witness_cid],
                   f.witness_coeff) for f in rep.non_radial],
@@ -250,7 +250,8 @@ def _same_report_on_larger_head_sets(c, P, sizes, wider):
     want = records(base)
     assert [len(r) for r in want] == sizes
     for extra, P in wider:
-        wide = build_context(problem, modes, heads=base.catalog.heads + extra)
+        wide = build_context(problem.gamma, modes,
+                             heads=base.catalog.heads + extra)
         assert wide.catalog.P == P and len(wide.catalog) > len(base.catalog)
         assert records(wide) == want, extra
 
@@ -283,7 +284,7 @@ def _solve_data(problem):
         if tag not in _CATALOGS:
             _CATALOGS[tag] = build()
         return _CATALOGS[tag]
-    return spec, modes, build_context(problem, modes, cache=cache)
+    return spec, modes, build_context(problem.gamma, modes, cache=cache)
 
 
 def _seeded_problem(group: str, seed: int, tmp_path):
@@ -406,7 +407,7 @@ def _class_counters_by_fold(spec, modes, ring, ctx, cid) -> ClassCounters:
                        and basic_degree(ring, ctx, IrrDescriptor(nu, e.j, -1))
                        .coeff(h_nu) != 0)
     odd = [v for v, t in m_of.items() if t % 2]
-    return ClassCounters(cid=cid, name=cat.classes[cid].name,
+    return ClassCounters(cid=cid, name=cat.names[cid],
                          m_of=m_of, nu0=max(odd) if odd else None)
 
 
@@ -438,7 +439,7 @@ def test_solve_multiplies_nothing_and_builds_only_mode_1_basic_degrees(
     its counters from the mode-1 basic degrees: no ring product is formed
     and no basic degree of mode 2 or more is built."""
     from discdeg.burnside import BurnsideRing
-    from discdeg.elliptic import PipelineContext
+    from discdeg.degrees import PipelineContext
     from discdeg.permgroup import symmetric_group
     from discdeg.reps import RepContext
 

@@ -67,15 +67,14 @@ def _model(cat):
 
 def avatar(cat, cid):
     """The catalog class representative as an explicit subgroup of G24."""
-    c = cat.classes[cid]
-    assert c.kind == "D" and c.head in HEADS_24
+    assert int(cat.classes["head"][cid]) in HEADS_24     # 0 unless D
     step = cat.P // N          # = 6 for the cube catalog grid
     out = set()
     for o2, k in zip(*np.nonzero(cat.rows[grid_rowid(cat, cid)])):
         f, t = (1, o2 - cat.P) if o2 >= cat.P else (0, o2)
         assert t % step == 0, "class does not live on the D24 subgrid"
         out.add((f, t // step, int(k)))
-    assert len(out) == c.size
+    assert len(out) == cat.sizes[cid]
     return frozenset(out)
 
 
@@ -99,8 +98,8 @@ def conjugacy_orbit(m, sub, limit=200000):
 
 
 def d24_classes(cat):
-    return [c.cid for c in cat.classes
-            if c.kind == "D" and c.head in HEADS_24]
+    return [cid for cid, head in enumerate(cat.classes["head"].tolist())
+            if head in HEADS_24]
 
 
 # -- avatars are honest subgroups (Goursat soundness) --------------------------
@@ -110,8 +109,8 @@ def test_avatars_are_subgroups(cube_pipeline):
     m = _model(cat)
     rng = random.Random(7)
     cids = d24_classes(cat)
-    sample = rng.sample(cids, 60) + [cid for cid in cids
-                                     if cat.classes[cid].head in (8, 12)][:20]
+    sample = rng.sample(cids, 60) + [
+        cid for cid in cids if cat.classes["head"][cid] in (8, 12)][:20]
     for cid in sample:
         A = avatar(cat, cid)
         assert (0, 0, m.eid) in A
@@ -120,17 +119,17 @@ def test_avatars_are_subgroups(cube_pipeline):
         probe = list(A) if len(A) <= 24 else rng.sample(sorted(A), 24)
         for a in probe:
             for b in probe:
-                assert m.mul(a, b) in A, cat.classes[cid].name
+                assert m.mul(a, b) in A, cat.names[cid]
 
 
 def test_avatar_order_matches_goursat_count(cube_pipeline):
     """|U| = 2h * |K'| / |L|: the class size equals head times kernel size."""
     cat = cube_pipeline.catalog
     for cid in random.Random(3).sample(d24_classes(cat), 40):
-        c = cat.classes[cid]
-        kp = cat.ktable.classes[c.kp_cid]
+        head, kp_cid = cat.classes[["head", "kp_cid"]][cid].item()
+        kp = cat.ktable.classes[kp_cid]
         r = int(cat.rows[grid_rowid(cat, cid)[0]].sum())        # |R|
-        assert c.size == 2 * c.head * kp.order // (kp.order // r)
+        assert cat.sizes[cid] == 2 * head * kp.order // (kp.order // r)
 
 
 # -- conjugacy: distinct classes stay distinct ---------------------------------
@@ -143,8 +142,8 @@ def test_distinct_classes_have_disjoint_orbits(cube_pipeline):
     # the ones a weaker invariant could not separate
     buckets = {}
     for cid in d24_classes(cat):
-        c = cat.classes[cid]
-        buckets.setdefault((c.head, c.size, c.kp_cid), []).append(cid)
+        head, size, kp_cid = cat.classes[["head", "size", "kp_cid"]][cid].item()
+        buckets.setdefault((head, size, kp_cid), []).append(cid)
     hard = [v for v in buckets.values() if len(v) > 1]
     pairs = []
     for group in rng.sample(hard, min(12, len(hard))):
@@ -153,7 +152,7 @@ def test_distinct_classes_have_disjoint_orbits(cube_pipeline):
     for a, b in pairs:
         orb = conjugacy_orbit(m, avatar(cat, a))
         assert avatar(cat, b) not in orb, \
-            (cat.classes[a].name, cat.classes[b].name)
+            (cat.names[a], cat.names[b])
         # sanity: the orbit does contain translated copies of a itself
         assert m.half_shift(avatar(cat, a)) in orb
 
@@ -167,7 +166,7 @@ def test_n_count_matches_brute_force(cube_pipeline):
     cids = d24_classes(cat)
     # bias the sample toward comparable pairs; keep the orbit sizes small by
     # preferring larger subgroups H
-    big = [c for c in cids if cat.classes[c].size >= 8]
+    big = [c for c in cids if cat.sizes[c] >= 8]
     checked_pos = checked_zero = 0
     orbits = {}
     while checked_pos < 25 or checked_zero < 10:
@@ -182,7 +181,7 @@ def test_n_count_matches_brute_force(cube_pipeline):
             orbits[h] = conjugacy_orbit(m, avatar(cat, h))
         La = avatar(cat, l)
         brute = sum(1 for M in orbits[h] if La <= M)
-        assert brute == n, (cat.classes[l].name, cat.classes[h].name, brute, n)
+        assert brute == n, (cat.names[l], cat.names[h], brute, n)
         if n > 0:
             checked_pos += 1
         else:
@@ -273,8 +272,7 @@ def test_orbit_types_realized_by_stabilizers(cube_pipeline, m_mode, j):
     rng = np.random.default_rng(42)
     tested = 0
     for cid in maximal_orbit_types_union(ctx, [rep]):
-        c = cat.classes[cid]
-        if c.kind != "D" or c.head not in HEADS_24:
+        if int(cat.classes["head"][cid]) not in HEADS_24:   # 0 unless D
             continue
         A = avatar(cat, cid)
         dim = mats[(0, 0, m.eid)].shape[0]
@@ -282,12 +280,12 @@ def test_orbit_types_realized_by_stabilizers(cube_pipeline, m_mode, j):
         stack = np.vstack([mats[g] - np.eye(dim) for g in A])
         _, s, vh = np.linalg.svd(stack)
         null = vh[np.concatenate([s, np.zeros(dim - len(s))]) < 1e-8]
-        assert null.shape[0] == ctx.fixed_dim(rep, cid), c.name
-        assert null.shape[0] > 0, c.name
+        assert null.shape[0] == ctx.fixed_dim(rep, cid), cat.names[cid]
+        assert null.shape[0] > 0, cat.names[cid]
         # generic fixed vector: stabilizer inside G24 equals the avatar
         v = null.T @ rng.standard_normal(null.shape[0])
         stab = {g for g in m.elements
                 if np.allclose(mats[g] @ v, v, atol=1e-8)}
-        assert stab == set(A), c.name
+        assert stab == set(A), cat.names[cid]
         tested += 1
     assert tested >= 1
