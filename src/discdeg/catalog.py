@@ -24,14 +24,21 @@ since the class holds exactly one coset of R over each point of its
 head, S is the class.
 
 ``gluing_steps`` walks every (K', R) once per subgroup table of K; the
-catalog and ``dihedral_quotient_orders`` both read its list.  Each class
-keeps its gluing as ``glue`` = (step, dihedral isomorphism or -1), and
-the nu-fold pullback of a D_h-headed class is the same gluing on D_{nu h}
-(see ``ProductCatalog.fold_class``), so a fold is a lookup.  The rows
-over the rotations of one period r of every D-headed gluing, also of
-those whose heads the catalog lacks, are kept in ``rotation_rows[r]``,
-from which ``reps.RepContext.fixed_point_heads`` reads the heads a rep
-needs.
+catalog and ``dihedral_quotient_orders`` both read its list.  The build
+makes whole blocks of records: each D-headed gluing of a step (onto K'/R
+= D_q, Z2 for q = 1, by a dihedral isomorphism; the trivial quotient; Z2
+by parity) has a period q and rows over rotations and reflections j < q,
+and point k of D_h takes the rows of j = k mod q, so one gather labels
+every gluing of period q on D_h.  Records of one kind, head, K', size,
+kernel and fingerprint (their element histogram, ranked as its sparse
+tuple sorts) form a bucket, and rounds of counts keep one per class.
+Each class keeps its gluing as ``glue`` = (step, dihedral isomorphism or
+-1), and the nu-fold pullback of a D_h-headed class is the same gluing
+on D_{nu h} (see ``ProductCatalog.fold_class``), so a fold is a lookup.
+The rows over the rotations of one period r of every D-headed gluing,
+also of those whose heads the catalog lacks, are kept in
+``rotation_rows[r]``, from which ``reps.RepContext.fixed_point_heads``
+reads the heads a rep needs.
 
 The catalog covers heads D_h for h in a divisor-closed set ``heads``,
 plus all SO(2)- and O(2)-headed classes.  Within that scope it supplies
@@ -77,7 +84,7 @@ histograms and padded generators are rebuilt per process, never stored.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -101,15 +108,16 @@ STORED = ("K", "ktable", "heads", "P", "rows", "rotation_rows", "full_cid",
 def _dihedral_isos(mul: np.ndarray, q: int):
     """Isomorphisms from the dihedral group of order 2q onto the group with
     multiplication table ``mul`` (identity 0); none unless that group is
-    dihedral of order 2q.  Each is given as (powers of x, y), x and y the
-    images of the rotation and reflection generators."""
+    dihedral of order 2q.  Each is given by the images of the rotations
+    x^j and reflections y x^-j, j = 0..q-1, of its generators x and y."""
     powers = []                 # i^0, i^1, ... up to the order of i
     for i in range(len(mul)):
         p = [0]
         while (j := int(mul[p[-1], i])) != 0:
             p.append(j)
         powers.append(p)
-    return [(np.array(px), y) for x, px in enumerate(powers) if len(px) == q
+    return [(np.array(px), mul[y, px][-np.arange(q) % q])
+            for x, px in enumerate(powers) if len(px) == q
             for y, py in enumerate(powers)
             if len(py) == 2 and y not in px
             and mul[mul[y, x], y] == px[-1]]            # y x y = x^-1
@@ -229,97 +237,105 @@ class ProductCatalog:
     # -- construction -------------------------------------------------------
 
     def _build(self):
-        ktable = self.ktable
-        blocks = [np.zeros((1, self.K.order), dtype=bool)]     # row 0: empty
-        raw: list[dict] = []
-        rotation_rows: list[list[int]] = []
-
-        def add(kind, head, bucket, labels, iso=-1, zname="", lname=""):
-            """The class {(a, k) : a in the head, k in cosets[label of a]}
-            of the gluing (i, iso) of step i, whose rows start at ``base``,
-            named H^{Z} x_{L}^{R} K' (H x K' when L is trivial).  Its
-            generators are the lifts of the head's rotation step and
-            reflection, then R's generators."""
-            n = head or 1
-            # head points of the rotation step (none for D1) and of the
-            # reflection (none for SO(2)); the O(2) side is ``_o2_gens``
-            points = ([] if head == 1 else [1 % n]) + (
-                [n] if kind != "SO2" else [])
-            kgens = [cosets[labels[p], 0] for p in points] + r_gens
-            labels = (base + labels).astype(np.int32)
-            name = {"O2": "O(2)", "SO2": "SO(2)", "O2amalg": "O(2)"}.get(
-                kind, f"D{head}")
-            if lname:
-                name += (f"^{{{zname}}}" if zname else "") + f" x_{{{lname}}}"
-                name += f"^{{{rname}}}" if rname not in ("", "Z1") else ""
-                name += f" {kp.name}"
-            else:
-                name += f" x {kp.name}"
-            raw.append(dict(kind=KINDS.index(kind), head=head, kp_cid=kp.cid,
-                            bucket=bucket, labels=labels, n_labels=len(labels),
-                            rowid=self._on_grid(head, labels), kgens=kgens,
-                            n_gens=len(kgens), name=name, glue_step=i,
-                            glue_iso=iso))
-
-        kmul = self.K._tables()[0]
+        """Every gluing of every step on every head, in blocks of records
+        (see the module notes), for ``_dedupe_and_register``."""
+        steps, kmul = gluing_steps(self.ktable), self.K._tables()[0]
         korder = _element_orders(kmul)
-        for i, (kp, r, cosets, mul, isos) in enumerate(gluing_steps(ktable)):
-            base = sum(map(len, blocks))
-            blocks.append(np.zeros((len(cosets), self.K.order), dtype=bool))
-            np.put_along_axis(blocks[-1], cosets, True, axis=1)
-            rname = ktable.classes[ktable._cid[r]].name
+        quo = np.array([len(cosets) for _, _, cosets, _, _ in steps])
+        base = np.cumsum(quo) - quo + 1                       # row 0: empty
+        self.rows = np.zeros((1 + quo.sum(), self.K.order), dtype=bool)
+        glue, tails, r_gens = {}, [], []
+        for i, (kp, r, cosets, mul, isos) in enumerate(steps):
+            self.rows[base[i] + np.arange(quo[i])[:, None], cosets] = True
+            # the D-headed gluings by period q: (rows over rotations and
+            # reflections j < q, step, isomorphism or -1 for the trivial
+            # quotient and Z2 by parity)
+            gl = [(rot, ref, j) for j, (rot, ref) in enumerate(isos)]
+            if quo[i] <= 2:
+                gl.append((np.arange(quo[i]), np.arange(quo[i]), -1))
+            for rot, ref, j in gl:
+                glue.setdefault(len(rot), []).append(
+                    (base[i] + rot, base[i] + ref, i, j))
+            rname = self.ktable.classes[self.ktable._cid[r]].name
+            rname = f"^{{{rname}}}" if rname not in ("", "Z1") else ""
+            lname = "Z2" if quo[i] == 2 else f"D{quo[i] // 2}"
+            tails.append(f" x {kp.name}" if quo[i] == 1
+                         else f" x_{{{lname}}}{rname} {kp.name}")
             # R's generators: by decreasing element order, each one outside
             # the subgroup generated by those kept before it
-            r_gens, span = [], np.arange(1)
+            gens, span = [], np.arange(1)
             for g in sorted(cosets[0].tolist(), key=lambda g: -korder[g]):
                 if g not in span:
-                    span = np.flatnonzero(_extend(kmul, span, r_gens, g))
-                    r_gens.append(g)
-            quo = len(cosets)
-            # the rows over rotations 0..r-1 of each D-headed gluing, which
-            # repeat with period r: trivial quotient, D_q, and Z2 by parity
-            rotation_rows += [[base]] if quo == 1 else [
-                (base + px).tolist() for px, _ in isos]
-            rotation_rows += [[base, base + 1]] if quo == 2 else []
-            if quo == 1:
-                add("O2", 0, 0, np.zeros(2, dtype=int))
-                add("SO2", 0, 0, np.zeros(1, dtype=int))
-            if quo == 2:
-                add("O2amalg", 0, 0, np.arange(2), -1, "SO(2)", "Z2")
-            for h in self.heads:
-                k = np.arange(h)
-                # kernel Z_d, quotient D_q (Z2 for q = 1): rotation k goes to
-                # x^k, reflection k to y x^-k
-                q = quo // 2
-                if isos and h % q == 0:
-                    d = h // q
-                    for iso, (px, y) in enumerate(isos):
-                        add("D", h, d,
-                            np.concatenate([px[k % q], mul[y, px[-k % q]]]),
-                            iso, f"Z{d}" if d > 1 else "",
-                            f"D{q}" if q >= 2 else "Z2")
-                # kernel D_{h/2}, quotient Z2: rotation and reflection k go
-                # to the coset of parity k
-                if h % 2 == 0 and quo == 2:
-                    add("D", h, h // 2, np.tile(k % 2, 2), -1,
-                        f"D{h // 2}", "Z2")
-                if quo == 1:
-                    add("D", h, h, np.zeros(2 * h, dtype=int))
+                    span = np.flatnonzero(_extend(kmul, span, gens, g))
+                    gens.append(g)
+            r_gens.append(gens)
+        glue = {q: [np.array(c) for c in zip(*gl)]
+                for q, gl in sorted(glue.items())}
+        self.rotation_rows = {q: gl[0] for q, gl in glue.items()}
 
-        self.rows = np.concatenate(blocks)
-        self.rotation_rows = {r: np.array([ids for ids in rotation_rows
-                                           if len(ids) == r])
-                              for r in sorted(set(map(len, rotation_rows)))}
-        self._dedupe_and_register(raw)
+        # the blocks (head, bucket, kind, step, isomorphism, labels): O(2)
+        # and SO(2) x K' (SO(2) with an empty reflection row), O(2)^{SO(2)}
+        # x_{Z2} K', then on D_h rotation and reflection k take row k mod q
+        one, two = np.flatnonzero(quo == 1), np.flatnonzero(quo == 2)
+        st, kinds = np.r_[one, one, two], np.repeat(
+            [KINDS.index(k) for k in ("O2", "SO2", "O2amalg")],
+            [len(one), len(one), len(two)])
+        blocks = [(0, 0, kinds, st, -np.ones_like(st),
+                   np.c_[base[st], np.r_[base[one], 0 * one, base[two] + 1]])]
+        for h in self.heads:
+            k = np.arange(h)
+            blocks += [(h, h // q, 0, st, iso,
+                        np.c_[rot, ref][:, np.r_[k % q, q + k % q]])
+                       for q, (rot, ref, st, iso) in glue.items()
+                       if h % q == 0]
+        # each block's fingerprint: its elements on the grid of its head by
+        # (reflection bit, rotation order or reflection parity, K-class), in
+        # the canonical classes of K; on D_h all reflections are even
+        cls_of = self.K.class_index_of_element()
+        kcls = np.array([cls_of[g] for g in self.K.elements])
+        rowhist = self.rows @ np.eye(kcls.max() + 1, dtype=np.int32)[kcls]
+        rec, flat = {}, []
+        for head, bucket, kind, st, iso, labels in blocks:
+            counts = _binned(labels, _dihedral_bins(self.heads, head),
+                             rowhist) if head else _binned(
+                labels[:, [0, 0, 1, 1]], np.arange(4), rowhist)
+            # per record: as COLUMNS, the fingerprint's rank in the block,
+            # and whether no reflection point holds K's identity (class 0)
+            for f, v in zip(("head", "bucket", "kind", "glue_step", "glue_iso",
+                             "size", "fp", "rot_kernel"), (
+                    head, bucket, kind, st, iso,
+                    counts.sum(axis=(1, 2)) * (1 if head else self.P // 2),
+                    _sparse_rank(counts.reshape(len(labels), -1)),
+                    counts[:, -1, 0] == 0)):
+                rec.setdefault(f, []).append(np.broadcast_to(v, len(labels)))
+            flat.append(labels.ravel())
+        rec = {f: np.concatenate(v) for f, v in rec.items()}
+        head, kind, step = rec["head"], rec["kind"], rec["glue_step"]
+        rec["kp_cid"] = np.array([kp.cid for kp, *_ in steps])[step]
+        n = np.maximum(2 * head, 2)                    # labels per record
+        rec["start"], labels = np.cumsum(n) - n, np.concatenate(flat)
+        # K-side generators: the first element of the rows over the head
+        # points of the rotation step (1; none on D1) and a reflection (n;
+        # none for SO(2)), then R's; ``_o2_gens`` gives the O(2) side
+        most = max(map(len, r_gens))
+        r_gens = np.array([g + [-1] * (most - len(g)) for g in r_gens],
+                          dtype=np.intp)
+        has = np.c_[head != 1, kind != KINDS.index("SO2"), r_gens[step] >= 0]
+        points = labels[rec["start"][:, None]
+                        + np.c_[head > 1, np.maximum(head, 1)]]
+        kgens = np.c_[np.argmax(self.rows, axis=1)[points], r_gens[step]][has]
+        rec["n_gens"] = has.sum(axis=1)
+        self._dedupe_and_register(rec, labels, kgens, np.array(tails))
 
     def _on_grid(self, head: int, labels: np.ndarray) -> np.ndarray:
-        """The row ids of the class with ``labels`` on ``head`` over the 4n
-        points of its grid D_{2n}, n = head or 1 (see the module notes)."""
-        n = head or 1
-        rowid = np.zeros((2, n, 2), dtype=np.int32)
-        rowid[:len(labels) // n, :, :1 if head else None] = labels.reshape(
-            -1, n, 1)
-        return rowid.ravel()
+        """The row ids of the classes with ``labels`` (..., labels) on
+        ``head`` over the 4n points of its grid D_{2n}, n = head or 1 (see
+        the module notes)."""
+        n, lead = head or 1, labels.shape[:-1]
+        rowid = np.zeros(lead + (2, n, 2), dtype=np.int32)
+        rowid[..., :labels.shape[-1] // n, :, :1 if head else None] = (
+            labels.reshape(lead + (-1, n, 1)))
+        return rowid.reshape(lead + (-1,))
 
     def _count(self, gens: np.ndarray, head: int,
                rowid: np.ndarray) -> np.ndarray:
@@ -343,104 +359,81 @@ class ProductCatalog:
         return self._on_grid(int(self.classes["head"][cid]),
                              self.labels_of(cid))
 
-    def _dedupe_and_register(self, raw: list[dict]):
-        self._fingerprint(raw)
-        buckets: dict[tuple, list[int]] = {}
-        for i, rec in enumerate(raw):
-            key = (rec["kind"], rec["head"], rec["kp_cid"], rec["size"],
-                   rec["bucket"], rec["fp"])
-            buckets.setdefault(key, []).append(i)
-
-        # Records in one bucket have the same size, so a conjugate of one
-        # inside another is the whole record.  Each round keeps the first
-        # record of every bucket and counts it into each record of its
-        # bucket, every record on one head in one pass: into itself this
-        # gives |N(U)|, and the records it misses are the next round's
-        # buckets, in order.
-        kind, head, ngens = (np.array([rec[f] for rec in raw])
-                             for f in ("kind", "head", "n_gens"))
-        pads = _pad(np.stack([_o2_gens(self.P, kind, head, ngens),
-                              np.concatenate([rec["kgens"] for rec in raw])]),
-                    ngens)
-        kept: list[dict] = []
-        pending = [group for _, group in sorted(buckets.items())]
-        while pending:
-            recs = np.concatenate(pending)
-            first = np.repeat([g[0] for g in pending], list(map(len, pending)))
-            n = np.empty(len(recs), dtype=np.int64)
-            for h in sorted(set(head[recs].tolist())):
-                at = np.flatnonzero(head[recs] == h)
+    def _dedupe_and_register(self, rec: dict, labels: np.ndarray,
+                             kgens: np.ndarray, tails: np.ndarray):
+        """Keep one record of each class, in the class order, and write the
+        columns, from columns over the records, their labels and K-side
+        generators in turn, and the name tail of each step."""
+        head, step, iso, ngens, start = (rec[f] for f in (
+            "head", "glue_step", "glue_iso", "n_gens", "start"))
+        pads = _pad(np.stack([_o2_gens(self.P, rec["kind"], head, ngens),
+                              kgens]), ngens)
+        # Records in one bucket (kind, head, K', size, kernel, fingerprint)
+        # have the same size, so a conjugate of one inside another is the
+        # whole record.  Each round keeps the first record of every bucket,
+        # in step and isomorphism order, and counts it into each record of
+        # its bucket, every record on one head in one pass: into itself this
+        # gives |N(U)|, and the records it misses are the next round's.
+        buckets = _lex_ranks(np.stack([rec[f] for f in (
+            "kind", "head", "kp_cid", "size", "bucket", "fp")], axis=1))
+        pending = np.lexsort((iso, step, buckets))
+        n_model = np.zeros(len(head), dtype=np.int64)
+        while len(pending):
+            new = np.r_[True, np.diff(buckets[pending]) != 0]
+            first = pending[new][np.cumsum(new) - 1]
+            n = np.empty(len(pending), dtype=np.int64)
+            for h in sorted(set(head[pending].tolist())):
+                at = np.flatnonzero(head[pending] == h)
                 n[at] = self._count(
                     pads[:, first[at], :ngens[first[at]].max()], h,
-                    np.stack([raw[i]["rowid"] for i in recs[at].tolist()]))
-            n = np.split(n, np.cumsum(list(map(len, pending)))[:-1])
-            for g, c in zip(pending, n):
-                raw[g[0]]["n_model"] = int(c[0])
-                kept.append(raw[g[0]])
-            pending = [rest for g, c in zip(pending, n)
-                       if (rest := [i for i, x in zip(g, c) if not x])]
+                    self._on_grid(h, labels[
+                        start[pending[at], None] + np.arange(2 * h or 2)]))
+            n_model[pending[new]] = n[new]
+            pending = pending[n == 0]
 
-        kept.sort(key=lambda r: (r["size"], r["kind"], r["head"], r["bucket"],
-                                 r["kp_cid"], r["fp"]))
-        # the amalgamated notation does not always pin the class (several
-        # non-conjugate gluings can share it); disambiguate deterministically
-        tally: dict[str, int] = {}
-        for rec in kept:
-            k = tally[rec["name"]] = tally.get(rec["name"], 0) + 1
-            rec["name"] += f" ~{k}" if k > 1 else ""
-            nw = rec["normalizer_weyl_order"] = rec["n_model"] // rec["size"]
-            # reported convention: dihedral-headed classes whose O(2)-side
-            # kernel is rotation-only get half the plain normalizer quotient
-            # (the central coset is not counted)
-            rot_kernel = not self.rows[rec["labels"][rec["head"]:], 0].any()
-            rec["weyl_order"] = nw // 2 if rec["head"] and rot_kernel else nw
-        names = [rec["name"] for rec in kept]
-        cols = [_small([rec[f] for rec in kept]) for f in COLUMNS]
-        self.classes = np.empty(len(kept), dtype=[
-            (f, c.dtype) for f, c in zip(COLUMNS, cols)])
-        for f, c in zip(COLUMNS, cols):
-            self.classes[f] = c
-        self.labels, self.kgens = (_small(np.concatenate(
-            [rec[f] for rec in kept])) for f in ("labels", "kgens"))
+        kept = np.flatnonzero(n_model)
+        cls = kept[np.lexsort([rec[f][kept] for f in (
+            "glue_iso", "glue_step", "fp", "kp_cid", "bucket", "head", "kind",
+            "size")])]
+        c = {f: v[cls] for f, v in rec.items()} | {"n_model": n_model[cls]}
+        # reported convention: dihedral-headed classes whose O(2)-side
+        # kernel is rotation-only get half the plain normalizer quotient
+        # (the central coset is not counted)
+        nw = c["normalizer_weyl_order"] = c["n_model"] // c["size"]
+        c["weyl_order"] = np.where((c["head"] > 0) & c["rot_kernel"],
+                                   nw // 2, nw)
+        c["n_labels"] = np.where(c["kind"] == KINDS.index("SO2"), 1,
+                                 np.maximum(2 * c["head"], 2))
+        cols = [_small(c[f]) for f in COLUMNS]
+        self.classes = np.empty(len(cls), dtype=[
+            (f, col.dtype) for f, col in zip(COLUMNS, cols)])
+        for f, col in zip(COLUMNS, cols):
+            self.classes[f] = col
+        self.labels = _small(labels[_ragged(start[cls], c["n_labels"])])
+        self.kgens = _small(kgens[_ragged((np.cumsum(ngens) - ngens)[cls],
+                                          c["n_gens"])])
+
+        # names: head, kernel (Z_d, or D_d by parity; none for the trivial
+        # quotient and the kernel Z1) and the step's tail; the amalgamated
+        # notation does not always pin the class (several non-conjugate
+        # gluings can share it), so repeats get " ~k" in the class order
+        plain = np.where(c["glue_iso"] < 0, c["bucket"] == c["head"],
+                         c["bucket"] == 1)
+        names = reduce(np.char.add, (
+            np.where(c["head"] > 0, np.char.mod("D%d", c["head"]), np.array(
+                ["", "O(2)", "O(2)^{SO(2)}", "SO(2)"])[c["kind"]]),
+            np.where(plain, "", np.char.mod(np.where(
+                c["glue_iso"] < 0, "^{D%d}", "^{Z%d}"), c["bucket"])),
+            tails[c["glue_step"]]))
+        srt = np.argsort(names, kind="stable")
+        new = np.r_[True, names[srt][1:] != names[srt][:-1]]
+        k = np.empty(len(cls), dtype=np.intp)
+        k[srt] = np.arange(len(cls)) - np.flatnonzero(new)[np.cumsum(new) - 1]
+        names = np.where(k > 0, reduce(np.char.add, (
+            names, " ~", (k + 1).astype(str))), names).tolist()
         self.full_cid = names.index(
             f"O(2) x {self.ktable.classes[self.ktable.full_cid].name}")
         self._register("\n".join(names))
-
-    def _fingerprint(self, raw: list[dict]):
-        """Set each record's size, as on D_P, and fingerprint: how many of
-        its elements on the grid of its head have each rotation order or
-        reflection parity, and K-class, as ((reflection bit, order or
-        parity, K-class), count) in key order; a conjugation invariant.
-        One K-class histogram per row of the table, summed over each
-        record's grid points by their bin, one head at a time."""
-        cls_of = self.K.class_index_of_element()
-        kcls = np.array([cls_of[g] for g in self.K.elements])
-        hist = self.rows.astype(np.int32) @ (
-            kcls[:, None] == np.arange(kcls.max() + 1)).astype(np.int32)
-        for head in {rec["head"] for rec in raw}:
-            recs = [rec for rec in raw if rec["head"] == head]
-            # the bin of each grid point: rotations t by their order
-            # p / gcd(p, t), then reflections (1, t) by the parity of t
-            p, scale = 2 * (head or 1), 1 if head else self.P // 2
-            t = np.arange(p)
-            orders, rot_bin = np.unique(p // np.gcd(p, t), return_inverse=True)
-            nbins = len(orders) + 2
-            refl = np.repeat([0, 1], [len(orders), 2])
-            value = np.concatenate([orders, [0, 1]])
-            bin_of = np.concatenate([rot_bin, len(orders) + t % 2])
-            rowids = np.stack([rec["rowid"] for rec in recs])
-            r, a = np.nonzero(rowids)
-            counts = np.zeros((len(recs) * nbins, hist.shape[1]),
-                              dtype=np.int32)
-            np.add.at(counts, r * nbins + bin_of[a], hist[rowids[r, a]])
-            counts = counts.reshape(len(recs), nbins, -1)
-            r, b, c = np.nonzero(counts)
-            items = list(zip(zip(refl[b].tolist(), value[b].tolist(),
-                                 c.tolist()), counts[r, b, c].tolist()))
-            cut = np.searchsorted(r, np.arange(len(recs) + 1)).tolist()
-            for i, size in enumerate(counts.sum(axis=(1, 2)).tolist()):
-                recs[i]["fp"] = tuple(items[cut[i]:cut[i + 1]])
-                recs[i]["size"] = size * scale
 
     # -- lattice queries -----------------------------------------------------
 
@@ -482,9 +475,7 @@ class ProductCatalog:
         lengths).  ``nk`` is the K table's (``SubgroupClassTable.nk``).  The
         class columns are size, D-headed, head, bucket and K-projection.
         The histogram of a D-headed class counts its elements by (reflection
-        bit, rotation order, K-class) over its head: rotation k of D_h has
-        order h / gcd(h, k), and reflections share one bin.  It sums the
-        K-class counts of each point's row, one head at a time."""
+        bit, rotation order, K-class) over its head (``_dihedral_bins``)."""
         if self._cols is None:
             heads, n = self.heads, len(self)
             size, head, bucket, kp = (self.classes[f].astype(np.int64) for f
@@ -498,12 +489,7 @@ class ProductCatalog:
             hist = np.zeros((n, len(heads) + 1, rowhist.shape[1]),
                             dtype=np.int32)
             for h, at, labels in self.head_blocks("D"):
-                k = np.arange(h)
-                bins = np.r_[np.searchsorted(heads, h // np.gcd(h, k)),
-                             np.full(h, len(heads))]
-                hist[at] = np.einsum(
-                    "bp,pmk->mbk", bins == np.arange(len(heads) + 1)[:, None],
-                    rowhist[labels.T], optimize=True)
+                hist[at] = _binned(labels, _dihedral_bins(heads, h), rowhist)
             ngens = self.classes["n_gens"].astype(np.int64)
             gens = np.stack([_o2_gens(self.P, self.classes["kind"], head,
                                       ngens), self.kgens.astype(np.intp)])
@@ -564,6 +550,50 @@ class ProductCatalog:
             self._folds = dict(zip(self.classes[glue][ds].tolist(),
                                    ds.tolist()))
         return self._folds[(*key, head * nu)]
+
+
+def _dihedral_bins(heads: list[int], h: int) -> np.ndarray:
+    """The bin of each point of D_h: rotation k by its order h / gcd(h, k),
+    as its position in ``heads``, then all reflections in the last bin."""
+    k = np.arange(h)
+    return np.r_[np.searchsorted(heads, h // np.gcd(h, k)),
+                 np.full(h, len(heads))]
+
+
+def _binned(labels: np.ndarray, bins: np.ndarray,
+            rowhist: np.ndarray) -> np.ndarray:
+    """(m, bins, K-classes): for each of the m rows of ``labels``, the
+    K-class counts ``rowhist`` of the row of each point summed by the bin
+    of the point."""
+    return np.einsum("bp,pmk->mbk", bins == np.arange(bins.max() + 1)[:, None],
+                     rowhist[labels.T], optimize=True)
+
+
+def _lex_ranks(a: np.ndarray) -> np.ndarray:
+    """The rank of each row of ``a`` among its distinct rows, in
+    lexicographic order."""
+    order = np.lexsort(a.T[::-1])
+    new = np.r_[True, (a[order[1:]] != a[order[:-1]]).any(axis=1)]
+    ranks = np.empty(len(a), dtype=np.intp)
+    ranks[order] = np.cumsum(new) - 1
+    return ranks
+
+
+def _sparse_rank(counts: np.ndarray) -> np.ndarray:
+    """The rank of each row of ``counts`` in the order Python gives the
+    tuples of its nonzero (column, count) items: a zero stands above every
+    count where a nonzero one follows it in its row (the other row's item
+    comes first), else below (its row ends first)."""
+    later = np.logical_or.accumulate(counts[:, ::-1] > 0, axis=1)[:, ::-1]
+    return _lex_ranks(np.where(counts > 0, counts,
+                               later * (counts.max() + 1)))
+
+
+def _ragged(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The indices starts[i], ..., starts[i] + lens[i] - 1 for each i in
+    turn."""
+    return np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(
+        lens.sum())
 
 
 def _pad(gens: np.ndarray, n: np.ndarray) -> np.ndarray:

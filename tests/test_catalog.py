@@ -8,9 +8,11 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CUBE_HEADS, class_gens, grid_rowid, kinds
-from discdeg import cli
+from discdeg import catalog, cli
 from discdeg.catalog import ProductCatalog
 from discdeg.elliptic import fold_family_name
 from discdeg.o2model import O2Model
@@ -546,3 +548,53 @@ def test_local_grid_counts_match_the_catalog_grid():
             g, ((0, 0), (0, m - g.shape[1])), mode="edge") for g in gens],
             axis=1), table) // n_model
         assert [cat.n_count(l, h) for l in ls] == want.tolist(), cat.names[h]
+
+
+def test_dedupe_rounds_decide_forced_buckets(monkeypatch):
+    """With every fingerprint made equal, each bucket of S3 x Z2 (heads
+    1,2,3,6) holds every record of one kind, head, K', size and kernel,
+    non-conjugate ones too, and the counts take several rounds to split
+    it; the classes are the same as with the fingerprints."""
+    K = direct_product(symmetric_group(3), cyclic_group(2))
+    calls = []
+
+    def count(self, *args):
+        calls.append(args[1])
+        return count_once(self, *args)
+
+    def rows(cat):
+        return sorted(cat.classes[["kind", "head", "kp_cid", "bucket", "size",
+                                   "n_model", "weyl_order"]].tolist())
+
+    count_once = ProductCatalog._count
+    monkeypatch.setattr(ProductCatalog, "_count", count)
+    cat = ProductCatalog(K, [1, 2, 3, 6])
+    normal_calls = len(calls)
+    monkeypatch.setattr(catalog, "_sparse_rank",
+                        lambda counts: np.zeros(len(counts), dtype=np.intp))
+    forced = ProductCatalog(K, [1, 2, 3, 6])
+    assert len(calls) - normal_calls > normal_calls       # more rounds
+    assert len(forced) == len(cat)
+    assert rows(forced) == rows(cat)
+
+
+def _sparse_tuple(row) -> tuple:
+    return tuple((j, c) for j, c in enumerate(row) if c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.one_of(st.just(0), st.integers(1, 40)),
+                         min_size=6, max_size=6), min_size=1, max_size=10),
+       st.integers(0, 6))
+def test_sparse_rank_orders_rows_as_their_sparse_tuples(rows, cut):
+    """The class order's fingerprint key ranks rows of counts exactly as
+    Python orders their tuples of nonzero (column, count) items: checked
+    on random rows, an all-zero row, and each row cut after ``cut``
+    columns, whose nonzero items are a prefix of the row's."""
+    counts = np.array(rows + [[0] * 6] + [r[:cut] + [0] * (6 - cut)
+                                          for r in rows])
+    rank = catalog._sparse_rank(counts).tolist()
+    tuples = [_sparse_tuple(r) for r in counts.tolist()]
+    for a, ta in zip(rank, tuples):
+        for b, tb in zip(rank, tuples):
+            assert (a < b) == (ta < tb) and (a == b) == (ta == tb)
