@@ -78,11 +78,14 @@ def _miller(m: int, x: float) -> list[float]:
 
 
 def _brentq(f, xa: float, xb: float, xtol: float = 1e-12,
-            rtol: float = 4 * sys.float_info.epsilon, maxiter: int = 100):
+            rtol: float = 4 * sys.float_info.epsilon, maxiter: int = 100,
+            fa: float | None = None, fb: float | None = None):
     """A zero of f in [xa, xb], where f changes sign, by Brent's method:
-    inverse quadratic or secant steps, bisection when they are too long."""
+    inverse quadratic or secant steps, bisection when they are too long.
+    ``fa`` and ``fb``, when given, are f(xa) and f(xb)."""
     xpre, xcur, xblk, spre, scur = xa, xb, 0.0, 0.0, 0.0
-    fpre, fcur, fblk = f(xpre), f(xcur), 0.0
+    fpre = f(xpre) if fa is None else fa
+    fcur, fblk = f(xcur) if fb is None else fb, 0.0
     if fpre == 0 or fcur == 0:
         return xpre if fpre == 0 else xcur
     if (fpre < 0) == (fcur < 0):
@@ -142,17 +145,23 @@ def bessel_zeros(m: int, upper: float) -> list[float]:
 def _zero_levels(M: int, upper: float) -> list[list[float]]:
     """The zeros in (0, upper] of J_0, ..., J_M, by one interlacing walk."""
     # each interlacing level loses at most its last bracket, so extend the
-    # working range by one spacing (< pi + 1) per level
-    work = min(upper + _TAIL + (math.pi + 1.0) * M, X_MAX)
-    levels = [_zeros_j0(work)]
+    # working range by one spacing (< pi + 1) per level; a level stops at
+    # its first zero past the range the levels above it still need
+    work = upper + _TAIL + (math.pi + 1.0) * M
+    levels = [_zeros_j0(min(work, X_MAX))]
     for mu in range(1, M + 1):
-        nxt = []
-        for a, b in zip(levels[-1], levels[-1][1:]):
-            fa, fb = bessel_j(mu, a), bessel_j(mu, b)
+        stop = work - (math.pi + 1.0) * mu
+        f, zs, nxt = (lambda x: bessel_j(mu, x)), levels[-1], []
+        fa = f(zs[0]) if zs else 0.0
+        for a, b in zip(zs, zs[1:]):
+            fb = f(b)
             if not fa * fb < 0.0:
                 raise AssertionError(
                     f"interlacing bracket failed for J_{mu} on ({a}, {b})")
-            nxt.append(_brentq(lambda x: bessel_j(mu, x), a, b))
+            nxt.append(_brentq(f, a, b, fa=fa, fb=fb))
+            if nxt[-1] > stop:
+                break
+            fa = fb
         levels.append(nxt)
     if levels[-1] and levels[-1][-1] <= upper and work < X_MAX:
         raise AssertionError("working range too small; zeros may be missing")

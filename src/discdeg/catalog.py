@@ -217,22 +217,23 @@ class ProductCatalog:
         self.weyl_orders = cols["weyl_order"].tolist()
         self.sizes = cols["size"].tolist()
         self.by_name = dict(zip(self.names, range(len(self.names))))
+        # where the labels of each class start in ``labels``, then the end
+        self._starts = np.r_[0, np.cumsum(cols["n_labels"], dtype=np.intp)]
         self._cols = self._folds = None
 
     def labels_of(self, cid: int) -> np.ndarray:
         """The row of ``rows`` over each point of the head of class cid."""
-        n = self.classes["n_labels"]
-        return self.labels[int(n[:cid].sum()):int(n[:cid + 1].sum())]
+        return self.labels[self._starts[cid]:self._starts[cid + 1]]
 
     def head_blocks(self, kind: str):
         """(head, class ids, their labels as rows) for each head of ``kind``,
         gathered from the flat labels (no ``np.unique``: numpy.ma import)."""
-        cols, n = self.classes, self.classes["n_labels"].astype(np.intp)
+        cols = self.classes
         of_kind = cols["kind"] == KINDS.index(kind)
         for h in sorted(set(cols["head"][of_kind].tolist())):
             ids = np.flatnonzero(of_kind & (cols["head"] == h))
-            yield h, ids, self.labels[(np.cumsum(n) - n)[ids][:, None]
-                                      + np.arange(n[ids[0]])]
+            yield h, ids, self.labels[self._starts[ids][:, None] + np.arange(
+                cols["n_labels"][ids[0]])]
 
     # -- construction -------------------------------------------------------
 
@@ -440,10 +441,6 @@ class ProductCatalog:
     def __len__(self):
         return len(self.classes)
 
-    def n_count(self, l: int, h: int) -> int:
-        """The number of conjugates of a class-h subgroup holding one of l."""
-        return self.column(h).get(l, 0)
-
     def column(self, h: int) -> dict[int, int]:
         """The nonzero n(l, h) by l, in increasing order, on first use: read
         off the K lattice under h = O(2) x K', else every candidate l of h
@@ -516,9 +513,6 @@ class ProductCatalog:
         hist = self._index()[2]
         return ls[(hist[ls] <= hist[h]).all(axis=1)]
 
-    def leq(self, l: int, h: int) -> bool:
-        return self.n_count(l, h) > 0
-
     def down_closure(self, h: int) -> tuple[int, ...]:
         """Classes subconjugate to class h."""
         return tuple(self.column(h))
@@ -564,9 +558,15 @@ def _binned(labels: np.ndarray, bins: np.ndarray,
             rowhist: np.ndarray) -> np.ndarray:
     """(m, bins, K-classes): for each of the m rows of ``labels``, the
     K-class counts ``rowhist`` of the row of each point summed by the bin
-    of the point."""
-    return np.einsum("bp,pmk->mbk", bins == np.arange(bins.max() + 1)[:, None],
-                     rowhist[labels.T], optimize=True)
+    of the point, one segment of the points sorted by bin per filled bin."""
+    order = np.argsort(bins, kind="stable")
+    sbins = bins[order]
+    starts = np.flatnonzero(np.r_[True, sbins[1:] != sbins[:-1]])
+    out = np.zeros((len(labels), sbins[-1] + 1, rowhist.shape[1]),
+                   dtype=rowhist.dtype)
+    out[:, sbins[starts]] = np.add.reduceat(rowhist[labels[:, order]], starts,
+                                            axis=1)
+    return out
 
 
 def _lex_ranks(a: np.ndarray) -> np.ndarray:

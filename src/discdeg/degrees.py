@@ -6,8 +6,11 @@ mark recurrence (``BurnsideRing.from_marks``)
 
     n_H = ( (-1)^{dim V^H} - sum_{(L) > (H)} n_L * n(H, L) * |W(L)| ) / |W(H)|
 
-over the orbit types of V together with the class of the full group.  For
-an irreducible V it is the basic degree, an involution: deg * deg = (G).
+over the classes with a nonzero fixed space in V together with the class
+of the full group.  The coefficients vanish off the orbit types by
+themselves, so none has to be found first, and the recurrence reads the
+column of a class only where its coefficient is nonzero.  For an
+irreducible V it is the basic degree, an involution: deg * deg = (G).
 Marks multiply, so a product of basic degrees is the degree on the sum of
 their reps: ``linear_degree`` needs one recurrence and no ring product.
 """
@@ -16,11 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+import numpy as np
+
 from .burnside import BurnsideElement, BurnsideRing
 from .catalog import ProductCatalog, cached_catalog, required_heads
 from .permgroup import (FiniteGroup, SubgroupClassTable, cyclic_group,
                         direct_product)
-from .reps import IrrDescriptor, RepContext, orbit_types
+from .reps import IrrDescriptor, RepContext
 
 
 @dataclass
@@ -63,10 +68,11 @@ def linear_degree(ring: BurnsideRing, ctx: RepContext,
                                         - set(cat.heads))):
             raise ValueError(f"{rep} needs catalog heads {missing}, missing "
                              f"from the heads {cat.heads}")
-    # the full class is an orbit type of the trivial rep; visit it once
-    domain = set(orbit_types(ctx, reps)) | {cat.full_cid}
-    return ring.element(ring.from_marks(domain, lambda h: -1 if sum(
-        ctx.fixed_dim(rep, h) for rep in reps) % 2 else 1))
+    dims = sum(map(ctx.fixed_dims, reps), np.zeros(len(cat), dtype=np.int64))
+    odd = (dims % 2).tolist()
+    # the full class is the orbit type of the origin
+    domain = set(np.flatnonzero(dims).tolist()) | {cat.full_cid}
+    return ring.element(ring.from_marks(domain, lambda h: 1 - 2 * odd[h]))
 
 
 def basic_degree(ring: BurnsideRing, ctx: RepContext,

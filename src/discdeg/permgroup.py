@@ -371,9 +371,10 @@ class SubgroupClassRecord:
 class SubgroupClassTable:
     """Conjugacy classes of subgroups of a finite group, with n-counts.
 
-    ``n_count(l, h)`` is the number of conjugates of a class-h subgroup
-    that contain a fixed class-l subgroup.  As a catalog does, it lists
-    ``names``, ``weyl_orders`` and ``sizes`` (orders) for the ring.
+    ``column(h)`` gives, by l, the number n(l, h) of conjugates of a
+    class-h subgroup that contain a fixed class-l subgroup, where nonzero.
+    As a catalog does, it lists ``names``, ``weyl_orders`` and ``sizes``
+    (orders) for the ring.
     """
 
     def __init__(self, G: FiniteGroup):
@@ -434,12 +435,6 @@ class SubgroupClassTable:
     @property
     def names(self) -> list[str]:
         return [r.name for r in self.classes]
-
-    def n_count(self, l: int, h: int) -> int:
-        return int(self.nk[l, h])
-
-    def leq(self, l: int, h: int) -> bool:
-        return self.n_count(l, h) > 0
 
     def cid_of(self, H: frozenset[Perm] | set[Perm]) -> int:
         return self.class_of[frozenset(H)]

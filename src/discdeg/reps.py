@@ -6,12 +6,18 @@ O(2) (m = 0 trivial), U_j the j-th irreducible of Gamma, and sign = -1
 tensors with the antipodal action of the central Z2.
 
 Fixed-point dimensions are computed by character averaging over each
-catalog class on its own head, for all classes of one head kind at once.
-The character of the rep is a product w(a) chi(k), and a class holds one
-coset of R, the row labels[a] of the catalog's table, over each point a
-of its head, so its dimension is the mean of w(a) (rows @ chi)[labels[a]]
-over the head points, divided by |R|.  Rotation characters are cosines,
-so the means are floats, each rounded under a strict integrality check.
+catalog class on its own head, for all classes of one head at once, and
+kept per rep as one integer array over the catalog.  The character of the
+rep is a product w(a) chi(k), and a class holds one coset of R, the row
+labels[a] of the catalog's table, over each point a of its head, so its
+dimension is the mean of w(a) (rows @ chi)[labels[a]] over the head
+points, divided by |R|.  Rotation characters are cosines, so the means
+are floats, each rounded under a strict integrality check.
+
+The maximal orbit types are found without the others: a generic vector
+of the fixed space of a class maximal among those with a nonzero fixed
+space has that class as its isotropy, and every orbit type lies below
+such a class.
 """
 from __future__ import annotations
 
@@ -51,27 +57,24 @@ class RepContext:
         self._gamma_part = [g[:d] for g in K.elements]
         self._z_sign = np.array([-1 if g[zoff] != zoff else 1
                                  for g in K.elements], dtype=np.int64)
-        self._kind_labels: dict[str, list] = {}
-        self._dim_cache: dict[tuple[IrrDescriptor, str], dict[int, int]] = {}
+        self._blocks: list | None = None
+        self._dims: dict[IrrDescriptor, np.ndarray] = {}
         self.basic_degrees: dict = {}    # by rep, kept by degrees.basic_degree
 
     def fixed_dim(self, rep: IrrDescriptor, cid: int) -> int:
-        kind = KINDS[self.catalog.classes["kind"][cid]]
-        return self.fixed_dims(rep, kind)[cid]
+        return int(self.fixed_dims(rep)[cid])
 
-    def fixed_dims(self, rep: IrrDescriptor, kind: str) -> dict[int, int]:
-        """dim of the fixed space of every class of ``kind``, by class id."""
-        key = (rep, kind)
-        if key in self._dim_cache:
-            return self._dim_cache[key]
-        if kind not in self._kind_labels:
-            self._kind_labels[kind] = [
-                (h, ids.tolist(), labels)
-                for h, ids, labels in self.catalog.head_blocks(kind)]
+    def fixed_dims(self, rep: IrrDescriptor) -> np.ndarray:
+        """dim of the fixed space of every class, by class id."""
+        if rep in self._dims:
+            return self._dims[rep]
+        if self._blocks is None:
+            self._blocks = [b for kind in KINDS
+                            for b in self.catalog.head_blocks(kind)]
         rows = self.catalog.rows
         c = rows @ self._chi(rep)
-        dims = {}
-        for h, ids, labels in self._kind_labels[kind]:
+        dims = np.zeros(len(self.catalog), dtype=np.int64)
+        for h, ids, labels in self._blocks:
             # W_m at each head point: 1 for m = 0; else 2 cos(2 pi m k / h)
             # at rotation k of D_h, 0 at reflections and on SO(2) and O(2)
             n = labels.shape[1]
@@ -84,9 +87,10 @@ class RepContext:
                 raise AssertionError(
                     f"fixed-point dimension {d[i]} not a nonneg integer for "
                     f"{rep} at {self.catalog.names[ids[i]]}")
-            dims.update(zip(ids, r.astype(int).tolist()))
-        self._dim_cache[key] = dict(sorted(dims.items()))
-        return self._dim_cache[key]
+            dims[ids] = r
+        dims.flags.writeable = False      # shared by every caller
+        self._dims[rep] = dims
+        return dims
 
     def _chi(self, rep: IrrDescriptor) -> np.ndarray:
         """The character of U_j^sign on the elements of K."""
@@ -119,30 +123,14 @@ class RepContext:
         return heads
 
 
-def orbit_types(ctx: RepContext, reps: list[IrrDescriptor]) -> list[int]:
-    """Classes arising as isotropy groups of nonzero vectors in ``reps``' sum.
-
-    A class U with nonzero fixed space fails to be an orbit type exactly
-    when some strictly larger class T has the same fixed-point dimension
-    (a finite union of proper subspaces cannot cover the fixed space), so
-    the orbit types are the maximal classes of each nonzero dimension.
-    For m >= 1 the candidates are dihedral-headed, for m = 0 only the full
-    products O(2) x K' can appear; a sum has the kinds of its reps.
-    """
-    dims: dict[int, int] = {}
-    for kind in {"O2" if rep.m == 0 else "D" for rep in reps}:
-        for rep in reps:
-            for cid, d in ctx.fixed_dims(rep, kind).items():
-                dims[cid] = dims.get(cid, 0) + d
-    return sorted(u for d in set(dims.values()) - {0} for u in _maximal(
-        ctx.catalog, [cid for cid, du in dims.items() if du == d]))
-
-
 def maximal_orbit_types_union(ctx: RepContext,
                               reps: list[IrrDescriptor]) -> list[int]:
-    """Maximal elements of the union of the orbit types of several reps."""
-    return _maximal(ctx.catalog, sorted(
-        set().union(*(orbit_types(ctx, [rep]) for rep in reps))))
+    """The maximal orbit types of the sum of ``reps``: the maximal classes,
+    of any kind, with a nonzero fixed space in some rep."""
+    fixed = np.zeros(len(ctx.catalog), dtype=bool)
+    for rep in reps:
+        fixed |= ctx.fixed_dims(rep) > 0
+    return _maximal(ctx.catalog, np.flatnonzero(fixed).tolist())
 
 
 def _maximal(cat: ProductCatalog, ots: list[int]) -> list[int]:

@@ -136,8 +136,8 @@ def test_brent_port_matches_scipy_brentq_bit_for_bit(monkeypatch):
     import discdeg.bessel as B
     port, calls = B._brentq, []
 
-    def both(f, a, b):
-        x = port(f, a, b)
+    def both(f, a, b, **ends):
+        x = port(f, a, b, **ends)
         assert x == brentq(f, a, b, xtol=1e-12), (a, b)
         calls.append(x)
         return x
@@ -147,3 +147,25 @@ def test_brent_port_matches_scipy_brentq_bit_for_bit(monkeypatch):
         B.bessel_zeros(m, 30.0)
         B.first_zero(m)
     assert len(calls) > 500
+
+
+def _untrimmed_levels(M, upper):
+    """The interlacing walk with every level carried to the end of the
+    working range and both ends of every bracket evaluated by Brent."""
+    import discdeg.bessel as B
+    levels = [B._zeros_j0(min(upper + B._TAIL + (math.pi + 1.0) * M,
+                              B.X_MAX))]
+    for mu in range(1, M + 1):
+        levels.append([B._brentq(lambda x: B.bessel_j(mu, x), a, b)
+                       for a, b in zip(levels[-1], levels[-1][1:])])
+    return [[z for z in zs if z <= upper] for zs in levels]
+
+
+@pytest.mark.parametrize("M, upper", [
+    (0, 10.0), (1, 3.0), (3, 11.0), (9, 57.537), (12, 30.0), (20, 26.0),
+    (33, 40.0), (64, 70.0)])
+def test_trimmed_walk_matches_the_untrimmed_walk_bit_for_bit(M, upper):
+    """Each level stopped at its first zero past the range the levels above
+    it need gives the same zeros, to the bit, as the whole walk."""
+    from discdeg.bessel import _zero_levels
+    assert _zero_levels(M, upper) == _untrimmed_levels(M, upper)

@@ -4,17 +4,18 @@ import random
 from collections import Counter
 from functools import reduce
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discdeg.burnside import BurnsideRing
-from discdeg.catalog import ProductCatalog, dihedral_quotient_orders
+from discdeg.catalog import KINDS, ProductCatalog, dihedral_quotient_orders
 from discdeg.degrees import (SpectralAssignment, basic_degree, gdeg_field,
                              gdeg_linear, linear_degree)
 from discdeg.permgroup import build_group, cyclic_group, direct_product
 from discdeg.reps import (IrrDescriptor, RepContext, _maximal,
-                          maximal_orbit_types_union, orbit_types)
+                          maximal_orbit_types_union)
 
 # the reps whose basic degrees drive the published worked example,
 # with their exponents in the linear degree product
@@ -156,15 +157,20 @@ def test_gdeg_linear_even_exponents_drop_out(cube_pipeline):
 
 
 def test_orbit_types_contain_full_fixed_classes(cube_pipeline):
-    """Every orbit type has nonzero fixed space; dominated ones are excluded
-    from the maximal list."""
-    ctx = cube_pipeline.ctx
+    """Every term of the basic degree off the full class, an orbit type, has
+    a nonzero fixed space; every class with one lies below a maximal orbit
+    type, which has one too; no maximal one lies below another."""
+    cat, ctx = cube_pipeline.catalog, cube_pipeline.ctx
     rep = IrrDescriptor(1, 4, -1)
-    ots = orbit_types(ctx, [rep])
-    for h in ots:
-        assert ctx.fixed_dim(rep, h) > 0
-    mots = set(maximal_orbit_types_union(ctx, [rep]))
-    assert mots <= set(ots)
+    dims = ctx.fixed_dims(rep)
+    terms = set(_deg(cube_pipeline, 1, 4).coeffs) - {cat.full_cid}
+    assert terms and all(dims[h] > 0 for h in terms)
+    mots = maximal_orbit_types_union(ctx, [rep])
+    assert all(dims[t] > 0 for t in mots)
+    for u in np.flatnonzero(dims).tolist():
+        assert any(u in cat.column(t) for t in mots), cat.names[u]
+    for t in mots:
+        assert not any(s != t and s in cat.column(t) for s in mots)
 
 
 # -- head-set consistency ------------------------------------------------------
@@ -255,5 +261,42 @@ def test_ordered_maximal_matches_the_definition(gamma, cube_pipeline):
         size = cat.sizes
         want = [u for u in ots if not any(
             t != u and size[t] > size[u] and size[t] % size[u] == 0
-            and cat.n_count(u, t) > 0 for t in ots)]
+            and u in cat.column(t) for t in ots)]
         assert _maximal(cat, ots) == want
+
+
+def _maxima(cat, ids):
+    """The classes of ``ids`` below no other one of ``ids``."""
+    return set(ids) - {u for t in ids for u in cat.column(t) if u != t}
+
+
+def _per_dimension_maxima(ctx, reps):
+    """The maxima of the union of each rep's orbit types, as they were first
+    defined: the maximal classes of each nonzero fixed-point dimension among
+    those of the rep's kind (O(2)-headed for m = 0, else D-headed)."""
+    cat, ots = ctx.catalog, set()
+    for rep in reps:
+        kind = KINDS.index("O2" if rep.m == 0 else "D")
+        dims = ctx.fixed_dims(rep)
+        of_kind = np.flatnonzero((cat.classes["kind"] == kind) & (dims > 0))
+        for d in set(dims[of_kind].tolist()):
+            ots |= _maxima(cat, of_kind[dims[of_kind] == d].tolist())
+    return sorted(_maxima(cat, ots))
+
+
+@pytest.mark.parametrize("gamma", ["S3", "S4"])
+def test_maximal_orbit_types_match_the_per_dimension_definition(
+        gamma, cube_pipeline):
+    """The maximal classes with a nonzero fixed space in some rep are the
+    maxima of the per-dimension orbit types, for every rep of modes 0-3
+    alone and for each mode's reps together."""
+    if gamma == "S4":
+        ctx = cube_pipeline.ctx
+    else:
+        ctx = _pipeline("S3", [12, 18])[1]
+    reps = [IrrDescriptor(m, j, s) for m in range(4)
+            for j in range(len(ctx.gamma_table.irreps)) for s in (-1, 1)]
+    for group in [[r] for r in reps] + [[r for r in reps if r.m == m]
+                                        for m in range(4)]:
+        assert (maximal_orbit_types_union(ctx, group)
+                == _per_dimension_maxima(ctx, group)), group

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 
+import numpy as np
 import pytest
 
 from discdeg import cli
@@ -389,6 +390,75 @@ def test_linear_degree_is_the_product_of_the_odd_basic_degrees(which,
     want = reduce(lambda x, r: x * basic_degree(pipe.ring, pipe.ctx, r), odd,
                   pipe.ring.one())
     assert gdeg_linear(pipe.ring, pipe.ctx, assign).coeffs == want.coeffs
+
+
+def _mark_mismatches(ctx, coeffs, reps) -> list[int]:
+    """The classes L of the whole catalog at which the element ``coeffs``
+    has a mark other than (-1)^{dim V^L}, V the sum of ``reps``."""
+    cat = ctx.catalog
+    marks = [0] * len(cat)
+    for h, v in coeffs.items():
+        for l, n in cat.column(h).items():
+            marks[l] += v * n * cat.weyl_orders[h]
+    dims = sum(map(ctx.fixed_dims, reps), np.zeros(len(cat), dtype=int))
+    return [l for l, (mk, d) in enumerate(zip(marks, dims.tolist()))
+            if mk != (-1) ** d]
+
+
+def _problem(which, tmp_path):
+    if which.startswith("cube"):
+        return cube_problem(int(which[4]), 1)
+    if which == "swap":
+        return cli._load_problem(SWAP)
+    return _seeded_problem(which[:2].upper(), int(which[3]), tmp_path)
+
+
+@pytest.mark.parametrize("which", [
+    "cube41", "cube61", "swap", "s2-1", "s2-2", "s3-1", "s3-2"])
+def test_every_degree_of_a_solve_has_its_marks_at_every_class(
+        which, tmp_path, monkeypatch):
+    """Each degree of -id a solve computes, the basic degrees and the linear
+    degree alike, has the mark (-1)^{dim V^L} at every class L of the
+    catalog, not only at the classes its recurrence visits."""
+    import discdeg.degrees as degrees
+    problem = _problem(which, tmp_path)
+    spec, modes, pipe = _solve_data(problem)
+    real, seen = degrees.linear_degree, []
+
+    def recorded(ring, ctx, reps):
+        seen.append((list(reps), real(ring, ctx, reps)))
+        return seen[-1][1]
+    monkeypatch.setattr(degrees, "linear_degree", recorded)
+    existence_report(problem, pipeline=pipe)
+    assert len(seen) >= 2
+    for reps, d in seen:
+        assert _mark_mismatches(pipe.ctx, d.coeffs, reps) == [], reps
+
+
+def test_the_mark_check_sees_a_class_dropped_from_the_domain(
+        cube41, cube_pipeline, monkeypatch):
+    """Dropping any one class with a nonzero coefficient from the domain of
+    the cube(4,1) linear degree's recurrence leaves a wrong mark, where the
+    recurrence does not refuse on a non-exact division first."""
+    from discdeg.burnside import BurnsideRing
+    from discdeg.degrees import linear_degree
+    ring, ctx = cube_pipeline.ring, cube_pipeline.ctx
+    spec = isotypic_spectrum(cube41)
+    reps = spectral_assignment(spec, ModeTable(max(
+        float(e.mu) for e in spec))).odd_reps()
+    coeffs = linear_degree(ring, ctx, reps).coeffs
+    assert _mark_mismatches(ctx, coeffs, reps) == []
+    real, seen = BurnsideRing.from_marks, 0
+    for drop in coeffs:
+        monkeypatch.setattr(BurnsideRing, "from_marks", lambda self, domain,
+                            mark: real(self, set(domain) - {drop}, mark))
+        try:
+            wrong = linear_degree(ring, ctx, reps).coeffs
+        except AssertionError:
+            continue
+        assert _mark_mismatches(ctx, wrong, reps), ctx.catalog.names[drop]
+        seen += 1
+    assert seen > 0
 
 
 def _class_counters_by_fold(spec, modes, ring, ctx, cid) -> ClassCounters:

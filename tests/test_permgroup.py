@@ -192,4 +192,4 @@ def test_n_count_oracle_s4(s4z2_table):
         conjs = {frozenset(pmul(pmul(g, x), pinv(g)) for x in H)
                  for g in G.elements}
         expected = sum(1 for c in conjs if L <= c)
-        assert s4z2_table.n_count(l, h) == expected
+        assert s4z2_table.column(h).get(l, 0) == expected
