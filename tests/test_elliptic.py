@@ -316,6 +316,15 @@ SWAP = os.path.join(os.path.dirname(__file__), "..", "examples_local",
                     "swap.json")
 
 
+def _problem(which, tmp_path):
+    """The cube(c,1), swap or seeded S2/S3 problem named ``which``."""
+    if which.startswith("cube"):
+        return cube_problem(int(which[4]), 1)
+    if which == "swap":
+        return cli._load_problem(SWAP)
+    return _seeded_problem(which[:2].upper(), int(which[3]), tmp_path)
+
+
 def _fraction_spectrum(problem):
     """The isotypic spectrum in Fraction arithmetic, projector by projector:
     the oracle of the integer ``isotypic_spectrum``."""
@@ -377,13 +386,7 @@ def test_linear_degree_is_the_product_of_the_odd_basic_degrees(which,
                                                                tmp_path):
     """gdeg_linear, one mark recurrence over the sum of the odd reps, equals
     the ring product of their basic degrees."""
-    if which.startswith("cube"):
-        problem = cube_problem(int(which[4]), 1)
-    elif which == "swap":
-        problem = cli._load_problem(SWAP)
-    else:
-        problem = _seeded_problem(which[:2].upper(), int(which[3]), tmp_path)
-    spec, modes, pipe = _solve_data(problem)
+    spec, modes, pipe = _solve_data(_problem(which, tmp_path))
     assign = spectral_assignment(spec, modes)
     odd = assign.odd_reps()
     assert odd
@@ -403,14 +406,6 @@ def _mark_mismatches(ctx, coeffs, reps) -> list[int]:
     dims = sum(map(ctx.fixed_dims, reps), np.zeros(len(cat), dtype=int))
     return [l for l, (mk, d) in enumerate(zip(marks, dims.tolist()))
             if mk != (-1) ** d]
-
-
-def _problem(which, tmp_path):
-    if which.startswith("cube"):
-        return cube_problem(int(which[4]), 1)
-    if which == "swap":
-        return cli._load_problem(SWAP)
-    return _seeded_problem(which[:2].upper(), int(which[3]), tmp_path)
 
 
 @pytest.mark.parametrize("which", [
