@@ -77,15 +77,14 @@ def _miller(m: int, x: float) -> list[float]:
     return [v / norm for v in out]
 
 
-def _brentq(f, xa: float, xb: float, xtol: float = 1e-12,
-            rtol: float = 4 * sys.float_info.epsilon, maxiter: int = 100,
-            fa: float | None = None, fb: float | None = None):
+def _brentq(f, xa: float, xb: float, *, fa: float, fb: float,
+            xtol: float = 1e-12, rtol: float = 4 * sys.float_info.epsilon,
+            maxiter: int = 100):
     """A zero of f in [xa, xb], where f changes sign, by Brent's method:
     inverse quadratic or secant steps, bisection when they are too long.
-    ``fa`` and ``fb``, when given, are f(xa) and f(xb)."""
+    ``fa`` and ``fb`` are f(xa) and f(xb), which every caller has already."""
     xpre, xcur, xblk, spre, scur = xa, xb, 0.0, 0.0, 0.0
-    fpre = f(xpre) if fa is None else fa
-    fcur, fblk = f(xcur) if fb is None else fb, 0.0
+    fpre, fcur, fblk = fa, fb, 0.0
     if fpre == 0 or fcur == 0:
         return xpre if fpre == 0 else xcur
     if (fpre < 0) == (fcur < 0):
@@ -128,7 +127,8 @@ def _zeros_j0(upper: float) -> list[float]:
         x1 = min(x0 + _SCAN_STEP, upper)
         f1 = bessel_j(0, x1)
         if f0 * f1 < 0.0:
-            zeros.append(_brentq(lambda x: bessel_j(0, x), x0, x1))
+            zeros.append(_brentq(lambda x: bessel_j(0, x), x0, x1,
+                                 fa=f0, fb=f1))
         x0, f0 = x1, f1
     return zeros
 
@@ -183,13 +183,14 @@ def first_zero(m: int) -> float:
     c = m ** (1.0 / 3.0)
     est = m + 1.8557571 * c + 1.0331504 / c - 0.00397 / m
     a, b = est - 0.5, est + 0.5
-    certified = bessel_j(m, a) > 0.0 > bessel_j(m, b)
+    fa, fb = bessel_j(m, a), bessel_j(m, b)
+    certified = fa > 0.0 > fb
     x = watson_lower(m)
     while certified and x < a:
         certified = bessel_j(m, x) > 0.0
         x += 0.4
     if certified:
-        return _brentq(lambda x: bessel_j(m, x), a, b)
+        return _brentq(lambda x: bessel_j(m, x), a, b, fa=fa, fb=fb)
     return bessel_zeros(m, min(b + 1.0, X_MAX))[0]   # interlacing fallback
 
 

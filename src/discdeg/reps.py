@@ -61,9 +61,6 @@ class RepContext:
         self._dims: dict[IrrDescriptor, np.ndarray] = {}
         self.basic_degrees: dict = {}    # by rep, kept by degrees.basic_degree
 
-    def fixed_dim(self, rep: IrrDescriptor, cid: int) -> int:
-        return int(self.fixed_dims(rep)[cid])
-
     def fixed_dims(self, rep: IrrDescriptor) -> np.ndarray:
         """dim of the fixed space of every class, by class id."""
         if rep in self._dims:

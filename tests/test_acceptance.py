@@ -280,7 +280,7 @@ def test_criterion_10_truncation_agreement(cube_pipeline):
             stack = np.vstack([mats[g] - np.eye(dim) for g in A])
             _, s, vh = np.linalg.svd(stack)
             null = vh[np.concatenate([s, np.zeros(dim - len(s))]) < 1e-8]
-            assert null.shape[0] == ctx.fixed_dim(rep, cid)
+            assert null.shape[0] == ctx.fixed_dims(rep)[cid]
             v = null.T @ nprng.standard_normal(null.shape[0])
             stab = {g for g in m.elements
                     if np.allclose(mats[g] @ v, v, atol=1e-8)}

@@ -151,12 +151,13 @@ def test_brent_port_matches_scipy_brentq_bit_for_bit(monkeypatch):
 
 def _untrimmed_levels(M, upper):
     """The interlacing walk with every level carried to the end of the
-    working range and both ends of every bracket evaluated by Brent."""
+    working range and both ends of every bracket evaluated afresh."""
     import discdeg.bessel as B
     levels = [B._zeros_j0(min(upper + B._TAIL + (math.pi + 1.0) * M,
                               B.X_MAX))]
     for mu in range(1, M + 1):
-        levels.append([B._brentq(lambda x: B.bessel_j(mu, x), a, b)
+        f = (lambda x: B.bessel_j(mu, x))
+        levels.append([B._brentq(f, a, b, fa=f(a), fb=f(b))
                        for a, b in zip(levels[-1], levels[-1][1:])])
     return [[z for z in zs if z <= upper] for zs in levels]
 

@@ -383,7 +383,7 @@ def test_generators_and_counts_match_brute_force(heads):
                     d = sum(w[o2] * chi[k] for o2, k in zip(*np.nonzero(
                         cat.rows[grid_rowid(cat, cid)]))) / cat.sizes[cid]
                     assert abs(d - round(d)) < 1e-9, (rep, cat.names[cid])
-                    assert ctx.fixed_dim(rep, cid) == round(d), (rep, cid)
+                    assert ctx.fixed_dims(rep)[cid] == round(d), (rep, cid)
     # Weyl orders of the O(2)- and SO(2)-headed classes, from K alone
     def normalizer(S):
         return {g for g in K.elements

@@ -109,7 +109,7 @@ def test_basic_degree_maximal_coefficient_formula(cube_pipeline):
         d = _deg(cube_pipeline, m, j)
         rep = IrrDescriptor(m, j, -1)
         for h in maximal_orbit_types_union(ctx, [rep]):
-            dim = ctx.fixed_dim(rep, h)
+            dim = int(ctx.fixed_dims(rep)[h])
             w = cat.weyl_orders[h]
             if dim % 2 == 0:
                 x = 0
@@ -128,7 +128,7 @@ def _qualifying_pairs(pipe):
             shared = set(maximal_orbit_types_union(ctx, [r1])) & \
                 set(maximal_orbit_types_union(ctx, [r2]))
             for h in shared:
-                if ctx.fixed_dim(r1, h) % 2 and ctx.fixed_dim(r2, h) % 2:
+                if ctx.fixed_dims(r1)[h] % 2 and ctx.fixed_dims(r2)[h] % 2:
                     yield r1, r2, h
 
 

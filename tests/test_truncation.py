@@ -280,7 +280,7 @@ def test_orbit_types_realized_by_stabilizers(cube_pipeline, m_mode, j):
         stack = np.vstack([mats[g] - np.eye(dim) for g in A])
         _, s, vh = np.linalg.svd(stack)
         null = vh[np.concatenate([s, np.zeros(dim - len(s))]) < 1e-8]
-        assert null.shape[0] == ctx.fixed_dim(rep, cid), cat.names[cid]
+        assert null.shape[0] == ctx.fixed_dims(rep)[cid], cat.names[cid]
         assert null.shape[0] > 0, cat.names[cid]
         # generic fixed vector: stabilizer inside G24 equals the avatar
         v = null.T @ rng.standard_normal(null.shape[0])
