@@ -168,32 +168,6 @@ def _zero_levels(M: int, upper: float) -> list[list[float]]:
     return [[z for z in zs if z <= upper] for zs in levels]
 
 
-def first_zero(m: int) -> float:
-    """s_1m to 1e-10, via an asymptotic bracket verified by sign change.
-
-    Olver's expansion j_{m,1} = m + 1.8557571 m^{1/3} + 1.0331504 m^{-1/3}
-    - ... locates the first zero to well under 0.5 for m >= 1.  The
-    bracket is certified: J_m > 0 strictly below its first zero and < 0
-    strictly between the first two (which are at least 3 apart), so a
-    positive scan at step 0.4 from the Watson bound up to the bracket
-    rules out any earlier zero.
-    """
-    if m == 0:
-        return bessel_zeros(0, 3.0)[0]
-    c = m ** (1.0 / 3.0)
-    est = m + 1.8557571 * c + 1.0331504 / c - 0.00397 / m
-    a, b = est - 0.5, est + 0.5
-    fa, fb = bessel_j(m, a), bessel_j(m, b)
-    certified = fa > 0.0 > fb
-    x = watson_lower(m)
-    while certified and x < a:
-        certified = bessel_j(m, x) > 0.0
-        x += 0.4
-    if certified:
-        return _brentq(lambda x: bessel_j(m, x), a, b, fa=fa, fb=fb)
-    return bessel_zeros(m, min(b + 1.0, X_MAX))[0]   # interlacing fallback
-
-
 def watson_lower(m: int) -> float:
     """Classical lower bound for the first zero: s_1m > sqrt(m(m+2))."""
     return math.sqrt(m * (m + 2))
@@ -229,9 +203,6 @@ class ModeTable:
                     kept = n
             self.counts[m] = kept
 
-    def s(self, n: int, m: int) -> float:
-        return self.zeros[(n, m)]
-
     def count_below(self, m: int, mu: float) -> int:
         """The counter n_m(mu): how many n have s_nm < mu."""
         if mu > self.mu_max:
@@ -240,8 +211,3 @@ class ModeTable:
             return 0
         return sum(1 for (n, mm), z in self.zeros.items()
                    if mm == m and z < mu)
-
-    def nearest(self, mu: float) -> tuple[int, int, float]:
-        """(n, m, s_nm) minimizing |s_nm - mu| over the stored zeros."""
-        (n, m), z = min(self.zeros.items(), key=lambda kv: abs(kv[1] - mu))
-        return n, m, z

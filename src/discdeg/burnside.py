@@ -23,15 +23,17 @@ than the plain normalizer quotient only whole-element products of marks
 of honest elements are guaranteed integral.
 
 The numbers n(L, H) * |W(H)| are the table of marks of the lattice.  The
-lattice, a ``SubgroupClassTable`` or a ``ProductCatalog``, provides by
-class id the lists ``names``, ``weyl_orders`` and ``sizes`` (Python ints:
-no mark product wraps at 2^63), ``by_name``, ``column(h)`` (the nonzero
-n(l, h) by l), ``down_closure(h)``, ``full_cid`` (class of the whole group,
-the ring identity) and, for ``fold``, ``fold_class(cid, nu)``.  The ring
-reads whole columns.  The product catalog counts a column on first use,
-all its candidates L in one pass over the group elements that conjugate a
-few generators of L into H, and keeps it for the process; nothing is
-precomputed when a catalog is loaded.
+lattice, a ``SubgroupClassTable`` or a ``ProductCatalog``, numbers its
+classes with ids that ascend with size, so a class comes after its proper
+subgroups, and provides by class id the lists ``names`` and
+``weyl_orders`` (Python ints: no mark product wraps at 2^63), ``by_name``,
+``column(h)`` (the nonzero n(l, h) by l, whose keys are the down-closure
+of h), ``full_cid`` (class of the whole group, the ring identity) and, for
+``fold``, ``fold_class(cid, nu)``.  The ring reads whole columns.  The
+product catalog counts a column on first use, all its candidates L in one
+pass over the group elements that conjugate a few generators of L into H,
+and keeps it for the process; nothing is precomputed when a catalog is
+loaded.
 """
 from __future__ import annotations
 
@@ -138,8 +140,7 @@ class BurnsideRing:
         lat = self.lattice
         m: dict[int, int] = {}
         above: dict[int, int] = {}      # l -> the sum over the L' found
-        for l in sorted(domain, key=lambda l: (lat.sizes[l], l),
-                        reverse=True):
+        for l in sorted(domain, reverse=True):
             acc = mark(l) - above.get(l, 0)
             w = lat.weyl_orders[l]
             if acc % w:
@@ -163,8 +164,7 @@ class BurnsideRing:
                 for c, v in coeffs.items():
                     out[c] = out.get(c, 0) + _check64(scale * v)
         # the product's support lies in the common down-closure
-        da, db = (set().union(*map(self.lattice.down_closure, x))
-                  for x in (a, b))
+        da, db = (set().union(*map(self.lattice.column, x)) for x in (a, b))
         for c, v in self.from_marks(
                 da & db, lambda l: self.mark(a, l) * self.mark(b, l)).items():
             out[c] = out.get(c, 0) + _check64(v)

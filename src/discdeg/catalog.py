@@ -74,12 +74,16 @@ row of the integers COLUMNS per class, ``labels`` and ``kgens`` hold the
 labels and the K side of the generators of each class in turn, and each
 takes the smallest dtype that holds it.  The O(2) side of the generators
 is fixed by P, head and kind (``_o2_gens``).  The stored state (the
-attributes STORED) is these, K and its subgroup table, the heads, P,
-``rows``, ``rotation_rows`` and the names as one string.  A load and a
-build both end in ``_register``, which checks that the columns fit and
-makes ``by_name`` and the lists ``names``, ``weyl_orders`` and ``sizes``
-that the ring reads, of Python ints that never wrap.  Grid models,
-histograms and padded generators are rebuilt per process, never stored.
+attributes STORED) is these, the heads, P, ``rows``, ``rotation_rows``,
+the K-lattice counts ``nk`` and the names as one string: arrays, ints and
+strings only, no group and no subgroup table.  K's subgroup table is read
+only while a catalog is built, and ``cached_catalog``, which loads every
+stored catalog, gives it the K its cache key names.  A load and a build
+both end in ``_register``, which checks that the columns fit and makes
+``by_name`` and the lists ``names`` and ``weyl_orders`` that the ring
+reads, of Python ints that never wrap.  Class ids ascend with size, so
+the ring orders classes by id.  Grid models, histograms and padded
+generators are rebuilt per process, never stored.
 """
 from __future__ import annotations
 
@@ -101,8 +105,8 @@ KINDS = ("D", "O2", "O2amalg", "SO2")   # sorted: codes order as names do
 COLUMNS = ("kind", "head", "kp_cid", "bucket", "size", "weyl_order",
            "normalizer_weyl_order", "n_model", "glue_step", "glue_iso",
            "n_labels", "n_gens")
-STORED = ("K", "ktable", "heads", "P", "rows", "rotation_rows", "full_cid",
-          "classes", "labels", "kgens", "names")
+STORED = ("heads", "P", "rows", "rotation_rows", "full_cid", "classes",
+          "labels", "kgens", "nk", "names")
 
 
 def _dihedral_isos(mul: np.ndarray, q: int):
@@ -186,12 +190,13 @@ class ProductCatalog:
             raise ValueError("head set must be divisor-closed")
         self.heads = heads
         self.K = K
-        self.ktable = ktable if ktable is not None else SubgroupClassTable(K)
-        if not any(r.name for r in self.ktable.classes):
-            name_subgroup_classes(self.ktable)
+        ktable = ktable if ktable is not None else SubgroupClassTable(K)
+        if not any(r.name for r in ktable.classes):
+            name_subgroup_classes(ktable)
         self.P = P
+        self.nk = _small(ktable.nk)
         self._ncount, self._models = {}, {}
-        self._build()
+        self._build(ktable)
 
     def __getstate__(self):
         """The stored state: the attributes STORED, names as one string."""
@@ -199,15 +204,16 @@ class ProductCatalog:
             "names": "\n".join(self.names)}
 
     def __setstate__(self, state):
-        """Set the stored state; the per-process memos start empty."""
+        """Set the stored state; the per-process memos start empty.  K is
+        not stored: ``cached_catalog`` sets it."""
         self.__dict__.update({k: state[k] for k in STORED if k != "names"})
         self._ncount, self._models = {}, {}
         self._register(state["names"])
 
     def _register(self, names: str):
         """Check that the columns fit ``names``, one a line, and make the
-        lists ``names``, ``weyl_orders`` and ``sizes`` and ``by_name``; no
-        loop runs over the classes (see the module notes)."""
+        lists ``names`` and ``weyl_orders`` and ``by_name``; no loop runs
+        over the classes (see the module notes)."""
         self.names, cols = names.split("\n"), self.classes
         if (cols.dtype.names != COLUMNS or len(cols) != len(self.names)
                 or cols["n_labels"].sum() != len(self.labels)
@@ -215,7 +221,6 @@ class ProductCatalog:
             raise ValueError(f"stored catalog columns do not fit its "
                              f"{len(self.names)} classes")
         self.weyl_orders = cols["weyl_order"].tolist()
-        self.sizes = cols["size"].tolist()
         self.by_name = dict(zip(self.names, range(len(self.names))))
         # where the labels of each class start in ``labels``, then the end
         self._starts = np.r_[0, np.cumsum(cols["n_labels"], dtype=np.intp)]
@@ -237,10 +242,10 @@ class ProductCatalog:
 
     # -- construction -------------------------------------------------------
 
-    def _build(self):
-        """Every gluing of every step on every head, in blocks of records
-        (see the module notes), for ``_dedupe_and_register``."""
-        steps, kmul = gluing_steps(self.ktable), self.K._tables()[0]
+    def _build(self, ktable: SubgroupClassTable):
+        """Every gluing of every step of ``ktable`` on every head, in blocks
+        of records (see the module notes), for ``_dedupe_and_register``."""
+        steps, kmul = gluing_steps(ktable), self.K._tables()[0]
         korder = _element_orders(kmul)
         quo = np.array([len(cosets) for _, _, cosets, _, _ in steps])
         base = np.cumsum(quo) - quo + 1                       # row 0: empty
@@ -257,7 +262,7 @@ class ProductCatalog:
             for rot, ref, j in gl:
                 glue.setdefault(len(rot), []).append(
                     (base[i] + rot, base[i] + ref, i, j))
-            rname = self.ktable.classes[self.ktable._cid[r]].name
+            rname = ktable.classes[ktable._cid[r]].name
             rname = f"^{{{rname}}}" if rname not in ("", "Z1") else ""
             lname = "Z2" if quo[i] == 2 else f"D{quo[i] // 2}"
             tails.append(f" x {kp.name}" if quo[i] == 1
@@ -326,7 +331,8 @@ class ProductCatalog:
                         + np.c_[head > 1, np.maximum(head, 1)]]
         kgens = np.c_[np.argmax(self.rows, axis=1)[points], r_gens[step]][has]
         rec["n_gens"] = has.sum(axis=1)
-        self._dedupe_and_register(rec, labels, kgens, np.array(tails))
+        self._dedupe_and_register(rec, labels, kgens, np.array(tails),
+                                  ktable)
 
     def _on_grid(self, head: int, labels: np.ndarray) -> np.ndarray:
         """The row ids of the classes with ``labels`` (..., labels) on
@@ -361,10 +367,11 @@ class ProductCatalog:
                              self.labels_of(cid))
 
     def _dedupe_and_register(self, rec: dict, labels: np.ndarray,
-                             kgens: np.ndarray, tails: np.ndarray):
+                             kgens: np.ndarray, tails: np.ndarray,
+                             ktable: SubgroupClassTable):
         """Keep one record of each class, in the class order, and write the
         columns, from columns over the records, their labels and K-side
-        generators in turn, and the name tail of each step."""
+        generators in turn, the name tail of each step and K's table."""
         head, step, iso, ngens, start = (rec[f] for f in (
             "head", "glue_step", "glue_iso", "n_gens", "start"))
         pads = _pad(np.stack([_o2_gens(self.P, rec["kind"], head, ngens),
@@ -433,7 +440,7 @@ class ProductCatalog:
         names = np.where(k > 0, reduce(np.char.add, (
             names, " ~", (k + 1).astype(str))), names).tolist()
         self.full_cid = names.index(
-            f"O(2) x {self.ktable.classes[self.ktable.full_cid].name}")
+            f"O(2) x {ktable.classes[ktable.full_cid].name}")
         self._register("\n".join(names))
 
     # -- lattice queries -----------------------------------------------------
@@ -469,8 +476,9 @@ class ProductCatalog:
     def _index(self):
         """Per-process columns over all classes, built on first query:
         (nk, class columns, element histograms, padded generators, their
-        lengths).  ``nk`` is the K table's (``SubgroupClassTable.nk``).  The
-        class columns are size, D-headed, head, bucket and K-projection.
+        lengths).  ``nk`` is the stored K-lattice counts
+        (``SubgroupClassTable.nk``).  The class columns are size, D-headed,
+        head, bucket and K-projection.
         The histogram of a D-headed class counts its elements by (reflection
         bit, rotation order, K-class) over its head (``_dihedral_bins``)."""
         if self._cols is None:
@@ -490,7 +498,7 @@ class ProductCatalog:
             ngens = self.classes["n_gens"].astype(np.int64)
             gens = np.stack([_o2_gens(self.P, self.classes["kind"], head,
                                       ngens), self.kgens.astype(np.intp)])
-            self._cols = (self.ktable.nk, cols, hist.reshape(n, -1),
+            self._cols = (self.nk, cols, hist.reshape(n, -1),
                           _pad(gens, ngens), ngens)
         return self._cols
 
@@ -512,10 +520,6 @@ class ProductCatalog:
         so a conjugate of l inside h needs no more."""
         hist = self._index()[2]
         return ls[(hist[ls] <= hist[h]).all(axis=1)]
-
-    def down_closure(self, h: int) -> tuple[int, ...]:
-        """Classes subconjugate to class h."""
-        return tuple(self.column(h))
 
     # -- folding -------------------------------------------------------------
 
@@ -631,9 +635,12 @@ def cached_catalog(K: FiniteGroup, heads: list[int], cache,
     ``cache(tag, build)`` returns the object stored under ``tag``, or
     builds, stores and returns it.  The tag names the group and the head
     set, so every caller asking for the same catalog shares one entry.
-    ``make_ktable``, when given, returns a subgroup table of K already
-    built, for use on a cache miss.
+    A stored catalog holds no group, so the one returned is given K, the
+    group its tag names.  ``make_ktable``, when given, returns a subgroup
+    table of K already built, for use on a cache miss.
     """
     heads = sorted(set(heads))
-    return cache(f"catalog|{K.name}|{heads}", lambda: ProductCatalog(
+    cat = cache(f"catalog|{K.name}|{heads}", lambda: ProductCatalog(
         K, heads, ktable=make_ktable() if make_ktable else None))
+    cat.K = K
+    return cat

@@ -17,8 +17,8 @@ from pickle import UnpicklingError   # perfbench/tracer.py swaps out `pickle`
 
 SCHEMA = 1
 CACHE_ENV = "DISCDEG_CACHE_DIR"
-# format 11: the catalog's classes stored as one structured array, no views
-CACHE_FORMAT = 11
+# format 12: a catalog stores its own columns and K-lattice counts, no group
+CACHE_FORMAT = 12
 
 
 class Refusal(Exception):

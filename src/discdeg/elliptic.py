@@ -250,7 +250,7 @@ def spectrum_summary(spec: list[IsotypicEigenvalue]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# conditions (D) and (3.1)
+# condition (D)
 
 def _collisions(spec: list[IsotypicEigenvalue], modes: ModeTable):
     """(n, m, mu) for each positive eigenvalue mu within D_GUARD of s_nm,
@@ -276,13 +276,6 @@ def resonant_set(spec: list[IsotypicEigenvalue],
                  modes: ModeTable) -> set[int]:
     """Modes m admitting an eigenvalue collision (the set C)."""
     return {m for _, m, _ in _collisions(spec, modes)}
-
-
-def check_s3_1(resonant: set[int], l: int) -> bool:
-    """True iff no odd multiple of l is resonant."""
-    if l < 1:
-        raise ValueError("l must be a positive integer")
-    return not any(m % (2 * l) == l for m in resonant)
 
 
 # ---------------------------------------------------------------------------

@@ -373,8 +373,8 @@ class SubgroupClassTable:
 
     ``column(h)`` gives, by l, the number n(l, h) of conjugates of a
     class-h subgroup that contain a fixed class-l subgroup, where nonzero.
-    As a catalog does, it lists ``names``, ``weyl_orders`` and ``sizes``
-    (orders) for the ring.
+    As a catalog does, it lists ``names`` and ``weyl_orders`` for the ring,
+    and its class ids ascend with order.
     """
 
     def __init__(self, G: FiniteGroup):
@@ -396,7 +396,6 @@ class SubgroupClassTable:
         subs = [frozenset(G.elements[i] for i in H.tolist())
                 for H, _ in lattice]
         self.classes: list[SubgroupClassRecord] = []
-        self.class_of: dict[frozenset[Perm], int] = {}
         for cid, orbit in enumerate(orbits):
             nz = G.order // len(orbit)  # |N(H)| by orbit-stabilizer
             rep = subs[orbit[0]]
@@ -404,14 +403,8 @@ class SubgroupClassTable:
                 cid=cid, representative=rep, order=len(rep),
                 normalizer_order=nz, weyl_order=nz // len(rep),
                 members=[subs[q] for q in orbit]))
-            self.class_of.update(dict.fromkeys(self.classes[-1].members, cid))
         self._rep = [orbit[0] for orbit in orbits]   # position of each rep
         self.subgroups = subs
-
-    def __getstate__(self):
-        """The pickled state: all but what is built per process."""
-        return {k: v for k, v in self.__dict__.items()
-                if k not in ("nk", "sizes", "weyl_orders")}
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -425,19 +418,12 @@ class SubgroupClassTable:
                                          == np.arange(len(self)))
 
     @cached_property
-    def sizes(self) -> list[int]:
-        return [r.order for r in self.classes]
-
-    @cached_property
     def weyl_orders(self) -> list[int]:
         return [r.weyl_order for r in self.classes]
 
     @property
     def names(self) -> list[str]:
         return [r.name for r in self.classes]
-
-    def cid_of(self, H: frozenset[Perm] | set[Perm]) -> int:
-        return self.class_of[frozenset(H)]
 
     @property
     def full_cid(self) -> int:
@@ -451,9 +437,6 @@ class SubgroupClassTable:
         """The nonzero n(l, h) by l, in increasing order."""
         ls = np.flatnonzero(self.nk[:, h])
         return dict(zip(ls.tolist(), self.nk[ls, h].tolist()))
-
-    def down_closure(self, h: int) -> list[int]:
-        return list(self.column(h))
 
     def normal_subgroups_of(self, H: frozenset[Perm]) -> list[frozenset[Perm]]:
         mask = np.zeros(self.group.order, dtype=bool)

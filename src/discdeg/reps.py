@@ -131,10 +131,11 @@ def maximal_orbit_types_union(ctx: RepContext,
 
 
 def _maximal(cat: ProductCatalog, ots: list[int]) -> list[int]:
-    """The classes of ``ots`` below no other, from the largest down: one below
-    some class of ``ots`` is below a maximal one, larger and kept before."""
+    """The classes of ``ots`` below no other, from the largest down (ids
+    ascend with size): one below some class of ``ots`` is below a maximal
+    one, larger and kept before."""
     kept: list[int] = []
-    for u in sorted(ots, key=cat.sizes.__getitem__, reverse=True):
+    for u in sorted(ots, reverse=True):
         if not any(u in cat.column(t) for t in kept):
             kept.append(u)
     return sorted(kept)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from discdeg.bessel import ModeTable, bessel_j, bessel_zeros, first_zero
+from discdeg.bessel import ModeTable, bessel_j, bessel_zeros
 from discdeg.burnside import BurnsideRing
 from discdeg.characters import character_table, isotypic_multiplicities
 from discdeg.degrees import basic_degree
@@ -80,9 +80,10 @@ def test_criterion_3_bessel_table():
         zs = bessel_zeros(m, want + 1.0)
         assert len(zs) >= n
         assert abs(zs[n - 1] - want) <= 5e-5, (n, m)
-    for m in range(51):
-        assert first_zero(m) > (m * (m + 2)) ** 0.5
     assert time.perf_counter() - t0 < 1.0
+    t = ModeTable(57.2)                 # first zeros up to j_{50,1} = 57.12
+    for m in range(51):
+        assert t.zeros[(1, m)] > (m * (m + 2)) ** 0.5
 
 
 # 4 ---------------------------------------------------------------------------
@@ -256,7 +257,7 @@ def test_criterion_10_truncation_agreement(cube_pipeline):
             for b in probe:
                 assert m.mul(a, b) in A
     # n-counts against conjugate counting
-    big = [c for c in cids if cat.sizes[c] >= 8]
+    big = [c for c in cids if cat.classes["size"][c] >= 8]
     orbits = {}
     done = 0
     while done < 15:

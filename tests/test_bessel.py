@@ -7,8 +7,7 @@ import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discdeg.bessel import (ModeTable, bessel_j, bessel_zeros, first_zero,
-                            watson_lower)
+from discdeg.bessel import ModeTable, bessel_j, bessel_zeros, watson_lower
 
 # the published 4-decimal table of s_nm for n = 1..5, m = 0..5
 ZERO_TABLE = {
@@ -76,15 +75,11 @@ def test_zero_table_matches_reference_values():
 
 
 def test_watson_bound_sweep():
-    t0 = time.time()
+    """s_1m > sqrt(m(m+2)) for m <= 50, on the first zeros of one table
+    walk (j_{50,1} = 57.12)."""
+    t = ModeTable(57.2)
     for m in range(51):
-        assert first_zero(m) > watson_lower(m) == math.sqrt(m * (m + 2))
-    assert time.time() - t0 < 1.0
-
-
-def test_first_zero_matches_scipy():
-    for m in (0, 1, 2, 7, 23, 50):
-        assert first_zero(m) == pytest.approx(sp.jn_zeros(m, 1)[0], abs=1e-10)
+        assert t.zeros[(1, m)] > watson_lower(m) == math.sqrt(m * (m + 2))
 
 
 @settings(max_examples=30, deadline=None)
@@ -107,7 +102,7 @@ def test_mode_table_cube():
     assert t.max_mode == 7            # sqrt(7*9) = 7.94 >= 7; sqrt(6*8) < 7
     assert {m: t.counts[m] for m in range(8)} == {
         0: 2, 1: 1, 2: 1, 3: 1, 4: 0, 5: 0, 6: 0, 7: 0}
-    assert t.s(1, 0) == pytest.approx(2.4048, abs=5e-5)
+    assert t.zeros[(1, 0)] == pytest.approx(2.4048, abs=5e-5)
     assert t.count_below(0, 7.0) == 2
     assert t.count_below(1, 1.0) == 0
 
@@ -120,13 +115,6 @@ def test_mode_table_walks_the_levels_once(mu):
     upper = mu + 4.0
     assert t.zeros == {(n, m): z for m in range(t.max_mode + 1)
                        for n, z in enumerate(bessel_zeros(m, upper), 1)}
-
-
-def test_mode_table_nearest():
-    t = ModeTable(7.0)
-    n, m, s = t.nearest(2.404)
-    assert (n, m) == (1, 0)
-    assert s == pytest.approx(2.40482555769577, abs=1e-10)
 
 
 def test_brent_port_matches_scipy_brentq_bit_for_bit(monkeypatch):
@@ -145,7 +133,6 @@ def test_brent_port_matches_scipy_brentq_bit_for_bit(monkeypatch):
     monkeypatch.setattr(B, "_brentq", both)
     for m in range(12):
         B.bessel_zeros(m, 30.0)
-        B.first_zero(m)
     assert len(calls) > 500
 
 

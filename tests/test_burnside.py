@@ -34,6 +34,7 @@ def _orbit_product_coeffs(G, table, h_cid, k_cid):
     H = table.classes[h_cid].representative
     K = table.classes[k_cid].representative
     ch, ck = _cosets(G, H), _cosets(G, K)
+    class_of = {S: r.cid for r in table.classes for S in r.members}
     idx_h = {c: i for i, c in enumerate(ch)}
     idx_k = {c: i for i, c in enumerate(ck)}
     act_h = {g: [idx_h[frozenset(pmul(g, x) for x in c)] for c in ch]
@@ -56,7 +57,7 @@ def _orbit_product_coeffs(G, table, h_cid, k_cid):
         unseen -= orbit
         stab = frozenset(g for g in G.elements
                          if act_h[g][i0] == i0 and act_k[g][j0] == j0)
-        cid = table.cid_of(stab)
+        cid = class_of[stab]
         coeffs[cid] = coeffs.get(cid, 0) + 1
     return coeffs
 

@@ -16,8 +16,9 @@ from discdeg import catalog, cli
 from discdeg.catalog import ProductCatalog
 from discdeg.elliptic import fold_family_name
 from discdeg.o2model import O2Model
-from discdeg.permgroup import (build_group, cyclic_group, direct_product,
-                               pidentity, pinv, pmul, symmetric_group)
+from discdeg.permgroup import (SubgroupClassTable, build_group, cyclic_group,
+                               direct_product, pidentity, pinv, pmul,
+                               symmetric_group)
 from discdeg.reps import IrrDescriptor, RepContext
 
 # the 33 subgroup class names of S4 x Z2, as published
@@ -72,9 +73,9 @@ def test_leq_is_partial_order_sample(cube_pipeline):
                 assert a == b
     # transitivity along known chains
     for b in cids[:12]:
-        below = cat.down_closure(b)
+        below = tuple(cat.column(b))
         for a in below[:12]:
-            for c in cat.down_closure(a)[:12]:
+            for c in tuple(cat.column(a))[:12]:
                 assert c in cat.column(b)
 
 
@@ -87,7 +88,7 @@ def test_ncount_consistency_with_leq(cube_pipeline):
         h = rng.randrange(len(cat.classes))
         n = cat.column(h).get(l, 0)
         assert n >= 0
-        assert (n > 0) == (l in cat.down_closure(h))
+        assert (n > 0) == (l in tuple(cat.column(h)))
 
 
 def test_fold_identity_is_trivial(cube_pipeline):
@@ -100,13 +101,14 @@ def test_fold_identity_is_trivial(cube_pipeline):
 def test_fold_head_multiplies(cube_pipeline):
     cat = cube_pipeline.catalog
     head = cat.classes["head"].tolist()     # 0 unless D-headed
+    size = cat.classes["size"].tolist()
     for cid, h in enumerate(head):
         if not h or h * 3 not in cat.heads:
             continue
         out = cat.fold_class(cid, 3)
         assert head[out] == h * 3
         # kernel grows by the fold factor
-        assert cat.sizes[out] == 3 * cat.sizes[cid]
+        assert size[out] == 3 * size[cid]
 
 
 def test_fold_composes(cube_pipeline):
@@ -211,29 +213,37 @@ def test_stored_catalog_matches_golden_digests(group, heads, request,
     """A catalog stored through the cache and loaded back from its columns
     has the golden digests too."""
     cat, want = _golden_catalog(group, heads, request)
-    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
-    assert cli._cached("catalog", lambda: cat) is cat
-    loaded = cli._cached("catalog", lambda: pytest.fail("rebuilt"))
+    loaded = _stored_and_loaded(cat, tmp_path, monkeypatch)
     assert loaded is not cat and catalog_digests(loaded) == want
+
+
+def _stored_and_loaded(cat, cache_dir, monkeypatch):
+    """``cat`` stored through the catalog cache in ``cache_dir``, and the
+    catalog that ``cached_catalog`` loads back from the file."""
+    monkeypatch.setenv(cli.CACHE_ENV, str(cache_dir))
+
+    def through(build):
+        return lambda tag, _: cli._cached(tag, build)
+    K, heads = cat.K, cat.heads
+    assert catalog.cached_catalog(K, heads, through(lambda: cat)) is cat
+    return catalog.cached_catalog(K, heads,
+                                  through(lambda: pytest.fail("rebuilt")))
 
 
 def test_lists_the_ring_reads_are_plain_and_survive_the_cache(
         cube_pipeline, tmp_path, monkeypatch):
     """What the benchmark and the ring read: a row of ``classes`` per class
-    and P, and the lists ``names``, ``weyl_orders`` and ``sizes`` of str
-    and int (numpy integers would wrap at 2^63 in the exact marks); the
-    same on a freshly built cube catalog and on one loaded back through
-    the cache."""
+    and P, and the lists ``names`` and ``weyl_orders`` of str and int
+    (numpy integers would wrap at 2^63 in the exact marks); the same on a
+    freshly built cube catalog and on one loaded back through the cache."""
     fresh = cube_pipeline.catalog
-    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
-    assert cli._cached("catalog", lambda: fresh) is fresh
-    loaded = cli._cached("catalog", lambda: pytest.fail("rebuilt"))
+    loaded = _stored_and_loaded(fresh, tmp_path, monkeypatch)
     for cat in (fresh, loaded):
         assert len(cat.classes) == len(cat) == 1919 and cat.P == 144
         assert all(type(x) is str for x in cat.names)
-        assert all(type(x) is int for x in cat.weyl_orders + cat.sizes)
+        assert all(type(x) is int for x in cat.weyl_orders)
     assert loaded is not fresh
-    for f in ("names", "weyl_orders", "sizes"):
+    for f in ("names", "weyl_orders"):
         assert getattr(loaded, f) == getattr(fresh, f), f
 
 
@@ -250,16 +260,87 @@ def _count_arrays(obj) -> int:
     return len(seen)
 
 
-def test_stored_state_is_a_few_flat_columns(cube_pipeline):
+def test_stored_state_is_a_few_flat_columns(cube_pipeline, s4z2_table):
     """The stored cube-heads catalog holds as many arrays as one on fewer
-    heads of the same K, whatever its class count, and pickles to under
-    400,000 bytes."""
+    heads of the same K, whatever its class count, and pickles to at most
+    180,000 bytes."""
     cat = cube_pipeline.catalog
-    small = ProductCatalog(cat.K, [1, 2], ktable=cat.ktable)
+    small = ProductCatalog(cat.K, [1, 2], ktable=s4z2_table)
     assert len(small) < len(cat) == 1919
     assert _count_arrays(cat.__getstate__()) == _count_arrays(
         small.__getstate__())
-    assert len(pickle.dumps(cat)) < 400_000
+    assert len(pickle.dumps(cat)) <= 180_000
+
+
+def _not_plain(x) -> list:
+    """The parts of ``x`` that are neither an ndarray (of no Python
+    objects), a str or an int, nor a list or dict of those."""
+    if type(x) is dict:
+        return [p for kv in x.items() for v in kv for p in _not_plain(v)]
+    if type(x) is list:
+        return [p for v in x for p in _not_plain(v)]
+    plain = type(x) in (str, int) or (type(x) is np.ndarray
+                                      and not x.dtype.hasobject)
+    return [] if plain else [x]
+
+
+@GOLDEN_CATALOGS
+def test_stored_state_is_the_catalogs_own_columns(group, heads, request,
+                                                  tmp_path, monkeypatch):
+    """The stored state holds only arrays, strings and ints, and lists and
+    dicts of those: no group, no subgroup table and no frozenset, on a
+    fresh catalog and on one loaded back.  The file names no class but
+    numpy's and the catalog's, and the catalog ``cached_catalog`` loads
+    is given the K its cache key names."""
+    cat, _ = _golden_catalog(group, heads, request)
+    loaded = _stored_and_loaded(cat, tmp_path, monkeypatch)
+    assert loaded is not cat and loaded.K is cat.K
+    for c in (cat, loaded):
+        state = c.__getstate__()
+        assert tuple(state) == catalog.STORED
+        assert _not_plain(state) == []
+    found = set()
+
+    class Classes(pickle.Unpickler):
+        def find_class(self, module, name):
+            found.add((module.partition(".")[0], name))
+            return super().find_class(module, name)
+    [path] = tmp_path.iterdir()
+    with open(path, "rb") as fh:
+        Classes(fh).load()
+    assert {m for m, _ in found} == {"numpy", "discdeg"}
+    assert {n for m, n in found if m == "discdeg"} == {"ProductCatalog"}
+
+
+def test_stored_layout_is_pinned_to_its_cache_format():
+    """A stored catalog is read back only under the CACHE_FORMAT it was
+    written with, so a change to its attributes or columns must come with
+    a new format; this pins the three together."""
+    assert (cli.CACHE_FORMAT, catalog.STORED, catalog.COLUMNS) == (
+        12, ("heads", "P", "rows", "rotation_rows", "full_cid", "classes",
+             "labels", "kgens", "nk", "names"),
+        ("kind", "head", "kp_cid", "bucket", "size", "weyl_order",
+         "normalizer_weyl_order", "n_model", "glue_step", "glue_iso",
+         "n_labels", "n_gens"))
+
+
+@GOLDEN_CATALOGS
+def test_class_ids_ascend_with_size(group, heads, request):
+    """The ring walks classes by id as it would by size: ids ascend with
+    size in every golden catalog and in the subgroup table of its K."""
+    cat, _ = _golden_catalog(group, heads, request)
+    assert (np.diff(cat.classes["size"].astype(np.int64)) >= 0).all()
+    orders = [r.order for r in SubgroupClassTable(cat.K).classes]
+    assert orders == sorted(orders)
+
+
+@pytest.mark.parametrize("gamma", ["D4", "A4"])
+def test_subgroup_class_ids_ascend_with_order(gamma):
+    """Class ids ascend with order in the subgroup tables of D4 x Z2 and
+    A4 x Z2 too."""
+    K = direct_product(build_group(gamma), cyclic_group(2))
+    orders = [r.order for r in SubgroupClassTable(K).classes]
+    assert orders == sorted(orders)
 
 
 def test_divisor_closure_required():
@@ -303,12 +384,13 @@ def test_generators_and_counts_match_brute_force(heads):
     distinct conjugates of H containing L and n_model = |N(H)|, all counted
     element by element in the grid model D_P x K."""
     K = direct_product(symmetric_group(3), cyclic_group(2))
-    cat = ProductCatalog(K, heads)
+    ktable = SubgroupClassTable(K)
+    cat = ProductCatalog(K, heads, ktable=ktable)
     P = cat.P
     assert set(kinds(cat)) == {"D", "SO2", "O2", "O2amalg"}
     cids = range(len(cat))
-    head, kp_cid, n_model = (cat.classes[f].tolist()
-                             for f in ("head", "kp_cid", "n_model"))
+    head, kp_cid, n_model, size = (cat.classes[f].tolist() for f in (
+        "head", "kp_cid", "n_model", "size"))
     G = [(o2, k) for o2 in range(2 * P) for k in K.elements]
 
     def mul(x, y):
@@ -321,7 +403,7 @@ def test_generators_and_counts_match_brute_force(heads):
     elems = [frozenset((int(o2), K.elements[k]) for o2, k in
                        zip(*np.nonzero(cat.rows[grid_rowid(cat, cid)])))
              for cid in cids]
-    assert [len(E) for E in elems] == cat.sizes
+    assert [len(E) for E in elems] == size
     conjugates = []
     for cid, E in enumerate(elems):
         gens = [(int(o2), K.elements[k])
@@ -340,7 +422,7 @@ def test_generators_and_counts_match_brute_force(heads):
             assert cat.column(h).get(l, 0) == sum(
                 1 for H in Hs if L <= H), (l, h)
     for h, Hs in enumerate(conjugates):
-        assert cat.down_closure(h) == tuple(
+        assert tuple(cat.column(h)) == tuple(
             l for l, L in enumerate(elems) if any(L <= H for H in Hs)), h
     # fold family names: the O(2)-side kernel, the grid points paired with
     # the identity of K, is Z_z (D_z with reflections), written Zzm or Dzm
@@ -381,7 +463,7 @@ def test_generators_and_counts_match_brute_force(heads):
                 rep = IrrDescriptor(m, j, sign)
                 for cid in cids:
                     d = sum(w[o2] * chi[k] for o2, k in zip(*np.nonzero(
-                        cat.rows[grid_rowid(cat, cid)]))) / cat.sizes[cid]
+                        cat.rows[grid_rowid(cat, cid)]))) / size[cid]
                     assert abs(d - round(d)) < 1e-9, (rep, cat.names[cid])
                     assert ctx.fixed_dims(rep)[cid] == round(d), (rep, cid)
     # Weyl orders of the O(2)- and SO(2)-headed classes, from K alone
@@ -389,7 +471,7 @@ def test_generators_and_counts_match_brute_force(heads):
         return {g for g in K.elements
                 if {pmul(pmul(g, s), pinv(g)) for s in S} == S}
     for cid, (kind, w) in enumerate(zip(kinds(cat), cat.weyl_orders)):
-        kp = cat.ktable.classes[kp_cid[cid]]
+        kp = ktable.classes[kp_cid[cid]]
         if kind == "O2":
             assert w == kp.weyl_order, cat.names[cid]
         elif kind == "SO2":
@@ -435,10 +517,10 @@ def test_generators_close_to_each_class(which, request):
 def test_stored_catalog_answers_queries_with_fresh_memos():
     """Memos are per process: a loaded catalog starts them empty, also when
     its stored state holds no memo attributes, and the stored state holds
-    no grid model."""
+    no grid model.  Each is given K, as ``cached_catalog`` does."""
     K = direct_product(symmetric_group(3), cyclic_group(2))
     cat = ProductCatalog(K, [1, 2])
-    want = [cat.down_closure(h) for h in range(len(cat))]
+    want = [tuple(cat.column(h)) for h in range(len(cat))]
     stored = pickle.dumps(cat)
     assert b"O2Model" not in stored
     loaded = pickle.loads(stored)
@@ -448,7 +530,8 @@ def test_stored_catalog_answers_queries_with_fresh_memos():
     bare = ProductCatalog.__new__(ProductCatalog)
     bare.__setstate__(cat.__getstate__())
     for c in (loaded, bare):
-        assert [c.down_closure(h) for h in range(len(cat))] == want
+        c.K = K
+        assert [tuple(c.column(h)) for h in range(len(cat))] == want
 
 
 @pytest.mark.parametrize("which", ["S4*Z2 cube heads", "S3*Z2 heads 1,2,3,6"])
@@ -521,7 +604,7 @@ def test_o2_columns_are_read_off_the_k_lattice(which, request):
             direct_product(symmetric_group(3), cyclic_group(2)), [1, 2, 3, 6])
     pads, ngens = cat._index()[3:]
     o2 = [h for h, kind in enumerate(kinds(cat)) if kind == "O2"]
-    assert len(o2) == len(cat.ktable)
+    assert len(o2) == len(cat.nk)
     for h in o2:
         ls = np.flatnonzero(cat._candidates(h))
         n = cat._count(pads[:, ls, :ngens[ls].max()], 0,

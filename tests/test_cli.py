@@ -555,7 +555,8 @@ def test_unreadable_cache_file_exits_2_naming_it(garble, tmp_path,
 
 @pytest.mark.parametrize("column, garble, why", [
     ("labels", lambda a: a[:-1], "columns do not fit"),
-    ("names", None, "'names'")], ids=["label-dropped", "names-missing"])
+    ("names", None, "'names'"), ("nk", None, "'nk'")],
+    ids=["label-dropped", "names-missing", "nk-missing"])
 def test_stored_catalog_whose_columns_do_not_fit_exits_2(
         column, garble, why, tmp_path, monkeypatch, capsys):
     """A stored catalog state with one label dropped, or with a column

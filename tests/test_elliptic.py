@@ -12,8 +12,8 @@ from discdeg import cli
 from discdeg.bessel import ModeTable
 from discdeg.degrees import basic_degree, build_context, gdeg_linear
 from discdeg.elliptic import (ClassCounters, CouplingProblem, GrowthMeta,
-                              check_condition_D, check_s3_1,
-                              class_counters, cube_action, cube_matrix,
+                              check_condition_D, class_counters,
+                              cube_action, cube_matrix,
                               cube_problem, existence_report,
                               isotypic_spectrum, m_counter, n_counter,
                               resonant_set, spectral_assignment,
@@ -132,17 +132,10 @@ def test_condition_D_vacuous_for_negative_spectrum(cube41_modes):
     assert ok
 
 
-def test_resonant_set_and_s3_1():
+def test_resonant_set():
     planted2 = [_fake_eig(5.135622301840683, m=2)]   # first zero of J_2
     modes = ModeTable(6.0)
-    C = resonant_set(planted2, modes)
-    assert C == {2}
-    assert check_s3_1(C, 1)          # odd multiples of 1 miss 2
-    assert not check_s3_1({3}, 3)    # 3 is an odd multiple of 3
-    assert check_s3_1({3}, 2)
-    assert check_s3_1(set(), 5)
-    with pytest.raises(ValueError):
-        check_s3_1(set(), 0)
+    assert resonant_set(planted2, modes) == {2}
 
 
 def _fake_eig(mu, m=0):
@@ -409,7 +402,7 @@ def _mark_mismatches(ctx, coeffs, reps) -> list[int]:
 
 
 @pytest.mark.parametrize("which", [
-    "cube41", "cube61", "swap", "s2-1", "s2-2", "s3-1", "s3-2"])
+    "cube41", "cube61", "cube81", "swap", "s2-1", "s2-2", "s3-1", "s3-2"])
 def test_every_degree_of_a_solve_has_its_marks_at_every_class(
         which, tmp_path, monkeypatch):
     """Each degree of -id a solve computes, the basic degrees and the linear

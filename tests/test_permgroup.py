@@ -168,7 +168,7 @@ def test_subgroup_table_invariants_s4z2(s4z2_table):
         assert G.order % rec.order == 0                       # Lagrange
         assert rec.normalizer_order % rec.order == 0
         assert rec.weyl_order == rec.normalizer_order // rec.order
-        assert s4z2_table.sizes[rec.cid] == rec.order
+        assert s4z2_table.classes[rec.cid] is rec
         assert s4z2_table.weyl_orders[rec.cid] == rec.weyl_order
         assert s4z2_table.names[rec.cid] == rec.name
         assert len(rec.members) == G.order // rec.normalizer_order

@@ -74,7 +74,7 @@ def avatar(cat, cid):
         f, t = (1, o2 - cat.P) if o2 >= cat.P else (0, o2)
         assert t % step == 0, "class does not live on the D24 subgrid"
         out.add((f, t // step, int(k)))
-    assert len(out) == cat.sizes[cid]
+    assert len(out) == cat.classes["size"][cid]
     return frozenset(out)
 
 
@@ -122,14 +122,15 @@ def test_avatars_are_subgroups(cube_pipeline):
                 assert m.mul(a, b) in A, cat.names[cid]
 
 
-def test_avatar_order_matches_goursat_count(cube_pipeline):
+def test_avatar_order_matches_goursat_count(cube_pipeline, s4z2_table):
     """|U| = 2h * |K'| / |L|: the class size equals head times kernel size."""
     cat = cube_pipeline.catalog
     for cid in random.Random(3).sample(d24_classes(cat), 40):
-        head, kp_cid = cat.classes[["head", "kp_cid"]][cid].item()
-        kp = cat.ktable.classes[kp_cid]
+        head, kp_cid, size = cat.classes[["head", "kp_cid", "size"]][
+            cid].item()
+        kp = s4z2_table.classes[kp_cid]
         r = int(cat.rows[grid_rowid(cat, cid)[0]].sum())        # |R|
-        assert cat.sizes[cid] == 2 * head * kp.order // (kp.order // r)
+        assert size == 2 * head * kp.order // (kp.order // r)
 
 
 # -- conjugacy: distinct classes stay distinct ---------------------------------
@@ -166,7 +167,7 @@ def test_n_count_matches_brute_force(cube_pipeline):
     cids = d24_classes(cat)
     # bias the sample toward comparable pairs; keep the orbit sizes small by
     # preferring larger subgroups H
-    big = [c for c in cids if cat.sizes[c] >= 8]
+    big = [c for c in cids if cat.classes["size"][c] >= 8]
     checked_pos = checked_zero = 0
     orbits = {}
     while checked_pos < 25 or checked_zero < 10:
