@@ -124,7 +124,9 @@ def _validate_orthogonality(t: CharacterTable) -> None:
 
 
 def fixed_dim(table: CharacterTable, irrep: int, subgroup) -> int:
-    """dim of the fixed-point space of a subgroup in the given irrep."""
+    """dim of the fixed-point space of a subgroup in the given irrep, by
+    averaging the character over its elements: the independent oracle of
+    ``reps.RepContext.fixed_dims``."""
     total = sum(table.value(irrep, h) for h in subgroup)
     d = Fraction(total, len(subgroup))
     if d.denominator != 1:

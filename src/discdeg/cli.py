@@ -206,6 +206,15 @@ def _is_list_of(x, kind) -> bool:
     return isinstance(x, list) and all(isinstance(v, kind) for v in x)
 
 
+def _number(v, what: str) -> Fraction:
+    """``v`` as an exact rational, or a malformed-file error naming it."""
+    try:
+        return Fraction(str(v))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"malformed problem file: {what} {v!r} is not a "
+                         "finite rational number") from None
+
+
 def _load_problem(path: str):
     from dataclasses import fields
     from .elliptic import CouplingProblem, GrowthMeta, cube_problem
@@ -220,9 +229,8 @@ def _load_problem(path: str):
     growth = GrowthMeta(**growth)
     if "cube" in doc:
         _require(isinstance(doc["cube"], dict), "cube must be an object")
-        c = Fraction(str(doc["cube"]["c"]))
-        d = Fraction(str(doc["cube"]["d"]))
-        return cube_problem(c, d, growth)
+        return cube_problem(_number(doc["cube"]["c"], "cube c"),
+                            _number(doc["cube"]["d"], "cube d"), growth)
     _require(isinstance(doc["group"], str), "group must be a string")
     gamma = _build_group(doc["group"])
     _require(_is_list_of(doc["action_generators"], list)
@@ -235,7 +243,8 @@ def _load_problem(path: str):
         raise ValueError("action_generators must match the group generators")
     action = _extend_action(gamma, gens)
     _require(_is_list_of(doc["matrix"], list), "matrix must be a list of rows")
-    matrix = [[Fraction(str(v)) for v in row] for row in doc["matrix"]]
+    matrix = [[_number(v, "matrix entry") for v in row]
+              for row in doc["matrix"]]
     return CouplingProblem(gamma=gamma, action=action, matrix=matrix,
                            growth=growth)
 

@@ -16,7 +16,7 @@ their reps: ``linear_degree`` needs one recurrence and no ring product.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -77,39 +77,5 @@ def linear_degree(ring: BurnsideRing, ctx: RepContext,
 
 def basic_degree(ring: BurnsideRing, ctx: RepContext,
                  rep: IrrDescriptor) -> BurnsideElement:
-    """The basic degree of ``rep``, computed once per rep on ``ctx``."""
-    if rep not in ctx.basic_degrees:
-        ctx.basic_degrees[rep] = linear_degree(ring, ctx, [rep])
-    return ctx.basic_degrees[rep]
-
-
-@dataclass
-class SpectralAssignment:
-    """Which basic degrees enter a linearization, with multiplicities.
-
-    ``exponents`` maps an irreducible (m, j, sign) to the total number of
-    negative eigenvalues of the linearization on the isotypic component
-    modeled on it.  Only the parity matters: each basic degree squares to
-    the identity.
-    """
-    exponents: dict[IrrDescriptor, int] = field(default_factory=dict)
-
-    def add(self, rep: IrrDescriptor, count: int) -> None:
-        if count:
-            self.exponents[rep] = self.exponents.get(rep, 0) + count
-
-    def odd_reps(self) -> list[IrrDescriptor]:
-        return sorted(r for r, e in self.exponents.items() if e % 2)
-
-
-def gdeg_linear(ring: BurnsideRing, ctx: RepContext,
-                assignment: SpectralAssignment) -> BurnsideElement:
-    """Degree of the linearized map: product of odd-multiplicity basic degrees."""
-    return linear_degree(ring, ctx, assignment.odd_reps())
-
-
-def gdeg_field(ring: BurnsideRing, ctx: RepContext,
-               assignment: SpectralAssignment) -> BurnsideElement:
-    """Degree of the full (nonlinear) field on the admissible annulus:
-    identity minus the linearized degree at the origin."""
-    return ring.one() - gdeg_linear(ring, ctx, assignment)
+    """The basic degree of ``rep``: the degree of -id on it alone."""
+    return linear_degree(ring, ctx, [rep])

@@ -7,7 +7,8 @@ the Dirichlet spectrum s_nm of the disc; the resulting negative-spectrum
 counters pick the basic degrees of odd multiplicity, whose product in the
 Burnside ring of O(2) x Gamma x Z2 is one degree of -id (see degrees), and
 the final expansion is read off for guaranteed non-radial and radial
-solution orbit types; the fold counters read mode-1 basic degrees only.
+solution orbit types; the fold counters read the parities of mode-1
+fixed-point dimensions only.
 """
 from __future__ import annotations
 
@@ -19,11 +20,10 @@ from functools import lru_cache
 import numpy as np
 
 from .bessel import ModeTable
-from .burnside import BurnsideElement, BurnsideRing
+from .burnside import BurnsideElement
 from .catalog import ProductCatalog
 from .characters import isotypic_multiplicities
-from .degrees import (PipelineContext, SpectralAssignment, basic_degree,
-                      build_context, gdeg_field)
+from .degrees import PipelineContext, build_context, linear_degree
 from .permgroup import (FiniteGroup, Perm, closure, pidentity,
                         symmetric_group)
 from .reps import IrrDescriptor, RepContext, maximal_orbit_types_union
@@ -200,8 +200,7 @@ class IsotypicEigenvalue:
     dim: int               # dim V_j
 
 
-def isotypic_spectrum(problem: CouplingProblem,
-                      ctx_table=None) -> list[IsotypicEigenvalue]:
+def isotypic_spectrum(problem: CouplingProblem) -> list[IsotypicEigenvalue]:
     """Eigenvalue mu_j of A on each nonzero isotypic component of V.
 
     The projector P_j = (deg chi_j / |Gamma|) S_j, S_j = sum_g chi_j(g)
@@ -212,7 +211,7 @@ def isotypic_spectrum(problem: CouplingProblem,
     """
     from .characters import character_table
     G, k = problem.gamma, problem.dim
-    table = ctx_table or character_table(G)
+    table = character_table(G)
     D = math.lcm(*(Fraction(v).denominator for r in problem.matrix for v in r))
     A = [[int(Fraction(v) * D) for v in row] for row in problem.matrix]
     mults = isotypic_multiplicities(table, problem.permutation_character())
@@ -252,30 +251,20 @@ def spectrum_summary(spec: list[IsotypicEigenvalue]) -> dict:
 # ---------------------------------------------------------------------------
 # condition (D)
 
-def _collisions(spec: list[IsotypicEigenvalue], modes: ModeTable):
+def collisions(spec: list[IsotypicEigenvalue], modes: ModeTable) -> list:
     """(n, m, mu) for each positive eigenvalue mu within D_GUARD of s_nm,
-    eigenvalue by eigenvalue; the table must cover every such mu."""
+    eigenvalue by eigenvalue; the table must cover every such mu.
+    Condition (D) holds iff there is none; their modes m are the set C."""
+    out = []
     for e in spec:
         mu = float(e.mu)
         if mu <= 0:
             continue
         if mu > modes.mu_max:
             raise ValueError("mode table does not cover the spectrum")
-        yield from ((n, m, e.mu) for (n, m), z in modes.zeros.items()
-                    if abs(z - mu) <= D_GUARD)
-
-
-def check_condition_D(spec: list[IsotypicEigenvalue],
-                      modes: ModeTable) -> tuple[bool, tuple | None]:
-    """True iff every positive eigenvalue clears every s_nm by D_GUARD."""
-    witness = next(_collisions(spec, modes), None)
-    return witness is None, witness
-
-
-def resonant_set(spec: list[IsotypicEigenvalue],
-                 modes: ModeTable) -> set[int]:
-    """Modes m admitting an eigenvalue collision (the set C)."""
-    return {m for _, m, _ in _collisions(spec, modes)}
+        out += [(n, m, e.mu) for (n, m), z in modes.zeros.items()
+                if abs(z - mu) <= D_GUARD]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +292,19 @@ class ClassCounters:
     nu0: int | None                   # max nu with m(H_nu) odd, if any
 
 
-def class_counters(spec, modes, ring: BurnsideRing, ctx: RepContext,
-                   cid: int) -> ClassCounters:
+def class_counters(spec, modes, ctx: RepContext, cid: int) -> ClassCounters:
     """m(H_nu): n_nu(mu_j) m_j summed over the j whose mode-nu basic degree
     has a term at Psi_nu(H), i.e. whose mode-1 one has a term at H, as
-    Psi_nu maps the one onto the other and is injective on classes."""
-    m_of = {nu: sum(n_counter(modes, nu, e.mu) * e.mult for e in spec
-                    if n_counter(modes, nu, e.mu) and basic_degree(
-                        ring, ctx, IrrDescriptor(1, e.j, -1)).coeff(cid))
+    Psi_nu maps the one onto the other and is injective on classes.
+
+    H is a maximal mode-1 orbit type, so in the basic degree of
+    V = W_1 (x) U_j- the only class above H with a coefficient is the full
+    class, with coefficient 1, and the recurrence gives the coefficient
+    ((-1)^{dim V^H} - 1) / |W(H)| at H: nonzero exactly when dim V^H is
+    odd."""
+    odd = [e for e in spec
+           if ctx.fixed_dims(IrrDescriptor(1, e.j, -1))[cid] % 2]
+    m_of = {nu: sum(n_counter(modes, nu, e.mu) * e.mult for e in odd)
             for nu in range(1, modes.max_mode + 1)}
     odd = [v for v, t in m_of.items() if t % 2]
     return ClassCounters(cid=cid, name=ctx.catalog.names[cid],
@@ -322,7 +316,6 @@ def class_counters(spec, modes, ring: BurnsideRing, ctx: RepContext,
 
 @dataclass
 class NonRadialFamily:
-    base_cid: int
     base_name: str
     nu0: int
     family_name: str       # fold-parameter form, e.g. "D6m^{Zm} x_{D6} D3p"
@@ -337,7 +330,6 @@ class DegreeReport:
     resonant: set[int]
     spectrum: list[IsotypicEigenvalue]
     mode_counts: dict[int, int]          # m -> m_m of the mode counter
-    maximal_mode1: list[int]             # cids of M_1
     counters: list[ClassCounters]
     degree: BurnsideElement | None
     non_radial: list[NonRadialFamily]
@@ -364,13 +356,13 @@ def fold_family_name(cat: ProductCatalog, cid: int) -> str:
     return f"D{head}m^{{{kern}}} x_{rest}"
 
 
-def spectral_assignment(spec, modes) -> SpectralAssignment:
-    assign = SpectralAssignment()
-    for e in spec:      # no s_nm lies below an eigenvalue mu <= 0
-        for m in range(modes.max_mode + 1):
-            assign.add(IrrDescriptor(m, e.j, -1),
-                       n_counter(modes, m, e.mu) * e.mult)
-    return assign
+def odd_reps(spec, modes) -> list[IrrDescriptor]:
+    """The reps W_m (x) U_j- with n_m(mu_j) m_j odd, in order: only they
+    survive in the degree, as each basic degree squares to the identity.
+    No s_nm lies below an eigenvalue mu <= 0."""
+    return sorted(IrrDescriptor(m, e.j, -1) for e in spec
+                  for m in range(modes.max_mode + 1)
+                  if n_counter(modes, m, e.mu) * e.mult % 2)
 
 
 def existence_report(problem: CouplingProblem,
@@ -388,14 +380,13 @@ def existence_report(problem: CouplingProblem,
     if max_mode is not None and max_mode < modes.max_mode:
         raise ValueError(
             f"max-mode override {max_mode} below required {modes.max_mode}")
-    ok, witness = (check_condition_D(spec, modes) if mu_max > 0
-                   else (True, None))
-    resonant = resonant_set(spec, modes) if mu_max > 0 else set()
-    if not ok or mu_max == 0.0:
-        return DegreeReport(condition_D=ok, condition_D_witness=witness,
+    found = collisions(spec, modes)
+    resonant = {m for _, m, _ in found}
+    if found or mu_max == 0.0:
+        return DegreeReport(condition_D=not found,
+                            condition_D_witness=found[0] if found else None,
                             resonant=resonant, spectrum=spec, mode_counts={},
-                            maximal_mode1=[], counters=[], degree=None,
-                            non_radial=[], radial=[])
+                            counters=[], degree=None, non_radial=[], radial=[])
 
     if pipeline is None:
         pipeline = build_context(problem.gamma, modes, cache=cache)
@@ -403,12 +394,13 @@ def existence_report(problem: CouplingProblem,
 
     mode_counts = {m: m_counter(spec, modes, m)
                    for m in range(modes.max_mode + 1)}
-    assign = spectral_assignment(spec, modes)
-    gdeg = gdeg_field(ring, ctx, assign)
+    odd = odd_reps(spec, modes)
+    # the field's degree on the annulus: (G) minus that of the linearization
+    gdeg = ring.one() - linear_degree(ring, ctx, odd)
 
     m1 = maximal_orbit_types_union(
         ctx, [IrrDescriptor(1, e.j, -1) for e in spec])
-    counters = [class_counters(spec, modes, ring, ctx, cid) for cid in m1]
+    counters = [class_counters(spec, modes, ctx, cid) for cid in m1]
 
     non_radial = []
     for cc in counters:
@@ -416,7 +408,7 @@ def existence_report(problem: CouplingProblem,
             continue
         h0 = cat.fold_class(cc.cid, cc.nu0)
         non_radial.append(NonRadialFamily(
-            base_cid=cc.cid, base_name=cc.name, nu0=cc.nu0,
+            base_name=cc.name, nu0=cc.nu0,
             family_name=fold_family_name(cat, cc.cid),
             witness_cid=h0, witness_coeff=gdeg.coeff(h0)))
         if non_radial[-1].witness_coeff == 0:
@@ -426,12 +418,11 @@ def existence_report(problem: CouplingProblem,
 
     # only reps with odd multiplicity survive in the degree product, so the
     # radial candidates are the maximal orbit types of the odd mode-0 reps
-    odd0 = [r for r in assign.odd_reps() if r.m == 0]
+    odd0 = [r for r in odd if r.m == 0]
     radial = [(cid, cat.names[cid], gdeg.coeff(cid)) for cid
               in maximal_orbit_types_union(ctx, odd0) if gdeg.coeff(cid)]
 
     return DegreeReport(condition_D=True, condition_D_witness=None,
                         resonant=resonant, spectrum=spec,
-                        mode_counts=mode_counts, maximal_mode1=m1,
-                        counters=counters, degree=gdeg,
-                        non_radial=non_radial, radial=radial)
+                        mode_counts=mode_counts, counters=counters,
+                        degree=gdeg, non_radial=non_radial, radial=radial)

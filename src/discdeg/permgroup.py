@@ -13,11 +13,11 @@ Lattice work runs on element indices instead.  A group of order at most
 vector and the conjugation table ``conj[g, x]`` (g x g^-1).  A subgroup
 is a sorted index array or a boolean mask over the elements; ``<H, g>``
 is closed coset by coset (Dimino's method), and the conjugates of H are
-rows of ``conj[:, H]``.  ``all_subgroups`` and ``SubgroupClassTable``
-turn the index sets into their public ``frozenset[Perm]`` values once, at
-the end.  Element conjugacy classes need no table, so the character
-table of a group above the bound still works: they are the orbits of
-conjugation by the generators.
+rows of ``conj[:, H]``.  ``SubgroupClassTable`` turns the index sets
+into their public ``frozenset[Perm]`` values once, at the end.  Element
+conjugacy classes need no table, so the character table of a group above
+the bound still works: they are the orbits of conjugation by the
+generators.
 """
 from __future__ import annotations
 
@@ -351,12 +351,6 @@ def _lattice(G: FiniteGroup) -> list[tuple[np.ndarray, list[int]]]:
     return sorted(found.values(), key=lambda s: (len(s[0]), s[0].tolist()))
 
 
-def all_subgroups(G: FiniteGroup) -> list[frozenset[Perm]]:
-    """Every subgroup of G, sorted by order and then by sorted elements."""
-    return [frozenset(G.elements[i] for i in H.tolist())
-            for H, _ in _lattice(G)]
-
-
 @dataclass
 class SubgroupClassRecord:
     cid: int
@@ -437,12 +431,6 @@ class SubgroupClassTable:
         """The nonzero n(l, h) by l, in increasing order."""
         ls = np.flatnonzero(self.nk[:, h])
         return dict(zip(ls.tolist(), self.nk[ls, h].tolist()))
-
-    def normal_subgroups_of(self, H: frozenset[Perm]) -> list[frozenset[Perm]]:
-        mask = np.zeros(self.group.order, dtype=bool)
-        mask[[self.group.index_of[h] for h in H]] = True
-        [p] = np.flatnonzero((self._masks == mask).all(axis=1))
-        return [self.subgroups[r] for r in self._normal(p)]
 
     def _normal(self, p: int) -> list[int]:
         """Positions of the normal subgroups of subgroup p, in list order:

@@ -59,7 +59,6 @@ class RepContext:
                                  for g in K.elements], dtype=np.int64)
         self._blocks: list | None = None
         self._dims: dict[IrrDescriptor, np.ndarray] = {}
-        self.basic_degrees: dict = {}    # by rep, kept by degrees.basic_degree
 
     def fixed_dims(self, rep: IrrDescriptor) -> np.ndarray:
         """dim of the fixed space of every class, by class id."""

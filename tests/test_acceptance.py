@@ -15,7 +15,7 @@ from discdeg.bessel import ModeTable, bessel_j, bessel_zeros
 from discdeg.burnside import BurnsideRing
 from discdeg.characters import character_table, isotypic_multiplicities
 from discdeg.degrees import basic_degree
-from discdeg.elliptic import (check_condition_D, cube_problem,
+from discdeg.elliptic import (collisions, cube_problem,
                               existence_report, isotypic_spectrum,
                               spectrum_summary)
 from discdeg.naming import name_subgroup_classes
@@ -92,8 +92,7 @@ def test_criterion_4_cube_spectrum():
     spec = isotypic_spectrum(cube_problem(4, 1))
     assert spectrum_summary(spec) == {Fraction(7): 1, Fraction(1): 1,
                                       Fraction(5): 3, Fraction(3): 3}
-    ok, witness = check_condition_D(spec, ModeTable(7.0))
-    assert ok and witness is None
+    assert collisions(spec, ModeTable(7.0)) == []
 
 
 # 5 ---------------------------------------------------------------------------

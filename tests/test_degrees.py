@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from discdeg.burnside import BurnsideRing
 from discdeg.catalog import KINDS, ProductCatalog, dihedral_quotient_orders
-from discdeg.degrees import (SpectralAssignment, basic_degree, gdeg_field,
-                             gdeg_linear, linear_degree)
+from discdeg.degrees import basic_degree, linear_degree
+from discdeg.elliptic import n_counter, odd_reps
 from discdeg.permgroup import (SubgroupClassTable, build_group, cyclic_group,
                                direct_product)
 from discdeg.reps import (IrrDescriptor, RepContext, _maximal,
@@ -144,17 +144,24 @@ def test_lemma_coefficient_identities(cube_pipeline):
         assert (d1 * d2).coeff(h) == 0                 # part (ii)
 
 
-def test_gdeg_linear_even_exponents_drop_out(cube_pipeline):
-    """Squared factors contribute nothing: only odd multiplicities matter."""
-    a = SpectralAssignment()
-    b = SpectralAssignment()
-    for (m, j), e in CUBE_EXPONENTS.items():
-        a.add(IrrDescriptor(m, j, -1), e)
-        if e % 2:
-            b.add(IrrDescriptor(m, j, -1), 1)
-    ga = gdeg_linear(cube_pipeline.ring, cube_pipeline.ctx, a)
-    gb = gdeg_linear(cube_pipeline.ring, cube_pipeline.ctx, b)
-    assert ga.coeffs == gb.coeffs
+def test_gdeg_linear_even_exponents_drop_out(cube_pipeline, cube41_spectrum,
+                                             cube41_modes):
+    """Squared factors contribute nothing: only odd multiplicities matter.
+    The cube(4,1) exponents n_m(mu_j) m_j are CUBE_EXPONENTS, ``odd_reps``
+    keeps the odd ones, and -id on every rep taken as often as its exponent
+    has the degree of -id on those alone."""
+    spec, modes = cube41_spectrum, cube41_modes
+    exponents = {(m, e.j): n_counter(modes, m, e.mu) * e.mult
+                 for e in spec for m in range(modes.max_mode + 1)}
+    assert {r: e for r, e in exponents.items() if e} == CUBE_EXPONENTS
+    odd = odd_reps(spec, modes)
+    assert odd == sorted(IrrDescriptor(m, j, -1)
+                         for (m, j), e in CUBE_EXPONENTS.items() if e % 2)
+    every = [IrrDescriptor(m, j, -1)
+             for (m, j), e in CUBE_EXPONENTS.items() for _ in range(e)]
+    ring, ctx = cube_pipeline.ring, cube_pipeline.ctx
+    assert (linear_degree(ring, ctx, every).coeffs
+            == linear_degree(ring, ctx, odd).coeffs)
 
 
 def test_orbit_types_contain_full_fixed_classes(cube_pipeline):

@@ -10,14 +10,13 @@ import pytest
 
 from discdeg import cli
 from discdeg.bessel import ModeTable
-from discdeg.degrees import basic_degree, build_context, gdeg_linear
+from discdeg.degrees import basic_degree, build_context, linear_degree
 from discdeg.elliptic import (ClassCounters, CouplingProblem, GrowthMeta,
-                              check_condition_D, class_counters,
+                              class_counters, collisions,
                               cube_action, cube_matrix,
                               cube_problem, existence_report,
                               isotypic_spectrum, m_counter, n_counter,
-                              resonant_set, spectral_assignment,
-                              spectrum_summary)
+                              odd_reps, spectrum_summary)
 from discdeg.reps import IrrDescriptor, maximal_orbit_types_union
 
 FIRST_J0_ZERO = 2.40482555769577
@@ -110,8 +109,7 @@ def test_growth_metadata_validation():
 # -- conditions ----------------------------------------------------------------
 
 def test_condition_D_satisfied_for_cube41(cube41_spectrum, cube41_modes):
-    ok, witness = check_condition_D(cube41_spectrum, cube41_modes)
-    assert ok and witness is None
+    assert collisions(cube41_spectrum, cube41_modes) == []
 
 
 def test_condition_D_detects_planted_zero():
@@ -120,22 +118,21 @@ def test_condition_D_detects_planted_zero():
     spec = isotypic_spectrum(cube_problem(4, 1))
     planted = [type(spec[0])(j=0, mu=FIRST_J0_ZERO, mult=1, dim=1)]
     modes = ModeTable(3.0)
-    ok, witness = check_condition_D(planted, modes)
-    assert not ok
-    assert witness[0] == 1 and witness[1] == 0
+    found = collisions(planted, modes)
+    assert found
+    assert found[0][0] == 1 and found[0][1] == 0
 
 
 def test_condition_D_vacuous_for_negative_spectrum(cube41_modes):
     spec = isotypic_spectrum(cube_problem(-10, 1))
     assert all(float(e.mu) < 0 for e in spec)
-    ok, _ = check_condition_D(spec, cube41_modes)
-    assert ok
+    assert collisions(spec, cube41_modes) == []
 
 
 def test_resonant_set():
     planted2 = [_fake_eig(5.135622301840683, m=2)]   # first zero of J_2
     modes = ModeTable(6.0)
-    assert resonant_set(planted2, modes) == {2}
+    assert {m for _, m, _ in collisions(planted2, modes)} == {2}
 
 
 def _fake_eig(mu, m=0):
@@ -170,15 +167,13 @@ def test_class_counters_published_values(cube_pipeline, cube41_spectrum,
     }
     for name, nu0 in expect.items():
         cc = class_counters(cube41_spectrum, cube41_modes,
-                            cube_pipeline.ring, cube_pipeline.ctx,
-                            cat.by_name[name])
+                            cube_pipeline.ctx, cat.by_name[name])
         assert cc.m_of[1] == 1, name
         assert cc.nu0 == nu0, name
     # the two remaining maximal classes never see an odd counter
     for name in ("D2^{D1} x_{Z2}^{D4d} D4p", "D2^{D1} x_{Z2}^{S4m} S4p"):
         cc = class_counters(cube41_spectrum, cube41_modes,
-                            cube_pipeline.ring, cube_pipeline.ctx,
-                            cat.by_name[name])
+                            cube_pipeline.ctx, cat.by_name[name])
         assert cc.nu0 is None and all(v == 0 for v in cc.m_of.values())
 
 
@@ -272,7 +267,7 @@ def _solve_data(problem):
     group and head set for the whole module."""
     spec = isotypic_spectrum(problem)
     modes = ModeTable(max(float(e.mu) for e in spec))
-    assert check_condition_D(spec, modes)[0]
+    assert not collisions(spec, modes)
 
     def cache(tag, build):
         if tag not in _CATALOGS:
@@ -301,7 +296,7 @@ def _seeded_problem(group: str, seed: int, tmp_path):
         path.write_text(json.dumps(doc))
         problem = cli._load_problem(str(path))
         spec = isotypic_spectrum(problem)
-        if check_condition_D(spec, ModeTable(float(top)))[0]:
+        if not collisions(spec, ModeTable(float(top))):
             return problem
 
 
@@ -377,15 +372,14 @@ def test_integer_spectrum_matches_the_fraction_projectors(which, tmp_path):
     "s3-2"])
 def test_linear_degree_is_the_product_of_the_odd_basic_degrees(which,
                                                                tmp_path):
-    """gdeg_linear, one mark recurrence over the sum of the odd reps, equals
-    the ring product of their basic degrees."""
+    """The linear degree, one mark recurrence over the sum of the odd reps,
+    equals the ring product of their basic degrees."""
     spec, modes, pipe = _solve_data(_problem(which, tmp_path))
-    assign = spectral_assignment(spec, modes)
-    odd = assign.odd_reps()
+    odd = odd_reps(spec, modes)
     assert odd
     want = reduce(lambda x, r: x * basic_degree(pipe.ring, pipe.ctx, r), odd,
                   pipe.ring.one())
-    assert gdeg_linear(pipe.ring, pipe.ctx, assign).coeffs == want.coeffs
+    assert linear_degree(pipe.ring, pipe.ctx, odd).coeffs == want.coeffs
 
 
 def _mark_mismatches(ctx, coeffs, reps) -> list[int]:
@@ -405,10 +399,11 @@ def _mark_mismatches(ctx, coeffs, reps) -> list[int]:
     "cube41", "cube61", "cube81", "swap", "s2-1", "s2-2", "s3-1", "s3-2"])
 def test_every_degree_of_a_solve_has_its_marks_at_every_class(
         which, tmp_path, monkeypatch):
-    """Each degree of -id a solve computes, the basic degrees and the linear
-    degree alike, has the mark (-1)^{dim V^L} at every class L of the
-    catalog, not only at the classes its recurrence visits."""
+    """The one degree of -id a solve computes, the linear degree, has the
+    mark (-1)^{dim V^L} at every class L of the catalog, not only at the
+    classes its recurrence visits."""
     import discdeg.degrees as degrees
+    import discdeg.elliptic as elliptic
     problem = _problem(which, tmp_path)
     spec, modes, pipe = _solve_data(problem)
     real, seen = degrees.linear_degree, []
@@ -417,8 +412,9 @@ def test_every_degree_of_a_solve_has_its_marks_at_every_class(
         seen.append((list(reps), real(ring, ctx, reps)))
         return seen[-1][1]
     monkeypatch.setattr(degrees, "linear_degree", recorded)
+    monkeypatch.setattr(elliptic, "linear_degree", recorded)
     existence_report(problem, pipeline=pipe)
-    assert len(seen) >= 2
+    assert len(seen) == 1
     for reps, d in seen:
         assert _mark_mismatches(pipe.ctx, d.coeffs, reps) == [], reps
 
@@ -432,8 +428,7 @@ def test_the_mark_check_sees_a_class_dropped_from_the_domain(
     from discdeg.degrees import linear_degree
     ring, ctx = cube_pipeline.ring, cube_pipeline.ctx
     spec = isotypic_spectrum(cube41)
-    reps = spectral_assignment(spec, ModeTable(max(
-        float(e.mu) for e in spec))).odd_reps()
+    reps = odd_reps(spec, ModeTable(max(float(e.mu) for e in spec)))
     coeffs = linear_degree(ring, ctx, reps).coeffs
     assert _mark_mismatches(ctx, coeffs, reps) == []
     real, seen = BurnsideRing.from_marks, 0
@@ -469,33 +464,39 @@ def _class_counters_by_fold(spec, modes, ring, ctx, cid) -> ClassCounters:
                          m_of=m_of, nu0=max(odd) if odd else None)
 
 
-@pytest.mark.parametrize("c", [4, 5])
-def test_fold_counters_read_off_the_mode_1_basic_degrees(c):
+@pytest.mark.parametrize("which", [4, 5, "swap", "s2-1", "s3-1"])
+def test_fold_counters_read_off_the_mode_1_basic_degrees(which, tmp_path):
     """For every maximal mode-1 class H, irreducible U_j and nu up to the
-    largest mode with a negative eigenvalue, the mode-nu basic degree has a term at Psi_nu(H) exactly
-    when the mode-1 one has a term at H; so the counters read off mode 1
-    are those of their definition."""
-    spec, modes, pipe = _solve_data(cube_problem(c, 1))
+    largest mode with a negative eigenvalue, the mode-nu basic degree has a
+    term at Psi_nu(H) exactly when the mode-1 one has a term at H, which is
+    when dim V^H is odd, V = W_1 (x) U_j-; so the counters read off the
+    mode-1 parities are those of their definition.  ``which`` is c of
+    cube(c,1) or a problem."""
+    cube = isinstance(which, int)
+    spec, modes, pipe = _solve_data(
+        cube_problem(which, 1) if cube else _problem(which, tmp_path))
     cat, ring, ctx = pipe.catalog, pipe.ring, pipe.ctx
     reps = [IrrDescriptor(1, j, -1) for j in range(len(ctx.gamma_table.irreps))]
     m1 = maximal_orbit_types_union(ctx, reps)
     top = max(m for m, n in modes.counts.items() if n)
-    assert len(m1) == 7 and top == c - 1
+    if cube:
+        assert len(m1) == 7 and top == which - 1
     for h in m1:
         for rep in reps:
             at_h = basic_degree(ring, ctx, rep).coeff(h) != 0
+            assert at_h == bool(ctx.fixed_dims(rep)[h] % 2), (h, rep)
             for nu in range(2, top + 1):
                 d = basic_degree(ring, ctx, IrrDescriptor(nu, rep.j, -1))
                 assert (d.coeff(cat.fold_class(h, nu)) != 0) == at_h, (h, rep)
-        assert (class_counters(spec, modes, ring, ctx, h)
+        assert (class_counters(spec, modes, ctx, h)
                 == _class_counters_by_fold(spec, modes, ring, ctx, h))
 
 
-def test_solve_multiplies_nothing_and_builds_only_mode_1_basic_degrees(
+def test_solve_multiplies_nothing_and_runs_one_mark_recurrence(
         cube41, cube_pipeline, monkeypatch):
     """The cube(4,1) report takes its degree from one mark recurrence and
-    its counters from the mode-1 basic degrees: no ring product is formed
-    and no basic degree of mode 2 or more is built."""
+    its counters from fixed-point dimensions: no ring product is formed
+    and no other degree is built."""
     from discdeg.burnside import BurnsideRing
     from discdeg.degrees import PipelineContext
     from discdeg.permgroup import symmetric_group
@@ -503,10 +504,16 @@ def test_solve_multiplies_nothing_and_builds_only_mode_1_basic_degrees(
 
     def no_product(*args):
         raise AssertionError("ring product on the solve path")
+    real, calls = BurnsideRing.from_marks, []
+
+    def counted(self, domain, mark):
+        calls.append(len(domain))
+        return real(self, domain, mark)
     monkeypatch.setattr(BurnsideRing, "multiply", no_product)
+    monkeypatch.setattr(BurnsideRing, "from_marks", counted)
     cat = cube_pipeline.catalog
     pipe = PipelineContext(catalog=cat, ring=BurnsideRing(cat),
                            ctx=RepContext(cat, symmetric_group(4)))
     rep = existence_report(cube41, pipeline=pipe)
     assert len(rep.degree.coeffs) == 85 and len(rep.non_radial) == 5
-    assert {r.m for r in pipe.ctx.basic_degrees} == {1}
+    assert len(calls) == 1
