@@ -38,7 +38,8 @@ on D_{nu h} (see ``ProductCatalog.fold_class``), so a fold is a lookup.
 The rows over the rotations of one period r of every D-headed gluing,
 also of those whose heads the catalog lacks, are kept in
 ``rotation_rows[r]``, from which ``reps.RepContext.fixed_point_heads``
-reads the heads a rep needs.
+reads the heads a rep needs, by the integer rotation sums of every
+fixed-point dimension.
 
 The catalog covers heads D_h for h in a divisor-closed set ``heads``,
 plus all SO(2)- and O(2)-headed classes.  Within that scope it supplies

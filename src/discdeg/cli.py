@@ -202,6 +202,11 @@ def _require(ok: bool, shape: str):
         raise ValueError(f"malformed problem file: {shape}")
 
 
+def _require_keys(doc: dict, keys: tuple, what: str):
+    for k in keys:
+        _require(k in doc, f"{what} has no key {k!r}")
+
+
 def _is_list_of(x, kind) -> bool:
     return isinstance(x, list) and all(isinstance(v, kind) for v in x)
 
@@ -217,7 +222,8 @@ def _number(v, what: str) -> Fraction:
 
 def _load_problem(path: str):
     from dataclasses import fields
-    from .elliptic import CouplingProblem, GrowthMeta, cube_problem
+    from .elliptic import (CouplingProblem, GrowthMeta, _extend_action,
+                           cube_problem)
     with open(path) as fh:
         doc = json.load(fh)
     _require(isinstance(doc, dict), "expected a JSON object")
@@ -229,8 +235,11 @@ def _load_problem(path: str):
     growth = GrowthMeta(**growth)
     if "cube" in doc:
         _require(isinstance(doc["cube"], dict), "cube must be an object")
+        _require_keys(doc["cube"], ("c", "d"), "cube")
         return cube_problem(_number(doc["cube"]["c"], "cube c"),
                             _number(doc["cube"]["d"], "cube d"), growth)
+    _require_keys(doc, ("group", "action_generators", "matrix"),
+                  "a problem without cube")
     _require(isinstance(doc["group"], str), "group must be a string")
     gamma = _build_group(doc["group"])
     _require(_is_list_of(doc["action_generators"], list)
@@ -247,35 +256,6 @@ def _load_problem(path: str):
               for row in doc["matrix"]]
     return CouplingProblem(gamma=gamma, action=action, matrix=matrix,
                            growth=growth)
-
-
-def _extend_action(gamma, gen_images):
-    """Extend generator images to the homomorphism on all of gamma.
-
-    Each image must be a permutation of 0..k-1, and the extension must be
-    consistent: action[s g] = img(s) action[g] for every g and generator s.
-    """
-    from .permgroup import pidentity, pmul
-    k = len(gen_images[0]) if gen_images else 1
-    for img in gen_images:
-        if len(img) != k or set(img) != set(range(k)):
-            raise ValueError(f"action generator {list(img)} is not a "
-                             f"permutation of 0..{k - 1}")
-    action = {pidentity(gamma.degree): pidentity(k)}
-    frontier = list(action)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s, img in zip(gamma.generators, gen_images):
-                h, image = pmul(s, g), pmul(img, action[g])
-                if h not in action:
-                    action[h] = image
-                    nxt.append(h)
-                elif action[h] != image:
-                    raise ValueError("action generators do not define an "
-                                     f"action of {gamma.name}")
-        frontier = nxt
-    return action
 
 
 def _report_records(rep):

@@ -17,15 +17,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .bessel import ModeTable
 from .burnside import BurnsideElement
 from .catalog import ProductCatalog
 from .characters import isotypic_multiplicities
 from .degrees import PipelineContext, build_context, linear_degree
-from .permgroup import (FiniteGroup, Perm, closure, pidentity,
-                        symmetric_group)
+from .permgroup import FiniteGroup, Perm, pidentity, pmul, symmetric_group
 from .reps import IrrDescriptor, RepContext, maximal_orbit_types_union
 
 D_GUARD = 1e-8          # tolerance band for condition (D)
@@ -98,7 +95,8 @@ class CouplingProblem:
 # ---------------------------------------------------------------------------
 # the cube template
 
-# adjacency of the cube graph (vertices 0-7, antipodal pairs i, i+4)
+# adjacency of the cube graph (vertices 0-7, antipodal pairs {0, 7},
+# {1, 4}, {2, 5}, {3, 6}: the diagonals, numbered by their smaller vertex)
 CUBE_ADJACENCY = [
     [0, 1, 0, 1, 0, 1, 0, 0],
     [1, 0, 1, 0, 0, 0, 1, 0],
@@ -109,70 +107,46 @@ CUBE_ADJACENCY = [
     [0, 1, 0, 0, 0, 1, 0, 1],
     [0, 0, 1, 0, 1, 0, 1, 0],
 ]
-
-
-def _cube_automorphisms() -> list[Perm]:
-    adj = CUBE_ADJACENCY
-    autos: list[Perm] = []
-
-    def extend(img: list[int], used: set[int]) -> None:
-        i = len(img)
-        if i == 8:
-            autos.append(tuple(img))
-            return
-        for v in range(8):
-            if v in used:
-                continue
-            if all(adj[i][l] == adj[v][img[l]] for l in range(i)):
-                img.append(v)
-                used.add(v)
-                extend(img, used)
-                img.pop()
-                used.remove(v)
-
-    extend([], set())
-    assert len(autos) == 48
-    return autos
-
-
-def _diagonals() -> list[tuple[int, int]]:
-    """Antipodal vertex pairs, ordered by smaller vertex."""
-    nbrs = [frozenset(l for l in range(8) if CUBE_ADJACENCY[i][l])
-            for i in range(8)]
-    pairs = []
-    for i in range(4):
-        opp = next(v for v in range(8)
-                   if v != i and not CUBE_ADJACENCY[i][v] and not (nbrs[i] & nbrs[v]))
-        pairs.append((i, opp))
-    return pairs
-
-
-def _diag_perm(g: Perm, diags: list[tuple[int, int]]) -> Perm:
-    of = {v: d for d, pair in enumerate(diags) for v in pair}
-    return tuple(of[g[diags[d][0]]] for d in range(4))
+# the rotations of the cube that permute its diagonals as the generators
+# (0 1) and (0 1 2 3) of ``symmetric_group(4)`` do
+CUBE_GENERATOR_IMAGES = [(1, 0, 5, 6, 7, 2, 3, 4), (1, 2, 3, 0, 5, 6, 7, 4)]
 
 
 @lru_cache(maxsize=1)
 def cube_action() -> tuple[FiniteGroup, dict[Perm, Perm]]:
-    """S4 acting on the 8 cube vertices through the rotation group.
-
-    The full graph automorphism group splits over the antipodal map; the
-    rotation copy of S4 is generated by the (unique) lifts of a diagonal
-    transposition fixing no vertex and of a 3-cycle fixing two.
-    """
-    autos = _cube_automorphisms()
-    diags = _diagonals()
-    fix = lambda p: sum(1 for i in range(8) if p[i] == i)
-    t = next(p for p in autos
-             if _diag_perm(p, diags) == (1, 0, 2, 3) and fix(p) == 0)
-    c = next(p for p in autos
-             if _diag_perm(p, diags) == (0, 2, 3, 1) and fix(p) == 2)
-    rot = closure([t, c], 8)
-    assert len(rot) == 24
+    """S4, as the permutations of the four diagonals, acting on the 8 cube
+    vertices through the rotation group."""
     gamma = symmetric_group(4)
-    action = {_diag_perm(p, diags): p for p in rot}
-    assert set(action) == set(gamma.elements)
-    return gamma, action
+    return gamma, _extend_action(gamma, CUBE_GENERATOR_IMAGES)
+
+
+def _extend_action(gamma: FiniteGroup,
+                   gen_images: list[Perm]) -> dict[Perm, Perm]:
+    """Extend generator images to the homomorphism on all of gamma.
+
+    Each image must be a permutation of 0..k-1, and the extension must be
+    consistent: action[s g] = img(s) action[g] for every g and generator s.
+    """
+    k = len(gen_images[0]) if gen_images else 1
+    for img in gen_images:
+        if len(img) != k or set(img) != set(range(k)):
+            raise ValueError(f"action generator {list(img)} is not a "
+                             f"permutation of 0..{k - 1}")
+    action = {pidentity(gamma.degree): pidentity(k)}
+    frontier = list(action)
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for s, img in zip(gamma.generators, gen_images):
+                h, image = pmul(s, g), pmul(img, action[g])
+                if h not in action:
+                    action[h] = image
+                    nxt.append(h)
+                elif action[h] != image:
+                    raise ValueError("action generators do not define an "
+                                     f"action of {gamma.name}")
+        frontier = nxt
+    return action
 
 
 def cube_matrix(c, d) -> list[list[Fraction]]:
@@ -338,21 +312,18 @@ class DegreeReport:
 
 def fold_family_name(cat: ProductCatalog, cid: int) -> str:
     """Name of the fold family {Psi_nu(H)}, with symbolic parameter m."""
-    head, name = int(cat.classes["head"][cid]), cat.names[cid]
+    head, bucket, iso = cat.classes[["head", "bucket", "glue_iso"]][cid].item()
     if not head:
         raise ValueError("fold families are defined for dihedral-headed classes")
-    # the O(2)-side kernel: the head points whose row holds the identity of K
-    kernel = np.flatnonzero(
-        cat.rows[cat.labels_of(cid), cat.K.index_of[pidentity(cat.K.degree)]])
-    z = int((kernel < head).sum())
-    has_refl = bool((kernel >= head).any())
-    head_part, sep, rest = name.partition(" x_")
+    _, sep, rest = cat.names[cid].partition(" x_")
     if not sep:
         # full product D_h x K' folds to D_{h m} x K'
-        _, _, kname = name.partition(" x ")
+        _, _, kname = cat.names[cid].partition(" x ")
         return f"D{head}m x {kname}"
-    sym = "D" if has_refl else "Z"
-    kern = f"{sym}m" if z == 1 else f"{sym}{z}m"
+    # the O(2)-side kernel: Z_bucket, or D_bucket for the trivial quotient
+    # and Z2 by parity (``glue_iso`` < 0)
+    sym = "D" if iso < 0 else "Z"
+    kern = f"{sym}m" if bucket == 1 else f"{sym}{bucket}m"
     return f"D{head}m^{{{kern}}} x_{rest}"
 
 

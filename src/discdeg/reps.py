@@ -10,9 +10,10 @@ catalog class on its own head, for all classes of one head at once, and
 kept per rep as one integer array over the catalog.  The character of the
 rep is a product w(a) chi(k), and a class holds one coset of R, the row
 labels[a] of the catalog's table, over each point a of its head, so its
-dimension is the mean of w(a) (rows @ chi)[labels[a]] over the head
-points, divided by |R|.  Rotation characters are cosines, so the means
-are floats, each rounded under a strict integrality check.
+dimension is the sum of w(a) (rows @ chi)[labels[a]] over the head points
+over |R| times their number.  Rotation characters are cosines, but their
+sums against chi are integers (``_rotation_sums``), so each dimension is
+an exact quotient, and a remainder raises.
 
 The maximal orbit types are found without the others: a generic vector
 of the fixed space of a class maximal among those with a nonzero fixed
@@ -21,7 +22,6 @@ such a class.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,17 +73,14 @@ class RepContext:
         for h, ids, labels in self._blocks:
             # W_m at each head point: 1 for m = 0; else 2 cos(2 pi m k / h)
             # at rotation k of D_h, 0 at reflections and on SO(2) and O(2)
-            n = labels.shape[1]
-            w = (np.ones(n) if rep.m == 0 else np.zeros(n) if h == 0 else
-                 np.r_[2.0 * np.cos(2.0 * math.pi * rep.m * np.arange(h) / h),
-                       np.zeros(h)])
-            d = c[labels] @ w / (n * rows[labels[:, 0]].sum(axis=1))
-            r = np.round(d)
-            for i in np.flatnonzero((np.abs(d - r) > 1e-6) | (r < 0))[:1]:
+            num = (c[labels].sum(axis=1) if rep.m == 0
+                   else _rotation_sums(c[labels[:, :h]], rep.m))
+            den = labels.shape[1] * rows[labels[:, 0]].sum(axis=1)
+            dims[ids], rem = np.divmod(num, den)
+            for i in np.flatnonzero((rem != 0) | (num < 0))[:1]:
                 raise AssertionError(
-                    f"fixed-point dimension {d[i]} not a nonneg integer for "
-                    f"{rep} at {self.catalog.names[ids[i]]}")
-            dims[ids] = r
+                    f"fixed-point dimension {num[i]}/{den[i]} not a nonneg "
+                    f"integer for {rep} at {self.catalog.names[ids[i]]}")
         dims.flags.writeable = False      # shared by every caller
         self._dims[rep] = dims
         return dims
@@ -91,32 +88,39 @@ class RepContext:
     def _chi(self, rep: IrrDescriptor) -> np.ndarray:
         """The character of U_j^sign on the elements of K."""
         chi = np.array([self.gamma_table.value(rep.j, g)
-                        for g in self._gamma_part], dtype=np.float64)
+                        for g in self._gamma_part], dtype=np.int64)
         return chi * self._z_sign if rep.sign < 0 else chi
 
     def fixed_point_heads(self, rep: IrrDescriptor) -> set[int]:
         """Heads of the D-headed classes, in any head set, on which a rep of
         mode m >= 1 has a nonzero fixed space; its orbit types are among them.
 
-        A gluing whose rows repeat with period r over the rotations has
-        its class on head r d (kernel Z_d) fixing nothing unless d | m, and
-        then the dimension is sum_t 2 cos(2 pi (m/d) t / r) C(t) / (2 r |R|),
-        t < r, where C(t) is the character summed over the row of rotation t
-        (reflections have trace 0 on W_m).  It is read off the stored rows,
-        before any class is counted."""
-        cat = self.catalog
-        c = cat.rows @ self._chi(rep)
-        size = cat.rows.sum(axis=1)
-        divisors = [d for d in range(1, rep.m + 1) if rep.m % d == 0]
-        heads = set()
-        for r, ids in cat.rotation_rows.items():
-            for d in divisors:
-                cosines = 2.0 * np.cos(2.0 * math.pi * (rep.m // d)
-                                       * np.arange(r) / r)
-                # an integer dimension above 1/2
-                if (c[ids] @ cosines > r * size[ids[:, 0]]).any():
-                    heads.add(r * d)
-        return heads
+        A gluing whose rows repeat with period r over the rotations has its
+        class on head r d (kernel Z_d) fixing nothing unless d | m, and then
+        2 r d |R| times its dimension, its rotation sum, is d times the sum
+        over the stored rows at mode m/d, known before any class is counted."""
+        c = self.catalog.rows @ self._chi(rep)
+        return {r * d for r, ids in self.catalog.rotation_rows.items()
+                for d in range(1, rep.m + 1) if rep.m % d == 0
+                and (_rotation_sums(c[ids], rep.m // d) > 0).any()}
+
+
+def _rotation_sums(c: np.ndarray, m: int) -> np.ndarray:
+    """sum_k c[:, k] 2 cos(2 pi m k / h), k < h = c.shape[1], in integers.
+
+    A rational character summed over the coset at rotation k depends on
+    g = gcd(k, h) only (checked), and the cosines summed over the class g
+    are an integer: 2 (h/g) [h/g | m] over all multiples of g, less the
+    sums over the classes of the larger divisors of h that g divides."""
+    h = c.shape[1]
+    for i in np.flatnonzero((c != c[:, np.gcd(np.arange(h), h) % h]).any(1)):
+        raise AssertionError(f"coset sums {c[i].tolist()} over the rotations "
+                             f"of D{h} differ within a gcd class")
+    w = [0] * h                         # w[g % h]: the sum over class g
+    for g in (g for g in range(h, 0, -1) if h % g == 0):
+        w[g % h] = (2 * (h // g) * (m % (h // g) == 0)
+                    - sum(w[f % h] for f in range(2 * g, h + 1, g)))
+    return c @ np.array(w, dtype=np.int64)
 
 
 def maximal_orbit_types_union(ctx: RepContext,

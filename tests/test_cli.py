@@ -289,8 +289,14 @@ def test_action_generators_that_define_no_action_exit_2(group, images,
     {"group": "S2", "action_generators": [[1, 0]],
      "matrix": [["1/0", "0"], ["0", "1"]]},
     {"cube": {"c": "1/0", "d": 1}},
+    {"cube": {"d": 1}},
+    {"cube": {"c": 4}},
+    {"action_generators": [[1, 0]], "matrix": [[1, 0], [0, 1]]},
+    {"group": "S2", "matrix": [[1, 0], [0, 1]]},
+    {"group": "S2", "action_generators": [[1, 0]]},
 ], ids=["not-an-object", "growth-key", "matrix", "group", "cube",
-        "matrix-zero-denominator", "cube-zero-denominator"])
+        "matrix-zero-denominator", "cube-zero-denominator", "no-cube-c",
+        "no-cube-d", "no-group", "no-action-generators", "no-matrix"])
 def test_malformed_problem_file_exits_2(doc, tmp_path, capsys):
     prob = tmp_path / "bad.json"
     prob.write_text(json.dumps(doc))

@@ -11,7 +11,8 @@ import pytest
 from discdeg import cli
 from discdeg.bessel import ModeTable
 from discdeg.degrees import basic_degree, build_context, linear_degree
-from discdeg.elliptic import (ClassCounters, CouplingProblem, GrowthMeta,
+from discdeg.elliptic import (CUBE_ADJACENCY, CUBE_GENERATOR_IMAGES,
+                              ClassCounters, CouplingProblem, GrowthMeta,
                               class_counters, collisions,
                               cube_action, cube_matrix,
                               cube_problem, existence_report,
@@ -35,6 +36,24 @@ def test_cube_action_is_a_faithful_s4_action():
     # faithful: only the identity acts trivially
     trivial = [g for g, p in action.items() if p == tuple(range(8))]
     assert trivial == [tuple(range(4))]
+
+
+def test_cube_action_is_by_rotations_moving_the_diagonals_as_s4():
+    """Every image keeps the edges of the cube, moves the diagonals (the
+    antipodal pairs, diagonal d holding vertex d) as its element of S4
+    moves 0..3, and is not the antipodal map, which fixes every diagonal;
+    the generators go to CUBE_GENERATOR_IMAGES."""
+    gamma, action = cube_action()
+    diagonals = [{0, 7}, {1, 4}, {2, 5}, {3, 6}]
+    antipodal = tuple(next(iter(d - {v})) for v in range(8)
+                      for d in diagonals if v in d)
+    assert [action[s] for s in gamma.generators] == CUBE_GENERATOR_IMAGES
+    for g, p in action.items():
+        assert all(CUBE_ADJACENCY[p[i]][p[l]] == CUBE_ADJACENCY[i][l]
+                   for i in range(8) for l in range(8)), g
+        assert [{p[v] for v in d} for d in diagonals] == [
+            diagonals[g[d]] for d in range(4)], g
+        assert p != antipodal, g
 
 
 def test_cube_matrix_rows():
