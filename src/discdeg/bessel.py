@@ -193,6 +193,11 @@ class ModeTable:
         M = 0
         while watson_lower(M) < self.mu_max:
             M += 1
+        if M > M_MAX:
+            raise ValueError(
+                f"largest eigenvalue mu = {self.mu_max} needs Bessel modes "
+                f"0..{M}, beyond the supported 0..{M_MAX} (mu <= "
+                f"sqrt({M_MAX}*{M_MAX + 2}) = {watson_lower(M_MAX):.2f})")
         self.max_mode = M
         for m, zs in enumerate(_zero_levels(M, min(self.mu_max + _TAIL,
                                                    X_MAX))):

@@ -4,42 +4,38 @@ Every such subgroup is an amalgamated product  H ^Z x_L^R K'  glued from a
 closed subgroup H <= O(2) and a subgroup K' <= K along a common finite
 quotient L = H/Z = K'/R: the pairs (a, k) with a in H and k in the coset
 of R that the gluing assigns to a.  The catalog builds every class this
-way, whatever its head (D_h, SO(2) or O(2)), and keeps it on that head:
-one boolean table ``rows`` over K for all classes (row 0 empty, then one
-row per coset of R for every (K', R)), and per class the row of each
-point of its head, ``labels``: rotations 0..n-1, then reflections, with
-n = h for D_h and n = 1 for SO(2) (no reflections) and O(2).  R is
-``rows[labels[0]]``.  Only the lattice counts need a grid model of O(2)
-(see o2model), and each runs on the grid of H's own head: D_{2h} = N(D_h)
-for a D_h head, with point k of D_h at grid point 2k, and D_2 for SO(2)
-and O(2), with their labels over both rotations or reflections.
+way, whatever its head (D_h, SO(2) or O(2)), and keeps it as its gluing:
+one boolean table ``rows`` over K (row 0 empty, then one row per coset of
+R, R first, for every step (K', R)), and ``gluings[q]``, the rows each
+gluing of period q puts over the rotations, then the reflections, j < q
+(onto K'/R = D_q, Z2 for q = 1, by a dihedral isomorphism; the trivial
+quotient; Z2 by parity).  A class on D_h with kernel Z_b is the gluing of
+period q = h/b: its labels, the row of each point of its head, are
+``on_head``, and SO(2) and O(2) take a period-1 gluing over all their
+rotations and reflections (none for SO(2)).  R is ``rows[labels[0]]``.
+Only the lattice counts need a grid model of O(2) (see o2model), each on
+the grid of H's own head: D_{2h} = N(D_h) for a D_h head, with point k
+of D_h at grid point 2k, and D_2 for SO(2) and O(2).
 
-Each class also keeps a small generating set, read off the same labels:
-lifts of the head's rotation step (head point 1, or a generating grid
-rotation of SO(2) and O(2); none for D1) and of a reflection (point n;
-none for SO(2)), a lift being the first element of the point's coset,
-and generators of R.  These generate a subgroup S of the class that
-projects onto the head and whose fibre over the identity contains R;
-since the class holds exactly one coset of R over each point of its
-head, S is the class.
+Each class also has a small generating set, read off its labels
+(``_generators``): lifts of the head's rotation step (head point 1, or a
+generating grid rotation of SO(2) and O(2); none for D1) and of a
+reflection (point n; none for SO(2)), a lift being the first element of
+the point's coset, and the generators of R, kept per step in ``r_gens``.
+These generate a subgroup S of the class that projects onto the head and
+whose fibre over the identity contains R; since the class holds exactly
+one coset of R over each point of its head, S is the class.
 
 ``gluing_steps`` walks every (K', R) once per subgroup table of K; the
 catalog and ``dihedral_quotient_orders`` both read its list.  The build
-makes whole blocks of records: each D-headed gluing of a step (onto K'/R
-= D_q, Z2 for q = 1, by a dihedral isomorphism; the trivial quotient; Z2
-by parity) has a period q and rows over rotations and reflections j < q,
-and point k of D_h takes the rows of j = k mod q, so one gather labels
-every gluing of period q on D_h.  Records of one kind, head, K', size,
-kernel and fingerprint (their element histogram, ranked as its sparse
-tuple sorts) form a bucket, and rounds of counts keep one per class.
-Each class keeps its gluing as ``glue`` = (step, dihedral isomorphism or
--1), and the nu-fold pullback of a D_h-headed class is the same gluing
-on D_{nu h} (see ``ProductCatalog.fold_class``), so a fold is a lookup.
-The rows over the rotations of one period r of every D-headed gluing,
-also of those whose heads the catalog lacks, are kept in
-``rotation_rows[r]``, from which ``reps.RepContext.fixed_point_heads``
-reads the heads a rep needs, by the integer rotation sums of every
-fixed-point dimension.
+makes a record of every gluing on every head it fits.  Records of one
+kind, head, K', size, kernel and fingerprint (their element histogram,
+ranked as its sparse tuple sorts) form a bucket, and rounds of counts
+keep one per class.  A class keeps its gluing as ``glue`` = (step,
+dihedral isomorphism or -1), and the nu-fold pullback of a D_h-headed
+class is the same gluing on D_{nu h} (``ProductCatalog.fold_class``).
+``reps.RepContext.fixed_point_heads`` reads off the gluing tables the
+heads a rep needs, also those the catalog lacks.
 
 The catalog covers heads D_h for h in a divisor-closed set ``heads``,
 plus all SO(2)- and O(2)-headed classes.  Within that scope it supplies
@@ -71,20 +67,19 @@ are counted in one numpy pass, and the column is kept as the nonzero
 n(L, H) by L.
 
 The catalog is its columns, with no object per class: ``classes`` has a
-row of the integers COLUMNS per class, ``labels`` and ``kgens`` hold the
-labels and the K side of the generators of each class in turn, and each
-takes the smallest dtype that holds it.  The O(2) side of the generators
-is fixed by P, head and kind (``_o2_gens``).  The stored state (the
-attributes STORED) is these, the heads, P, ``rows``, ``rotation_rows``,
-the K-lattice counts ``nk`` and the names as one string: arrays, ints and
-strings only, no group and no subgroup table.  K's subgroup table is read
-only while a catalog is built, and ``cached_catalog``, which loads every
-stored catalog, gives it the K its cache key names.  A load and a build
-both end in ``_register``, which checks that the columns fit and makes
-``by_name`` and the lists ``names`` and ``weyl_orders`` that the ring
-reads, of Python ints that never wrap.  Class ids ascend with size, so
-the ring orders classes by id.  Grid models, histograms and padded
-generators are rebuilt per process, never stored.
+row of the integers COLUMNS per class, each in the smallest dtype that
+holds it.  The stored state (the attributes STORED) is these, the heads,
+P, the names as one string, and ``rows``, ``gluings``, ``r_gens`` and
+the K-lattice counts ``nk``, which depend on K alone: arrays, ints and
+strings, no group, no subgroup table and nothing more per class.  K's
+subgroup table is read only while a catalog is built, and
+``cached_catalog``, which loads every stored catalog, gives it the K its
+cache key names.  A load and a build both end in ``_register``, which
+finds the gluing of each class (``_gluing``), checking that the columns
+fit, and makes ``by_name`` and the lists ``names`` and ``weyl_orders``
+that the ring reads, of Python ints that never wrap.  Class ids ascend
+with size, so the ring orders classes by id.  Labels, generators, grid
+models and histograms are derived per process.
 """
 from __future__ import annotations
 
@@ -104,24 +99,23 @@ KINDS = ("D", "O2", "O2amalg", "SO2")   # sorted: codes order as names do
 # K table, |U ^ (SO(2) x 1)| (d for a kernel Z_d), grid elements, reported
 # Weyl order, |N(U)/U|, |N(U)| in D_P x K, gluing (step, isomorphism or -1)
 COLUMNS = ("kind", "head", "kp_cid", "bucket", "size", "weyl_order",
-           "normalizer_weyl_order", "n_model", "glue_step", "glue_iso",
-           "n_labels", "n_gens")
-STORED = ("heads", "P", "rows", "rotation_rows", "full_cid", "classes",
-          "labels", "kgens", "nk", "names")
+           "normalizer_weyl_order", "n_model", "glue_step", "glue_iso")
+STORED = ("heads", "P", "rows", "gluings", "r_gens", "full_cid", "classes",
+          "nk", "names")
 
 
 def _dihedral_isos(mul: np.ndarray, q: int):
     """Isomorphisms from the dihedral group of order 2q onto the group with
     multiplication table ``mul`` (identity 0); none unless that group is
-    dihedral of order 2q.  Each is given by the images of the rotations
-    x^j and reflections y x^-j, j = 0..q-1, of its generators x and y."""
+    dihedral of order 2q.  Each is a row: the images of the rotations x^j,
+    then of the reflections y x^-j, j < q, of its generators x and y."""
     powers = []                 # i^0, i^1, ... up to the order of i
     for i in range(len(mul)):
         p = [0]
         while (j := int(mul[p[-1], i])) != 0:
             p.append(j)
         powers.append(p)
-    return [(np.array(px), mul[y, px][-np.arange(q) % q])
+    return [np.r_[px, mul[y, px][-np.arange(q) % q]]
             for x, px in enumerate(powers) if len(px) == q
             for y, py in enumerate(powers)
             if len(py) == 2 and y not in px
@@ -213,39 +207,58 @@ class ProductCatalog:
 
     def _register(self, names: str):
         """Check that the columns fit ``names``, one a line, and make the
-        lists ``names`` and ``weyl_orders`` and ``by_name``; no loop runs
-        over the classes (see the module notes)."""
+        lists ``names`` and ``weyl_orders``, ``by_name`` and the gluing of
+        each class; no loop runs over the classes (see the module notes)."""
         self.names, cols = names.split("\n"), self.classes
-        if (cols.dtype.names != COLUMNS or len(cols) != len(self.names)
-                or cols["n_labels"].sum() != len(self.labels)
-                or cols["n_gens"].sum() != len(self.kgens)):
+        try:
+            if (cols.dtype.names != COLUMNS or len(cols) != len(self.names)
+                    or len(self.r_gens) != self.rows[:, 0].sum()):
+                raise IndexError
+            self._glue = self._gluing(*(cols[f] for f in (
+                "head", "bucket", "glue_step", "glue_iso")))
+        except (IndexError, KeyError):
             raise ValueError(f"stored catalog columns do not fit its "
-                             f"{len(self.names)} classes")
+                             f"{len(self.names)} classes") from None
         self.weyl_orders = cols["weyl_order"].tolist()
         self.by_name = dict(zip(self.names, range(len(self.names))))
-        # where the labels of each class start in ``labels``, then the end
-        self._starts = np.r_[0, np.cumsum(cols["n_labels"], dtype=np.intp)]
-        self._cols = self._folds = None
+        self._cols = None
+
+    def _gluing(self, head, bucket, step, iso):
+        """(q, at): the period and the row in ``gluings[q]`` of each gluing
+        (step, iso) with kernel Z_bucket on ``head`` (q = 1 off D_h): a row
+        opens with R's, and a step's rows are a run in isomorphism order."""
+        q = np.maximum(head, 1) // np.maximum(bucket, 1)
+        at = np.maximum(iso, 0).astype(np.intp)
+        r_row = np.flatnonzero(self.rows[:, 0])[step]      # row 0 is empty
+        for p in set(q.tolist()):
+            t, sel = self.gluings[p], q == p
+            at[sel] += np.searchsorted(t[:, 0], r_row[sel])
+            if (t[at[sel], 0] != r_row[sel]).any():
+                raise IndexError(f"a gluing of period {p} is missing")
+        return q, at
 
     def labels_of(self, cid: int) -> np.ndarray:
-        """The row of ``rows`` over each point of the head of class cid."""
-        return self.labels[self._starts[cid]:self._starts[cid + 1]]
+        """The row of ``rows`` over each point of the head of class cid:
+        rotations, then reflections (none for SO(2))."""
+        (q, at), (kind, head) = (g[cid] for g in self._glue), self.classes[
+            ["kind", "head"]][cid].item()
+        return on_head(self.gluings[q][at:at + 1], max(head, 1))[
+            0, :1 if KINDS[kind] == "SO2" else None]
 
     def head_blocks(self, kind: str):
-        """(head, class ids, their labels as rows) for each head of ``kind``,
-        gathered from the flat labels (no ``np.unique``: numpy.ma import)."""
+        """(head, class ids, their labels as rows) for each head of
+        ``kind``; SO(2) has one label, no reflections."""
         cols = self.classes
-        of_kind = cols["kind"] == KINDS.index(kind)
-        for h in sorted(set(cols["head"][of_kind].tolist())):
-            ids = np.flatnonzero(of_kind & (cols["head"] == h))
-            yield h, ids, self.labels[self._starts[ids][:, None] + np.arange(
-                cols["n_labels"][ids[0]])]
+        for h, ids, labels in self._blocks(np.flatnonzero(
+                cols["kind"] == KINDS.index(kind)), cols["head"], cols["kind"],
+                *self._glue):
+            yield h, ids, labels[:, :1 if kind == "SO2" else None]
 
     # -- construction -------------------------------------------------------
 
     def _build(self, ktable: SubgroupClassTable):
-        """Every gluing of every step of ``ktable`` on every head, in blocks
-        of records (see the module notes), for ``_dedupe_and_register``."""
+        """Every gluing of every step of ``ktable`` on every head, as
+        records (see the module notes), for ``_dedupe_and_register``."""
         steps, kmul = gluing_steps(ktable), self.K._tables()[0]
         korder = _element_orders(kmul)
         quo = np.array([len(cosets) for _, _, cosets, _, _ in steps])
@@ -254,15 +267,12 @@ class ProductCatalog:
         glue, tails, r_gens = {}, [], []
         for i, (kp, r, cosets, mul, isos) in enumerate(steps):
             self.rows[base[i] + np.arange(quo[i])[:, None], cosets] = True
-            # the D-headed gluings by period q: (rows over rotations and
-            # reflections j < q, step, isomorphism or -1 for the trivial
-            # quotient and Z2 by parity)
-            gl = [(rot, ref, j) for j, (rot, ref) in enumerate(isos)]
-            if quo[i] <= 2:
-                gl.append((np.arange(quo[i]), np.arange(quo[i]), -1))
-            for rot, ref, j in gl:
-                glue.setdefault(len(rot), []).append(
-                    (base[i] + rot, base[i] + ref, i, j))
+            # the gluings by period q: (rows, step, isomorphism or -1 for
+            # the trivial quotient and Z2 by parity)
+            triv = [(-1, np.tile(np.arange(quo[i]), 2))] if quo[i] <= 2 else []
+            for j, row in list(enumerate(isos)) + triv:
+                q = len(row) // 2
+                glue.setdefault(q, []).append((base[i] + row, i, j))
             rname = ktable.classes[ktable._cid[r]].name
             rname = f"^{{{rname}}}" if rname not in ("", "Z1") else ""
             lname = "Z2" if quo[i] == 2 else f"D{quo[i] // 2}"
@@ -276,64 +286,76 @@ class ProductCatalog:
                     span = np.flatnonzero(_extend(kmul, span, gens, g))
                     gens.append(g)
             r_gens.append(gens)
-        glue = {q: [np.array(c) for c in zip(*gl)]
-                for q, gl in sorted(glue.items())}
-        self.rotation_rows = {q: gl[0] for q, gl in glue.items()}
+        self.gluings = {q: _small([row for row, _, _ in gl])
+                        for q, gl in sorted(glue.items())}
+        most = max(map(len, r_gens))
+        self.r_gens = _small([g + [-1] * (most - len(g)) for g in r_gens])
 
-        # the blocks (head, bucket, kind, step, isomorphism, labels): O(2)
-        # and SO(2) x K' (SO(2) with an empty reflection row), O(2)^{SO(2)}
-        # x_{Z2} K', then on D_h rotation and reflection k take row k mod q
-        one, two = np.flatnonzero(quo == 1), np.flatnonzero(quo == 2)
-        st, kinds = np.r_[one, one, two], np.repeat(
-            [KINDS.index(k) for k in ("O2", "SO2", "O2amalg")],
-            [len(one), len(one), len(two)])
-        blocks = [(0, 0, kinds, st, -np.ones_like(st),
-                   np.c_[base[st], np.r_[base[one], 0 * one, base[two] + 1]])]
-        for h in self.heads:
-            k = np.arange(h)
-            blocks += [(h, h // q, 0, st, iso,
-                        np.c_[rot, ref][:, np.r_[k % q, q + k % q]])
-                       for q, (rot, ref, st, iso) in glue.items()
-                       if h % q == 0]
-        # each block's fingerprint: its elements on the grid of its head by
-        # (reflection bit, rotation order or reflection parity, K-class), in
-        # the canonical classes of K; on D_h all reflections are even
+        # the records (head, bucket, kind, step, isomorphism): O(2) and
+        # SO(2) x K', O(2)^{SO(2)} x_{Z2} K', then on each D_h every gluing
+        # of each period q | h, with kernel Z_{h/q}
+        recs = [(0, 0, KINDS.index(k), i, -1) for k, n in (
+            ("O2", 1), ("SO2", 1), ("O2amalg", 2))
+            for i in np.flatnonzero(quo == n).tolist()]
+        recs += [(h, h // q, 0, i, j) for h in self.heads
+                 for q, gl in glue.items() if h % q == 0 for _, i, j in gl]
+        rec = dict(zip(("head", "bucket", "kind", "glue_step", "glue_iso"),
+                       np.array(recs).T))
+        head, kind = rec["head"], rec["kind"]
+        rec["q"], rec["at"] = self._gluing(head, rec["bucket"],
+                                           rec["glue_step"], rec["glue_iso"])
+        rec["kp_cid"] = np.array([s[0].cid for s in steps])[rec["glue_step"]]
+        # per record: as COLUMNS, its fingerprint's rank on its head (its grid
+        # elements by reflection bit, rotation order or reflection parity and
+        # canonical K-class; on D_h all reflections are even), whether no
+        # reflection holds K's identity (class 0), the labels its gens lift
         cls_of = self.K.class_index_of_element()
         kcls = np.array([cls_of[g] for g in self.K.elements])
         rowhist = self.rows @ np.eye(kcls.max() + 1, dtype=np.int32)[kcls]
-        rec, flat = {}, []
-        for head, bucket, kind, st, iso, labels in blocks:
-            counts = _binned(labels, _dihedral_bins(self.heads, head),
-                             rowhist) if head else _binned(
+        for f in ("size", "fp", "rot_kernel"):
+            rec[f] = np.zeros(len(head), dtype=np.int64)
+        points = np.zeros((len(head), 2), dtype=np.intp)
+        for h, ids, labels in self._blocks(np.arange(len(head)), head, kind,
+                                           rec["q"], rec["at"]):
+            counts = _binned(labels, _dihedral_bins(self.heads, h),
+                             rowhist) if h else _binned(
                 labels[:, [0, 0, 1, 1]], np.arange(4), rowhist)
-            # per record: as COLUMNS, the fingerprint's rank in the block,
-            # and whether no reflection point holds K's identity (class 0)
-            for f, v in zip(("head", "bucket", "kind", "glue_step", "glue_iso",
-                             "size", "fp", "rot_kernel"), (
-                    head, bucket, kind, st, iso,
-                    counts.sum(axis=(1, 2)) * (1 if head else self.P // 2),
-                    _sparse_rank(counts.reshape(len(labels), -1)),
-                    counts[:, -1, 0] == 0)):
-                rec.setdefault(f, []).append(np.broadcast_to(v, len(labels)))
-            flat.append(labels.ravel())
-        rec = {f: np.concatenate(v) for f, v in rec.items()}
-        head, kind, step = rec["head"], rec["kind"], rec["glue_step"]
-        rec["kp_cid"] = np.array([kp.cid for kp, *_ in steps])[step]
-        n = np.maximum(2 * head, 2)                    # labels per record
-        rec["start"], labels = np.cumsum(n) - n, np.concatenate(flat)
-        # K-side generators: the first element of the rows over the head
-        # points of the rotation step (1; none on D1) and a reflection (n;
-        # none for SO(2)), then R's; ``_o2_gens`` gives the O(2) side
-        most = max(map(len, r_gens))
-        r_gens = np.array([g + [-1] * (most - len(g)) for g in r_gens],
-                          dtype=np.intp)
-        has = np.c_[head != 1, kind != KINDS.index("SO2"), r_gens[step] >= 0]
-        points = labels[rec["start"][:, None]
-                        + np.c_[head > 1, np.maximum(head, 1)]]
-        kgens = np.c_[np.argmax(self.rows, axis=1)[points], r_gens[step]][has]
-        rec["n_gens"] = has.sum(axis=1)
-        self._dedupe_and_register(rec, labels, kgens, np.array(tails),
-                                  ktable)
+            rec["size"][ids] = counts.sum(axis=(1, 2)) * (
+                1 if h else self.P // 2)
+            rec["fp"][ids] = _sparse_rank(counts.reshape(len(ids), -1))
+            rec["rot_kernel"][ids] = counts[:, -1, 0] == 0
+            points[ids] = labels[:, [h > 1, max(h, 1)]]
+        self._dedupe_and_register(rec, points, np.array(tails), ktable)
+
+    def _blocks(self, ids, head, kind, q, at):
+        """(h, the ids on h, their labels) for each head h of the records or
+        classes ``ids``, given their head, kind code and gluing: its row
+        ``on_head`` h, with the empty row 0 over SO(2)'s reflections."""
+        for h in sorted(set(head[ids].tolist())):
+            i = ids[head[ids] == h]
+            labels = np.empty((len(i), 2 * max(h, 1)), dtype=np.intp)
+            for p in set(q[i].tolist()):
+                labels[q[i] == p] = on_head(self.gluings[p][at[i[q[i] == p]]],
+                                            max(h, 1))
+            labels[kind[i] == KINDS.index("SO2"), 1:] = 0
+            yield h, i, labels
+
+    def _generators(self, kind, head, step, points):
+        """The generating sets of records or classes (``kind`` codes, head,
+        gluing step) whose labels over the rotation step and the first
+        reflection are ``points``, as a (2, m, w) stack of D_P and K indices
+        padded by repeating the first generator (no count changes), and
+        their lengths: the rotation step (P/h, or 1 off D_h; none on D1) and
+        a reflection (P; none for SO(2)) over the first elements of those
+        labels' rows, then (0, g) for R's generators g."""
+        head, r = head.astype(np.int64), self.r_gens[step].astype(np.intp)
+        gens = np.stack([np.c_[np.where(head > 0, self.P // np.maximum(
+            head, 1), 1), np.full_like(head, self.P), 0 * r],
+            np.c_[np.argmax(self.rows, axis=1)[points], r]])
+        has = np.c_[head != 1, kind != KINDS.index("SO2"), r >= 0]
+        n, j = has.sum(axis=1), np.argsort(~has, axis=1, kind="stable")
+        j = np.where(np.arange(has.shape[1]) < n[:, None], j, j[:, :1])
+        return np.take_along_axis(gens, j[None], axis=2), n
 
     def _on_grid(self, head: int, labels: np.ndarray) -> np.ndarray:
         """The row ids of the classes with ``labels`` (..., labels) on
@@ -352,7 +374,7 @@ class ProductCatalog:
         (m, 2p)), counted on the grid D_p of the head: the D_P point (f, t)
         is (f, t p / P) there, and under SO(2) or O(2) any rotation t > 0
         is rotation 1 (see the module notes).  ``gens`` is a (2, m, n)
-        stack of generating sets (see ``_pad``)."""
+        stack of generating sets (see ``_generators``)."""
         p = 2 * (head or 1)
         if p not in self._models:
             self._models[p] = O2Model(p, self.K)
@@ -367,16 +389,14 @@ class ProductCatalog:
         return self._on_grid(int(self.classes["head"][cid]),
                              self.labels_of(cid))
 
-    def _dedupe_and_register(self, rec: dict, labels: np.ndarray,
-                             kgens: np.ndarray, tails: np.ndarray,
-                             ktable: SubgroupClassTable):
+    def _dedupe_and_register(self, rec: dict, points: np.ndarray,
+                             tails: np.ndarray, ktable: SubgroupClassTable):
         """Keep one record of each class, in the class order, and write the
-        columns, from columns over the records, their labels and K-side
-        generators in turn, the name tail of each step and K's table."""
-        head, step, iso, ngens, start = (rec[f] for f in (
-            "head", "glue_step", "glue_iso", "n_gens", "start"))
-        pads = _pad(np.stack([_o2_gens(self.P, rec["kind"], head, ngens),
-                              kgens]), ngens)
+        columns, from columns over the records, the labels their generators
+        lift, the name tail of each step and K's table."""
+        head, kind, step, iso = (rec[f] for f in (
+            "head", "kind", "glue_step", "glue_iso"))
+        pads, ngens = self._generators(kind, head, step, points)
         # Records in one bucket (kind, head, K', size, kernel, fingerprint)
         # have the same size, so a conjugate of one inside another is the
         # whole record.  Each round keeps the first record of every bucket,
@@ -386,19 +406,18 @@ class ProductCatalog:
         buckets = _lex_ranks(np.stack([rec[f] for f in (
             "kind", "head", "kp_cid", "size", "bucket", "fp")], axis=1))
         pending = np.lexsort((iso, step, buckets))
-        n_model = np.zeros(len(head), dtype=np.int64)
+        n_model, first = np.zeros((2, len(head)), dtype=np.int64)
         while len(pending):
             new = np.r_[True, np.diff(buckets[pending]) != 0]
-            first = pending[new][np.cumsum(new) - 1]
-            n = np.empty(len(pending), dtype=np.int64)
-            for h in sorted(set(head[pending].tolist())):
-                at = np.flatnonzero(head[pending] == h)
-                n[at] = self._count(
-                    pads[:, first[at], :ngens[first[at]].max()], h,
-                    self._on_grid(h, labels[
-                        start[pending[at], None] + np.arange(2 * h or 2)]))
-            n_model[pending[new]] = n[new]
-            pending = pending[n == 0]
+            first[pending] = pending[new][np.cumsum(new) - 1]
+            n = np.zeros(len(head), dtype=np.int64)
+            for h, ids, labels in self._blocks(pending, head, kind, rec["q"],
+                                               rec["at"]):
+                n[ids] = self._count(
+                    pads[:, first[ids], :ngens[first[ids]].max()], h,
+                    self._on_grid(h, labels))
+            n_model[pending[new]] = n[pending[new]]
+            pending = pending[n[pending] == 0]
 
         kept = np.flatnonzero(n_model)
         cls = kept[np.lexsort([rec[f][kept] for f in (
@@ -411,16 +430,11 @@ class ProductCatalog:
         nw = c["normalizer_weyl_order"] = c["n_model"] // c["size"]
         c["weyl_order"] = np.where((c["head"] > 0) & c["rot_kernel"],
                                    nw // 2, nw)
-        c["n_labels"] = np.where(c["kind"] == KINDS.index("SO2"), 1,
-                                 np.maximum(2 * c["head"], 2))
         cols = [_small(c[f]) for f in COLUMNS]
         self.classes = np.empty(len(cls), dtype=[
             (f, col.dtype) for f, col in zip(COLUMNS, cols)])
         for f, col in zip(COLUMNS, cols):
             self.classes[f] = col
-        self.labels = _small(labels[_ragged(start[cls], c["n_labels"])])
-        self.kgens = _small(kgens[_ragged((np.cumsum(ngens) - ngens)[cls],
-                                          c["n_gens"])])
 
         # names: head, kernel (Z_d, or D_d by parity; none for the trivial
         # quotient and the kernel Z1) and the step's tail; the amalgamated
@@ -483,7 +497,7 @@ class ProductCatalog:
         The histogram of a D-headed class counts its elements by (reflection
         bit, rotation order, K-class) over its head (``_dihedral_bins``)."""
         if self._cols is None:
-            heads, n = self.heads, len(self)
+            heads, n, kind = self.heads, len(self), self.classes["kind"]
             size, head, bucket, kp = (self.classes[f].astype(np.int64) for f
                                       in ("size", "head", "bucket", "kp_cid"))
             cols = np.stack([size, head > 0, np.maximum(head, 1),
@@ -494,13 +508,16 @@ class ProductCatalog:
             rowhist = self.rows @ np.eye(kcls.max() + 1)[kcls]
             hist = np.zeros((n, len(heads) + 1, rowhist.shape[1]),
                             dtype=np.int32)
-            for h, at, labels in self.head_blocks("D"):
-                hist[at] = _binned(labels, _dihedral_bins(heads, h), rowhist)
-            ngens = self.classes["n_gens"].astype(np.int64)
-            gens = np.stack([_o2_gens(self.P, self.classes["kind"], head,
-                                      ngens), self.kgens.astype(np.intp)])
+            points = np.zeros((n, 2), dtype=np.intp)
+            for h, at, labels in self._blocks(np.arange(n), head, kind,
+                                              *self._glue):
+                points[at] = labels[:, [h > 1, max(h, 1)]]
+                if h:
+                    hist[at] = _binned(labels, _dihedral_bins(heads, h),
+                                       rowhist)
             self._cols = (self.nk, cols, hist.reshape(n, -1),
-                          _pad(gens, ngens), ngens)
+                          *self._generators(kind, head, self.classes[
+                              "glue_step"], points))
         return self._cols
 
     def _candidates(self, h: int) -> np.ndarray:
@@ -528,8 +545,8 @@ class ProductCatalog:
         """Image of a class under the pullback along the nu-fold cover of O(2).
 
         It is the same gluing on D_{h nu}: element k of D_{h nu} covers
-        element k mod h of D_h, whose label ``_build`` gives k at head
-        h nu.  Two gluings of one (K', R) are conjugate when N(D_h) = D_{2h}
+        element k mod h of D_h, and ``on_head`` gives both the label of k.
+        Two gluings of one (K', R) are conjugate when N(D_h) = D_{2h}
         and N_K(K') carry one to the other, and D_{2h} acts on D_h/Z_d = D_q
         as Inn(D_q) with y -> yx at every h, so the dedupe keeps the same
         gluings at every head.  O(2)- and SO(2)-headed classes are fixed.
@@ -537,18 +554,24 @@ class ProductCatalog:
         if nu < 1:
             raise ValueError(f"fold index nu must be a positive integer, "
                              f"got {nu}")
-        glue = ["glue_step", "glue_iso", "head"]
-        *key, head = self.classes[glue][cid].item()
+        cols = self.classes
+        step, iso, head = cols[["glue_step", "glue_iso", "head"]][cid].item()
         if nu == 1 or not head:
             return cid
         if head * nu not in self.heads:
             raise ValueError(
                 f"folded head D{head * nu} outside catalog heads {self.heads}")
-        if self._folds is None:
-            ds = np.flatnonzero(self.classes["head"])
-            self._folds = dict(zip(self.classes[glue][ds].tolist(),
-                                   ds.tolist()))
-        return self._folds[(*key, head * nu)]
+        return int(np.flatnonzero((cols["head"] == head * nu) & (
+            cols["glue_step"] == step) & (cols["glue_iso"] == iso))[0])
+
+
+def on_head(rows: np.ndarray, h: int) -> np.ndarray:
+    """The labels on D_h of gluings of a period q dividing h, given their
+    ``rows`` (m, 2q) over the rotations, then the reflections, j < q:
+    rotation and reflection k take the rows of j = k mod q, so each half
+    repeats h/q times (on D_q the labels are the rows)."""
+    q = rows.shape[1] // 2
+    return np.tile(rows.reshape(-1, 2, q), h // q).reshape(-1, 2 * h)
 
 
 def _dihedral_bins(heads: list[int], h: int) -> np.ndarray:
@@ -592,35 +615,6 @@ def _sparse_rank(counts: np.ndarray) -> np.ndarray:
     later = np.logical_or.accumulate(counts[:, ::-1] > 0, axis=1)[:, ::-1]
     return _lex_ranks(np.where(counts > 0, counts,
                                later * (counts.max() + 1)))
-
-
-def _ragged(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """The indices starts[i], ..., starts[i] + lens[i] - 1 for each i in
-    turn."""
-    return np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(
-        lens.sum())
-
-
-def _pad(gens: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """The (2, m, max n) stack of the m generating sets of ``gens``, which
-    holds n[i] generators (2, n[i]) for each i in turn, each padded to the
-    longest by repeating its first generator, which changes no count."""
-    j = np.arange(n.max())
-    return gens[:, (np.cumsum(n) - n)[:, None]
-                + np.where(j < n[:, None], j, 0)]
-
-
-def _o2_gens(P: int, kind: np.ndarray, head: np.ndarray,
-             n: np.ndarray) -> np.ndarray:
-    """The O(2) side of the generating sets of classes of ``kind`` codes on
-    ``head``, n generators each, in turn (see ``_build``): the rotation
-    step P/h (1 under SO(2) and O(2); none for D1), the reflection P (none
-    for SO(2)), then the identity under R's generators."""
-    kind, head = np.repeat(kind, n), np.repeat(head.astype(np.int64), n)
-    j, rot = np.arange(len(head)) - np.repeat(np.cumsum(n) - n, n), head != 1
-    step = np.where(head > 0, P // np.maximum(head, 1), 1)
-    return np.where(rot & (j == 0), step, np.where(
-        (j == rot) & (kind != KINDS.index("SO2")), P, 0))
 
 
 def _small(a) -> np.ndarray:

@@ -17,8 +17,8 @@ from pickle import UnpicklingError   # perfbench/tracer.py swaps out `pickle`
 
 SCHEMA = 1
 CACHE_ENV = "DISCDEG_CACHE_DIR"
-# format 12: a catalog stores its own columns and K-lattice counts, no group
-CACHE_FORMAT = 12
+# format 13: a catalog stores each class as its gluing, no labels or generators
+CACHE_FORMAT = 13
 
 
 class Refusal(Exception):
@@ -305,11 +305,10 @@ def cmd_solve(args) -> int:
     from .elliptic import existence_report
     problem = _load_problem(args.problem)
     rep = existence_report(problem, max_mode=args.max_mode, cache=_cached)
+    _emit(args.format, _report_records(rep), _report_text(rep))
     if not rep.condition_D:
-        _emit(args.format, _report_records(rep), _report_text(rep))
         raise Refusal("condition (D) violated: eigenvalue collides with a "
                       f"Bessel zero at (n, m, mu) = {rep.condition_D_witness}")
-    _emit(args.format, _report_records(rep), _report_text(rep))
     return 0
 
 

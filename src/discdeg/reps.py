@@ -9,11 +9,11 @@ Fixed-point dimensions are computed by character averaging over each
 catalog class on its own head, for all classes of one head at once, and
 kept per rep as one integer array over the catalog.  The character of the
 rep is a product w(a) chi(k), and a class holds one coset of R, the row
-labels[a] of the catalog's table, over each point a of its head, so its
-dimension is the sum of w(a) (rows @ chi)[labels[a]] over the head points
-over |R| times their number.  Rotation characters are cosines, but their
-sums against chi are integers (``_rotation_sums``), so each dimension is
-an exact quotient, and a remainder raises.
+labels[a] its gluing puts there (``catalog.on_head``), over each point a
+of its head, so its dimension is the sum of w(a) (rows @ chi)[labels[a]]
+over the head points over |R| times their number.  Rotation characters
+are cosines, but their sums against chi are integers (``_rotation_sums``),
+so each dimension is an exact quotient, and a remainder raises.
 
 The maximal orbit types are found without the others: a generic vector
 of the fixed space of a class maximal among those with a nonzero fixed
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import KINDS, ProductCatalog
+from .catalog import KINDS, ProductCatalog, on_head
 from .characters import character_table
 from .permgroup import FiniteGroup
 
@@ -100,9 +100,10 @@ class RepContext:
         2 r d |R| times its dimension, its rotation sum, is d times the sum
         over the stored rows at mode m/d, known before any class is counted."""
         c = self.catalog.rows @ self._chi(rep)
-        return {r * d for r, ids in self.catalog.rotation_rows.items()
+        return {r * d for r, rows in self.catalog.gluings.items()
                 for d in range(1, rep.m + 1) if rep.m % d == 0
-                and (_rotation_sums(c[ids], rep.m // d) > 0).any()}
+                and (_rotation_sums(c[on_head(rows, r)[:, :r]], rep.m // d)
+                     > 0).any()}
 
 
 def _rotation_sums(c: np.ndarray, m: int) -> np.ndarray:

@@ -153,9 +153,9 @@ def test_folds_match_golden(cube_pipeline):
         assert got == [json.loads(line) for line in fh]
 
 
-# every stored per-class value but the labels, digested over the classes in
-# cid order; "glue" is (glue_step, glue_iso), "rowid" the class spread over
-# the grid and "gens" its generating set
+# every stored per-class value, digested over the classes in cid order, and
+# what is derived from them: "glue" is (glue_step, glue_iso), "rowid" the
+# class spread over the grid (its labels) and "gens" its generating set
 DIGEST_FIELDS = ("name", "kind", "head", "kp_cid", "bucket", "size",
                  "weyl_order", "normalizer_weyl_order", "n_model", "glue",
                  "rowid", "gens")
@@ -263,13 +263,30 @@ def _count_arrays(obj) -> int:
 def test_stored_state_is_a_few_flat_columns(cube_pipeline, s4z2_table):
     """The stored cube-heads catalog holds as many arrays as one on fewer
     heads of the same K, whatever its class count, and pickles to at most
-    180,000 bytes."""
+    130,000 bytes."""
     cat = cube_pipeline.catalog
     small = ProductCatalog(cat.K, [1, 2], ktable=s4z2_table)
     assert len(small) < len(cat) == 1919
     assert _count_arrays(cat.__getstate__()) == _count_arrays(
         small.__getstate__())
-    assert len(pickle.dumps(cat)) <= 180_000
+    assert len(pickle.dumps(cat)) <= 130_000
+
+
+def test_stored_state_beside_the_classes_depends_on_k_only(cube_pipeline,
+                                                           s4z2_table):
+    """What a stored catalog keeps besides its per-class columns, its names,
+    heads, P and full class (``rows``, the gluing tables, R's generators and
+    ``nk``) is the same for S4 x Z2 on the cube heads and on heads 1, 2, 3,
+    4, 6, 8, 12, 16, 24, 48: the labels of a class come from its gluing."""
+    cat = cube_pipeline.catalog
+    other = ProductCatalog(cat.K, [1, 2, 3, 4, 6, 8, 12, 16, 24, 48],
+                           ktable=s4z2_table)
+    per_class = {"classes", "names", "heads", "P", "full_cid"}
+    a, b = cat.__getstate__(), other.__getstate__()
+    assert set(catalog.STORED) - per_class == {"rows", "gluings", "r_gens",
+                                               "nk"}
+    for k in set(catalog.STORED) - per_class:
+        assert pickle.dumps(a[k]) == pickle.dumps(b[k]), k
 
 
 def _not_plain(x) -> list:
@@ -317,11 +334,10 @@ def test_stored_layout_is_pinned_to_its_cache_format():
     written with, so a change to its attributes or columns must come with
     a new format; this pins the three together."""
     assert (cli.CACHE_FORMAT, catalog.STORED, catalog.COLUMNS) == (
-        12, ("heads", "P", "rows", "rotation_rows", "full_cid", "classes",
-             "labels", "kgens", "nk", "names"),
+        13, ("heads", "P", "rows", "gluings", "r_gens", "full_cid",
+             "classes", "nk", "names"),
         ("kind", "head", "kp_cid", "bucket", "size", "weyl_order",
-         "normalizer_weyl_order", "n_model", "glue_step", "glue_iso",
-         "n_labels", "n_gens"))
+         "normalizer_weyl_order", "n_model", "glue_step", "glue_iso"))
 
 
 @GOLDEN_CATALOGS

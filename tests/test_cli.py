@@ -452,6 +452,28 @@ def test_resonant_problem_refused_exit_3(run, tmp_path):
     assert cond["ok"] is False
 
 
+@pytest.mark.parametrize("c, want", [
+    (62, "error: largest eigenvalue mu = 65.0 needs Bessel modes 0..65, "
+         "beyond the supported 0..64 (mu <= sqrt(64*66) = 64.99)"),
+    (61, "not supported: it needs heads up to 360")], ids=["modes", "heads"])
+def test_cube_beyond_the_supported_bounds_exits_2(c, want, tmp_path,
+                                                  monkeypatch, capsys):
+    """cube(62, 1) has mu = 65 > sqrt(64 * 66), so it needs Bessel mode 65,
+    beyond the evaluator: it is refused before any zero is walked, with
+    the bound, not by the evaluator's order check.  cube(61, 1) fits the
+    modes but needs heads beyond 360."""
+    from discdeg import bessel
+    prob = tmp_path / "cube.json"
+    prob.write_text(json.dumps({"cube": {"c": c, "d": 1}}))
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    if c == 62:
+        monkeypatch.setattr(bessel, "_zero_levels", None)
+    assert cli.main(["solve", str(prob)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and want in err
+    assert "order must be" not in err and len(err.splitlines()) == 1
+
+
 # -- the full solve --------------------------------------------------------------
 
 def test_solve_cube_report(cube_solution):
@@ -564,14 +586,14 @@ def test_unreadable_cache_file_exits_2_naming_it(garble, tmp_path,
     assert path.read_bytes() == bad              # left as it was, not rebuilt
 
 @pytest.mark.parametrize("column, garble, why", [
-    ("labels", lambda a: a[:-1], "columns do not fit"),
+    ("gluings", lambda g: g | {1: g[1][:-1]}, "columns do not fit"),
     ("names", None, "'names'"), ("nk", None, "'nk'")],
-    ids=["label-dropped", "names-missing", "nk-missing"])
+    ids=["gluing-dropped", "names-missing", "nk-missing"])
 def test_stored_catalog_whose_columns_do_not_fit_exits_2(
         column, garble, why, tmp_path, monkeypatch, capsys):
-    """A stored catalog state with one label dropped, or with a column
-    missing, is refused on load as an unreadable cache file, and the file
-    is left as it was."""
+    """A stored catalog state with the last gluing of period 1 dropped, or
+    with a column missing, is refused on load as an unreadable cache file,
+    and the file is left as it was."""
     from discdeg.catalog import ProductCatalog
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
     argv = ["ccs", "S3*Z2", "--heads", "1,2"]

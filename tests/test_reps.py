@@ -67,7 +67,8 @@ def test_fixed_dims_match_a_float_cosine_oracle(which, contexts):
 @pytest.mark.parametrize("which", ["S3", "S4", "S4 heads 1,7,11,13,17", "S5"])
 def test_fixed_point_heads_match_the_float_threshold(which, contexts):
     """The heads r d whose gluings of period r fix a vector at mode m/d, by
-    a float cosine sum against r |R| (an integer dimension above 1/2)."""
+    a float cosine sum against r |R| (an integer dimension above 1/2), over
+    the rotation half of each period's gluing table."""
     ctx = contexts[which]
     cat = ctx.catalog
     size = cat.rows.sum(axis=1)
@@ -75,7 +76,8 @@ def test_fixed_point_heads_match_the_float_threshold(which, contexts):
         if not rep.m:
             continue
         c = cat.rows @ _float_chi(ctx, rep)
-        want = {r * d for r, ids in cat.rotation_rows.items()
+        want = {r * d for r, rows in cat.gluings.items()
+                for ids in [rows[:, :r]]
                 for d in range(1, rep.m + 1) if rep.m % d == 0
                 and (c[ids] @ (2 * np.cos(2 * math.pi * (rep.m // d)
                                           * np.arange(r) / r))
