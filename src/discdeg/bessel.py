@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 M_MAX = 64
 X_MAX = 1.0e3
@@ -181,6 +182,7 @@ class ModeTable:
     the lower bound s_1m > sqrt(m(m+2)) then certifies that no omitted
     mode has a zero below mu_max.  Each mode stores every zero up to
     mu_max plus one beyond (so strict comparisons are always decided).
+    ``mu_max`` may be an exact rational of any size; M is found in integers.
     """
     mu_max: float
     zeros: dict[tuple[int, int], float] = field(default_factory=dict)
@@ -190,15 +192,15 @@ class ModeTable:
         if self.mu_max <= 0:
             self.max_mode = -1
             return
-        M = 0
-        while watson_lower(M) < self.mu_max:
-            M += 1
+        # M (M + 2) >= mu^2 holds iff it holds for ceil(mu^2), an integer
+        mu, M = self.mu_max, math.isqrt(math.ceil(Fraction(self.mu_max) ** 2))
         if M > M_MAX:
             raise ValueError(
-                f"largest eigenvalue mu = {self.mu_max} needs Bessel modes "
-                f"0..{M}, beyond the supported 0..{M_MAX} (mu <= "
+                f"largest eigenvalue mu = "
+                f"{float(mu) if mu < sys.float_info.max else mu} needs Bessel "
+                f"modes 0..{M}, beyond the supported 0..{M_MAX} (mu <= "
                 f"sqrt({M_MAX}*{M_MAX + 2}) = {watson_lower(M_MAX):.2f})")
-        self.max_mode = M
+        self.mu_max, self.max_mode = float(mu), M
         for m, zs in enumerate(_zero_levels(M, min(self.mu_max + _TAIL,
                                                    X_MAX))):
             kept = 0

@@ -34,8 +34,8 @@ ranked as its sparse tuple sorts) form a bucket, and rounds of counts
 keep one per class.  A class keeps its gluing as ``glue`` = (step,
 dihedral isomorphism or -1), and the nu-fold pullback of a D_h-headed
 class is the same gluing on D_{nu h} (``ProductCatalog.fold_class``).
-``reps.RepContext.fixed_point_heads`` reads off the gluing tables the
-heads a rep needs, also those the catalog lacks.
+``reps.RepContext`` reads fixed-point dimensions off the gluing tables,
+and the heads a rep needs, also those the catalog lacks.
 
 The catalog covers heads D_h for h in a divisor-closed set ``heads``,
 plus all SO(2)- and O(2)-headed classes.  Within that scope it supplies
@@ -245,15 +245,6 @@ class ProductCatalog:
         return on_head(self.gluings[q][at:at + 1], max(head, 1))[
             0, :1 if KINDS[kind] == "SO2" else None]
 
-    def head_blocks(self, kind: str):
-        """(head, class ids, their labels as rows) for each head of
-        ``kind``; SO(2) has one label, no reflections."""
-        cols = self.classes
-        for h, ids, labels in self._blocks(np.flatnonzero(
-                cols["kind"] == KINDS.index(kind)), cols["head"], cols["kind"],
-                *self._glue):
-            yield h, ids, labels[:, :1 if kind == "SO2" else None]
-
     # -- construction -------------------------------------------------------
 
     def _build(self, ktable: SubgroupClassTable):
@@ -309,9 +300,7 @@ class ProductCatalog:
         # elements by reflection bit, rotation order or reflection parity and
         # canonical K-class; on D_h all reflections are even), whether no
         # reflection holds K's identity (class 0), the labels its gens lift
-        cls_of = self.K.class_index_of_element()
-        kcls = np.array([cls_of[g] for g in self.K.elements])
-        rowhist = self.rows @ np.eye(kcls.max() + 1, dtype=np.int32)[kcls]
+        rowhist = self._rowhist()
         for f in ("size", "fp", "rot_kernel"):
             rec[f] = np.zeros(len(head), dtype=np.int64)
         points = np.zeros((len(head), 2), dtype=np.intp)
@@ -339,6 +328,12 @@ class ProductCatalog:
                                             max(h, 1))
             labels[kind[i] == KINDS.index("SO2"), 1:] = 0
             yield h, i, labels
+
+    def _rowhist(self) -> np.ndarray:
+        """Each row of ``rows`` counted by K's canonically ordered classes."""
+        cls_of = self.K.class_index_of_element()
+        kcls = np.array([cls_of[g] for g in self.K.elements])
+        return self.rows @ np.eye(kcls.max() + 1, dtype=np.int32)[kcls]
 
     def _generators(self, kind, head, step, points):
         """The generating sets of records or classes (``kind`` codes, head,
@@ -502,10 +497,7 @@ class ProductCatalog:
                                       in ("size", "head", "bucket", "kp_cid"))
             cols = np.stack([size, head > 0, np.maximum(head, 1),
                              np.maximum(bucket, 1), kp])
-            # K-class of each element: its least conjugate
-            _, kcls = np.unique(self.K._tables()[2].min(axis=0),
-                                return_inverse=True)
-            rowhist = self.rows @ np.eye(kcls.max() + 1)[kcls]
+            rowhist = self._rowhist()
             hist = np.zeros((n, len(heads) + 1, rowhist.shape[1]),
                             dtype=np.int32)
             points = np.zeros((n, 2), dtype=np.intp)

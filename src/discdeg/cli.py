@@ -304,7 +304,7 @@ def _report_text(rep):
 def cmd_solve(args) -> int:
     from .elliptic import existence_report
     problem = _load_problem(args.problem)
-    rep = existence_report(problem, max_mode=args.max_mode, cache=_cached)
+    rep = existence_report(problem, cache=_cached)
     _emit(args.format, _report_records(rep), _report_text(rep))
     if not rep.condition_D:
         raise Refusal("condition (D) violated: eigenvalue collides with a "
@@ -388,8 +388,6 @@ def _parser():
 
     sp = sub.add_parser("solve", help="full existence report for a problem file")
     sp.add_argument("problem")
-    sp.add_argument("--max-mode", type=int, default=None,
-                    help="assert the mode truncation does not exceed this")
     sp.set_defaults(fn=cmd_solve)
 
     sp = sub.add_parser("golden-check",

@@ -22,7 +22,8 @@ from functools import lru_cache
 import numpy as np
 
 from .burnside import BurnsideElement, BurnsideRing
-from .catalog import ProductCatalog, cached_catalog, required_heads
+from .catalog import (MAX_HEAD, ProductCatalog, cached_catalog,
+                      required_heads)
 from .permgroup import (FiniteGroup, SubgroupClassTable, cyclic_group,
                         direct_product)
 from .reps import IrrDescriptor, RepContext
@@ -63,7 +64,11 @@ def linear_degree(ring: BurnsideRing, ctx: RepContext,
             raise ValueError(
                 f"no irreducible {rep} for Gamma = {ctx.gamma.name}")
         # every orbit type of a mode-m rep has a nonzero fixed space; without
-        # the heads of those classes the degree would be incomplete
+        # their heads, m's among them (Psi_m of D1 x Z1 fixes U), the degree
+        # would be incomplete
+        if rep.m > MAX_HEAD:
+            raise ValueError(f"{rep} needs head D{rep.m}, beyond the largest "
+                             f"supported head D{MAX_HEAD}")
         if rep.m and (missing := sorted(ctx.fixed_point_heads(rep)
                                         - set(cat.heads))):
             raise ValueError(f"{rep} needs catalog heads {missing}, missing "

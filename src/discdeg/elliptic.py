@@ -231,9 +231,9 @@ def collisions(spec: list[IsotypicEigenvalue], modes: ModeTable) -> list:
     Condition (D) holds iff there is none; their modes m are the set C."""
     out = []
     for e in spec:
-        mu = float(e.mu)
-        if mu <= 0:
+        if e.mu <= 0:
             continue
+        mu = float(e.mu)
         if mu > modes.mu_max:
             raise ValueError("mode table does not cover the spectrum")
         out += [(n, m, e.mu) for (n, m), z in modes.zeros.items()
@@ -254,7 +254,7 @@ def m_counter(spec: list[IsotypicEigenvalue], modes: ModeTable,
     """m_m = sum over positive eigenvalues of n_m(mu) * mult(mu)."""
     sigma = spectrum_summary(spec)
     return sum(n_counter(modes, m, mu) * mult
-               for mu, mult in sigma.items() if float(mu) > 0)
+               for mu, mult in sigma.items() if mu > 0)
 
 
 @dataclass
@@ -338,7 +338,6 @@ def odd_reps(spec, modes) -> list[IrrDescriptor]:
 
 def existence_report(problem: CouplingProblem,
                      pipeline: PipelineContext | None = None,
-                     max_mode: int | None = None,
                      cache=None) -> DegreeReport:
     """Run the full pipeline and collect every reportable conclusion.
 
@@ -346,14 +345,11 @@ def existence_report(problem: CouplingProblem,
     ``cache`` when given.
     """
     spec = isotypic_spectrum(problem)
-    mu_max = max((float(e.mu) for e in spec if float(e.mu) > 0), default=0.0)
-    modes = ModeTable(mu_max)
-    if max_mode is not None and max_mode < modes.max_mode:
-        raise ValueError(
-            f"max-mode override {max_mode} below required {modes.max_mode}")
+    # compared as exact rationals: an eigenvalue need not fit a float
+    modes = ModeTable(max((e.mu for e in spec if e.mu > 0), default=0))
     found = collisions(spec, modes)
     resonant = {m for _, m, _ in found}
-    if found or mu_max == 0.0:
+    if found or modes.max_mode < 0:
         return DegreeReport(condition_D=not found,
                             condition_D_witness=found[0] if found else None,
                             resonant=resonant, spectrum=spec, mode_counts={},

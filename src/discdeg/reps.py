@@ -5,15 +5,17 @@ W_m tensor U_j^{sign}, where W_m is the m-th rotation representation of
 O(2) (m = 0 trivial), U_j the j-th irreducible of Gamma, and sign = -1
 tensors with the antipodal action of the central Z2.
 
-Fixed-point dimensions are computed by character averaging over each
-catalog class on its own head, for all classes of one head at once, and
-kept per rep as one integer array over the catalog.  The character of the
-rep is a product w(a) chi(k), and a class holds one coset of R, the row
-labels[a] its gluing puts there (``catalog.on_head``), over each point a
-of its head, so its dimension is the sum of w(a) (rows @ chi)[labels[a]]
-over the head points over |R| times their number.  Rotation characters
-are cosines, but their sums against chi are integers (``_rotation_sums``),
-so each dimension is an exact quotient, and a remainder raises.
+Fixed-point dimensions are read off the gluing tables
+(``catalog.gluings``) and kept per rep as one integer array over the
+catalog.  The character of the rep is a product w(a) chi(k), and a class
+on D_{pd} with kernel Z_d holds over rotation and reflection k the coset
+of R in row k mod p of its period-p gluing.  Over its head, the w-weighted
+sum of (rows @ chi) at those rows is d times the gluing's plain sum at
+mode 0; at mode m >= 1 (reflections, SO(2) and O(2) weigh 0) it is d times
+its rotation sum on D_p at mode m/d if d | m, else 0; over 2pd|R| it is
+the dimension.  Rotation characters are cosines, but their sums against
+chi are integers (``_rotation_sums``), so each dimension is an exact
+quotient, and a remainder raises.
 
 The maximal orbit types are found without the others: a generic vector
 of the fixed space of a class maximal among those with a nonzero fixed
@@ -22,11 +24,12 @@ such a class.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import KINDS, ProductCatalog, on_head
+from .catalog import ProductCatalog
 from .characters import character_table
 from .permgroup import FiniteGroup
 
@@ -57,30 +60,27 @@ class RepContext:
         self._gamma_part = [g[:d] for g in K.elements]
         self._z_sign = np.array([-1 if g[zoff] != zoff else 1
                                  for g in K.elements], dtype=np.int64)
-        self._blocks: list | None = None
         self._dims: dict[IrrDescriptor, np.ndarray] = {}
 
     def fixed_dims(self, rep: IrrDescriptor) -> np.ndarray:
-        """dim of the fixed space of every class, by class id."""
+        """dim of the fixed space of every class, by class id: the sum of
+        its gluing at its kernel over 2 p |R| (see the module notes)."""
         if rep in self._dims:
             return self._dims[rep]
-        if self._blocks is None:
-            self._blocks = [b for kind in KINDS
-                            for b in self.catalog.head_blocks(kind)]
-        rows = self.catalog.rows
-        c = rows @ self._chi(rep)
-        dims = np.zeros(len(self.catalog), dtype=np.int64)
-        for h, ids, labels in self._blocks:
-            # W_m at each head point: 1 for m = 0; else 2 cos(2 pi m k / h)
-            # at rotation k of D_h, 0 at reflections and on SO(2) and O(2)
-            num = (c[labels].sum(axis=1) if rep.m == 0
-                   else _rotation_sums(c[labels[:, :h]], rep.m))
-            den = labels.shape[1] * rows[labels[:, 0]].sum(axis=1)
-            dims[ids], rem = np.divmod(num, den)
-            for i in np.flatnonzero((rem != 0) | (num < 0))[:1]:
-                raise AssertionError(
-                    f"fixed-point dimension {num[i]}/{den[i]} not a nonneg "
-                    f"integer for {rep} at {self.catalog.names[ids[i]]}")
+        cat, (q, at) = self.catalog, self.catalog._glue
+        kernel = cat.classes["bucket"] if rep.m else 0     # 0 off D_h
+        num = np.zeros(len(cat), dtype=np.int64)
+        for p, d, sums in self._gluing_sums(rep):
+            sel = (q == p) & (kernel == d)
+            num[sel] = sums[at[sel]]
+        # |R| of each class: its step's row holding K's identity (index 0)
+        r = cat.rows[cat.rows[:, 0]].sum(axis=1)[cat.classes["glue_step"]]
+        den = 2 * q * r
+        dims, rem = np.divmod(num, den)
+        for i in np.flatnonzero((rem != 0) | (num < 0))[:1]:
+            raise AssertionError(
+                f"fixed-point dimension {num[i]}/{den[i]} not a nonneg "
+                f"integer for {rep} at {cat.names[i]}")
         dims.flags.writeable = False      # shared by every caller
         self._dims[rep] = dims
         return dims
@@ -91,19 +91,24 @@ class RepContext:
                         for g in self._gamma_part], dtype=np.int64)
         return chi * self._z_sign if rep.sign < 0 else chi
 
+    def _gluing_sums(self, rep: IrrDescriptor):
+        """(p, d, sums): for each period p and kernel d that can fix a vector,
+        the sum over D_{pd} of each row of ``gluings[p]``, over d (see the
+        module notes); d = 0 is every kernel, SO(2) and O(2) at mode 0."""
+        c, m = self.catalog.rows @ self._chi(rep), rep.m
+        kernels = [d for i in range(1, math.isqrt(m) + 1) if m % i == 0
+                   for d in {i, m // i}] if m else [0]
+        for p, rows in self.catalog.gluings.items():
+            for d in kernels:
+                yield p, d, (_rotation_sums(c[rows[:, :p]], m // d) if m
+                             else c[rows].sum(axis=1))
+
     def fixed_point_heads(self, rep: IrrDescriptor) -> set[int]:
         """Heads of the D-headed classes, in any head set, on which a rep of
-        mode m >= 1 has a nonzero fixed space; its orbit types are among them.
-
-        A gluing whose rows repeat with period r over the rotations has its
-        class on head r d (kernel Z_d) fixing nothing unless d | m, and then
-        2 r d |R| times its dimension, its rotation sum, is d times the sum
-        over the stored rows at mode m/d, known before any class is counted."""
-        c = self.catalog.rows @ self._chi(rep)
-        return {r * d for r, rows in self.catalog.gluings.items()
-                for d in range(1, rep.m + 1) if rep.m % d == 0
-                and (_rotation_sums(c[on_head(rows, r)[:, :r]], rep.m // d)
-                     > 0).any()}
+        mode m >= 1 has a nonzero fixed space, its orbit types among them:
+        the heads p d of the gluings with a positive sum (``_gluing_sums``)."""
+        return {p * d for p, d, sums in self._gluing_sums(rep)
+                if (sums > 0).any()}
 
 
 def _rotation_sums(c: np.ndarray, m: int) -> np.ndarray:

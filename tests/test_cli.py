@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -23,7 +24,7 @@ def cache_dir(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def run(cache_dir):
-    def _run(*argv, cache=True):
+    def _run(*argv, cache=True, timeout=600):
         env = dict(os.environ)
         if cache:
             env["DISCDEG_CACHE_DIR"] = cache_dir
@@ -31,7 +32,7 @@ def run(cache_dir):
             env.pop("DISCDEG_CACHE_DIR", None)
         return subprocess.run(
             [sys.executable, "-m", "discdeg.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=600)
+            capture_output=True, text=True, env=env, timeout=timeout)
     return _run
 
 
@@ -327,6 +328,17 @@ def test_basic_degree_refuses_heads_missing_its_orbit_types(tmp_path,
     assert "needs catalog heads [24]," in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("m", ["361", "100000000000"])
+def test_basic_degree_of_a_mode_beyond_the_largest_head_exits_2_at_once(
+        m, run):
+    """W_m (x) U always needs head m (Psi_m of D1 x Z1 fixes U), so a mode
+    above 360 is refused before its divisors are walked, within seconds."""
+    r = run("basic-degree", m, "0", "-1", timeout=20)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == (f"error: W{m} (x) U0- needs head D{m}, beyond the "
+                        f"largest supported head D360\n")
+
+
 @pytest.mark.parametrize("rep, extra", [
     (("3", "0", "1"), "9,18"), (("3", "0", "-1"), "9,18"),
     (("3", "1", "1"), "9,18"), (("3", "1", "-1"), "9,18"),
@@ -472,6 +484,43 @@ def test_cube_beyond_the_supported_bounds_exits_2(c, want, tmp_path,
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and want in err
     assert "order must be" not in err and len(err.splitlines()) == 1
+
+
+def _solve_cube(c: str, tmp_path, monkeypatch, capsys):
+    """(exit code, JSON records, stderr) of solving cube(c, 1)."""
+    prob = tmp_path / "cube.json"
+    prob.write_text(json.dumps({"cube": {"c": c, "d": 1}}))
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    rc = cli.main(["--format", "json", "solve", str(prob)])
+    out, err = capsys.readouterr()
+    return rc, jlines(out), err
+
+
+@pytest.mark.parametrize("c, shown, M", [
+    ("1e10", "10000000003.0", 10 ** 10 + 3),
+    ("1e400", str(10 ** 400 + 3), 10 ** 400 + 3)], ids=["1e10", "1e400"])
+def test_a_huge_eigenvalue_is_refused_for_its_modes_at_once(
+        c, shown, M, tmp_path, monkeypatch, capsys):
+    """mu = c + 3 needs Bessel modes 0..mu, found in integers: refused with
+    the bound at once, neither by walking the modes up to mu nor by a float
+    overflow, and shown as a float where it fits one."""
+    rc, recs, err = _solve_cube(c, tmp_path, monkeypatch, capsys)
+    assert rc == 2 and recs == []
+    assert err == (f"error: largest eigenvalue mu = {shown} needs Bessel "
+                   f"modes 0..{M}, beyond the supported 0..64 (mu <= "
+                   f"sqrt(64*66) = 64.99)\n")
+
+
+def test_no_positive_eigenvalue_beyond_any_float_reports_as_small_ones(
+        tmp_path, monkeypatch, capsys):
+    """With c = -10^400 no eigenvalue is positive: the report is that of
+    c = -4, each eigenvalue shifted by c."""
+    def shifted(c):
+        rc, recs, err = _solve_cube(c, tmp_path, monkeypatch, capsys)
+        assert rc == 0 and err == ""
+        return [r | {"mu": str(Fraction(r["mu"]) - Fraction(c))} if "mu" in r
+                else r for r in recs]
+    assert shifted("-1e400") == shifted("-4")
 
 
 # -- the full solve --------------------------------------------------------------

@@ -5,27 +5,26 @@ import math
 import numpy as np
 import pytest
 
-from discdeg.catalog import KINDS, ProductCatalog
+from discdeg.catalog import KINDS, ProductCatalog, on_head
 from discdeg.permgroup import build_group, symmetric_group
 from discdeg.reps import IrrDescriptor, RepContext, _rotation_sums
-
-MODES = range(7)
 
 
 @pytest.fixture(scope="module")
 def contexts(cube_pipeline):
-    """Rep contexts of S3 x Z2, S4 x Z2 (cube heads, and heads without 2)
-    and S5 x Z2."""
+    """Rep contexts of S3 x Z2, S4 x Z2 (cube heads, the divisors of 24, and
+    heads without 2) and S5 x Z2."""
     def ctx(n, heads):
         return RepContext(ProductCatalog(build_group(f"S{n}*Z2"), heads),
                           symmetric_group(n))
     return {"S3": ctx(3, [1, 2, 3, 6]), "S4": cube_pipeline.ctx,
+            "S4 heads 1,2,3,4,6,8,12,24": ctx(4, [1, 2, 3, 4, 6, 8, 12, 24]),
             "S4 heads 1,7,11,13,17": ctx(4, [1, 7, 11, 13, 17]),
             "S5": ctx(5, [1, 2, 3, 4, 5, 6])}
 
 
-def _reps(ctx):
-    return [IrrDescriptor(m, j, s) for m in MODES
+def _reps(ctx, modes=7):
+    return [IrrDescriptor(m, j, s) for m in range(modes)
             for j in range(len(ctx.gamma_table.irreps)) for s in (-1, 1)]
 
 
@@ -40,26 +39,35 @@ def _float_chi(ctx, rep):
 
 def _float_dims(ctx, rep):
     """The character of W_m (x) U_j^sign averaged over the head points of
-    every class in floats: 2 cos(2 pi m k / h) at rotation k of D_h."""
+    every class in floats: 2 cos(2 pi m k / h) at rotation k of D_h.  Each
+    class's labels, the row over each point of its head, are its gluing
+    row spread over the head (``on_head``), for all classes of one kind,
+    head and period at once; SO(2) keeps only the rotation's."""
     cat = ctx.catalog
     c = cat.rows @ _float_chi(ctx, rep)
-    out = np.full(len(cat), np.nan)
-    for kind in KINDS:
-        for h, ids, labels in cat.head_blocks(kind):
-            n = labels.shape[1]
-            w = (np.ones(n) if rep.m == 0 else np.zeros(n) if h == 0 else
-                 np.r_[2 * np.cos(2 * math.pi * rep.m * np.arange(h) / h),
-                       np.zeros(h)])
-            out[ids] = c[labels] @ w / (n * cat.rows[labels[:, 0]].sum(1))
+    (q, at), out = cat._glue, np.full(len(cat), np.nan)
+    keys = np.c_[cat.classes["kind"], cat.classes["head"], q]
+    for kind, h, p in np.unique(keys, axis=0).tolist():
+        ids = np.flatnonzero((keys == (kind, h, p)).all(axis=1))
+        labels = on_head(cat.gluings[p][at[ids]], max(h, 1))
+        labels = labels[:, :1] if KINDS[kind] == "SO2" else labels
+        n = labels.shape[1]
+        w = (np.ones(n) if rep.m == 0 else np.zeros(n) if h == 0 else
+             np.r_[2 * np.cos(2 * math.pi * rep.m * np.arange(h) / h),
+                   np.zeros(h)])
+        out[ids] = c[labels] @ w / (n * cat.rows[labels[:, 0]].sum(1))
     return out
 
 
-@pytest.mark.parametrize("which", ["S3", "S4", "S5"])
-def test_fixed_dims_match_a_float_cosine_oracle(which, contexts):
-    """Every class, modes 0-6, every irreducible and sign: the integer
-    dimension is the float average, which lies within 1e-6 of it."""
+@pytest.mark.parametrize("which, modes", [
+    ("S3", 7), ("S4", 7), ("S5", 7), ("S4 heads 1,2,3,4,6,8,12,24", 9)],
+    ids=["S3", "S4", "S5", "S4 heads 1,2,3,4,6,8,12,24"])
+def test_fixed_dims_match_a_float_cosine_oracle(which, modes, contexts):
+    """Every class, every mode below ``modes``, every irreducible and sign:
+    the integer dimension is the float average, which lies within 1e-6 of
+    it.  On the divisors of 24, modes 4 and 8 meet kernels Z4 and Z8."""
     ctx = contexts[which]
-    for rep in _reps(ctx):
+    for rep in _reps(ctx, modes):
         d = _float_dims(ctx, rep)
         assert np.abs(d - ctx.fixed_dims(rep)).max() < 1e-6, rep
 
