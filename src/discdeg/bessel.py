@@ -210,11 +210,11 @@ class ModeTable:
                     kept = n
             self.counts[m] = kept
 
-    def count_below(self, m: int, mu: float) -> int:
-        """The counter n_m(mu): how many n have s_nm < mu."""
-        if mu > self.mu_max:
-            raise ValueError("mode table truncated below the requested value")
-        if m > self.max_mode:
+    def count_below(self, m: int, mu) -> int:
+        """The counter n_m(mu): how many n have s_nm < mu, mu of any size."""
+        if mu <= 0:
             return 0
+        if (mu := float(min(mu, sys.float_info.max))) > self.mu_max:
+            raise ValueError("mode table truncated below the requested value")
         return sum(1 for (n, mm), z in self.zeros.items()
                    if mm == m and z < mu)

@@ -28,12 +28,13 @@ one coset of R over each point of its head, S is the class.
 
 ``gluing_steps`` walks every (K', R) once per subgroup table of K; the
 catalog and ``dihedral_quotient_orders`` both read its list.  The build
-makes a record of every gluing on every head it fits.  Records of one
-kind, head, K', size, kernel and fingerprint (their element histogram,
-ranked as its sparse tuple sorts) form a bucket, and rounds of counts
-keep one per class.  A class keeps its gluing as ``glue`` = (step,
-dihedral isomorphism or -1), and the nu-fold pullback of a D_h-headed
-class is the same gluing on D_{nu h} (``ProductCatalog.fold_class``).
+makes a record of every gluing of each period q on its own head D_q, and
+of the SO(2)- and O(2)-headed ones.  Records of one kind, head, K', size
+and fingerprint (their element histogram, ranked as its sparse tuple
+sorts) form a bucket, and rounds of counts keep one per class.  Every
+head h = q nu then takes the gluings kept on D_q, with kernel Z_nu: the
+nu-fold pullback of a class on D_q (``ProductCatalog.fold_class``).  A
+class keeps its gluing as ``glue`` = (step, dihedral isomorphism or -1).
 ``reps.RepContext`` reads fixed-point dimensions off the gluing tables,
 and the heads a rep needs, also those the catalog lacks.
 
@@ -248,7 +249,7 @@ class ProductCatalog:
     # -- construction -------------------------------------------------------
 
     def _build(self, ktable: SubgroupClassTable):
-        """Every gluing of every step of ``ktable`` on every head, as
+        """Every gluing of ``ktable``'s steps on its period's head D_q, as
         records (see the module notes), for ``_dedupe_and_register``."""
         steps, kmul = gluing_steps(ktable), self.K._tables()[0]
         korder = _element_orders(kmul)
@@ -283,13 +284,13 @@ class ProductCatalog:
         self.r_gens = _small([g + [-1] * (most - len(g)) for g in r_gens])
 
         # the records (head, bucket, kind, step, isomorphism): O(2) and
-        # SO(2) x K', O(2)^{SO(2)} x_{Z2} K', then on each D_h every gluing
-        # of each period q | h, with kernel Z_{h/q}
+        # SO(2) x K', O(2)^{SO(2)} x_{Z2} K', then every gluing of each
+        # period q on its own head D_q, with kernel Z1
         recs = [(0, 0, KINDS.index(k), i, -1) for k, n in (
             ("O2", 1), ("SO2", 1), ("O2amalg", 2))
             for i in np.flatnonzero(quo == n).tolist()]
-        recs += [(h, h // q, 0, i, j) for h in self.heads
-                 for q, gl in glue.items() if h % q == 0 for _, i, j in gl]
+        recs += [(q, 1, 0, i, j) for q, gl in glue.items() if q in self.heads
+                 for _, i, j in gl]
         rec = dict(zip(("head", "bucket", "kind", "glue_step", "glue_iso"),
                        np.array(recs).T))
         head, kind = rec["head"], rec["kind"]
@@ -386,20 +387,20 @@ class ProductCatalog:
 
     def _dedupe_and_register(self, rec: dict, points: np.ndarray,
                              tails: np.ndarray, ktable: SubgroupClassTable):
-        """Keep one record of each class, in the class order, and write the
-        columns, from columns over the records, the labels their generators
-        lift, the name tail of each step and K's table."""
+        """Keep one record of each class, on every head its period divides,
+        and write the columns in the class order from the records' columns,
+        their generators' labels, each step's name tail and K's table."""
         head, kind, step, iso = (rec[f] for f in (
             "head", "kind", "glue_step", "glue_iso"))
         pads, ngens = self._generators(kind, head, step, points)
-        # Records in one bucket (kind, head, K', size, kernel, fingerprint)
-        # have the same size, so a conjugate of one inside another is the
-        # whole record.  Each round keeps the first record of every bucket,
-        # in step and isomorphism order, and counts it into each record of
-        # its bucket, every record on one head in one pass: into itself this
+        # Records in one bucket (kind, head, K', size, fingerprint) have the
+        # same size, so a conjugate of one inside another is the whole
+        # record.  Each round keeps the first record of every bucket, in step
+        # and isomorphism order, and counts it into each record of its
+        # bucket, every record on one head in one pass: into itself this
         # gives |N(U)|, and the records it misses are the next round's.
         buckets = _lex_ranks(np.stack([rec[f] for f in (
-            "kind", "head", "kp_cid", "size", "bucket", "fp")], axis=1))
+            "kind", "head", "kp_cid", "size", "fp")], axis=1))
         pending = np.lexsort((iso, step, buckets))
         n_model, first = np.zeros((2, len(head)), dtype=np.int64)
         while len(pending):
@@ -414,11 +415,21 @@ class ProductCatalog:
             n_model[pending[new]] = n[pending[new]]
             pending = pending[n[pending] == 0]
 
-        kept = np.flatnonzero(n_model)
-        cls = kept[np.lexsort([rec[f][kept] for f in (
+        # Each head h = q nu takes the gluings kept on D_q (kernel Z_nu, nu
+        # times the elements and |N(U)|, the fingerprint on D_q as order
+        # key): two gluings of one (K', R) are conjugate when N(D_h) = D_{2h}
+        # and N_K(K') carry one to the other, and D_{2h} acts on D_h/Z_nu =
+        # D_q as Inn(D_q) with y -> yx at every h, so every h keeps the same.
+        rec["n_model"], q, heads = n_model, head, np.array([0] + self.heads)
+        src, at = np.nonzero((heads % np.maximum(q, 1)[:, None] == 0) & (
+            (heads > 0) == (q > 0)[:, None]) & (n_model > 0)[:, None])
+        nu = np.maximum(heads[at], 1) // np.maximum(q[src], 1)
+        c = {f: v[src] * (nu if f in ("size", "bucket", "n_model") else 1)
+             for f, v in rec.items()} | {"head": heads[at]}
+        cls = np.lexsort([c[f] for f in (
             "glue_iso", "glue_step", "fp", "kp_cid", "bucket", "head", "kind",
-            "size")])]
-        c = {f: v[cls] for f, v in rec.items()} | {"n_model": n_model[cls]}
+            "size")])
+        c = {f: v[cls] for f, v in c.items()}
         # reported convention: dihedral-headed classes whose O(2)-side
         # kernel is rotation-only get half the plain normalizer quotient
         # (the central coset is not counted)
@@ -537,12 +548,9 @@ class ProductCatalog:
         """Image of a class under the pullback along the nu-fold cover of O(2).
 
         It is the same gluing on D_{h nu}: element k of D_{h nu} covers
-        element k mod h of D_h, and ``on_head`` gives both the label of k.
-        Two gluings of one (K', R) are conjugate when N(D_h) = D_{2h}
-        and N_K(K') carry one to the other, and D_{2h} acts on D_h/Z_d = D_q
-        as Inn(D_q) with y -> yx at every h, so the dedupe keeps the same
-        gluings at every head.  O(2)- and SO(2)-headed classes are fixed.
-        """
+        element k mod h of D_h, and ``on_head`` gives both the label of k;
+        the build puts every kept gluing on every head its period divides.
+        O(2)- and SO(2)-headed classes are fixed."""
         if nu < 1:
             raise ValueError(f"fold index nu must be a positive integer, "
                              f"got {nu}")

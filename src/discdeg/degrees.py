@@ -63,14 +63,15 @@ def linear_degree(ring: BurnsideRing, ctx: RepContext,
         if rep.m < 0 or not 0 <= rep.j < len(ctx.gamma_table.irreps):
             raise ValueError(
                 f"no irreducible {rep} for Gamma = {ctx.gamma.name}")
-        # every orbit type of a mode-m rep has a nonzero fixed space; without
-        # their heads, m's among them (Psi_m of D1 x Z1 fixes U), the degree
-        # would be incomplete
-        if rep.m > MAX_HEAD:
-            raise ValueError(f"{rep} needs head D{rep.m}, beyond the largest "
-                             f"supported head D{MAX_HEAD}")
-        if rep.m and (missing := sorted(ctx.fixed_point_heads(rep)
-                                        - set(cat.heads))):
+        # the degree needs the head of every orbit type (each has a nonzero
+        # fixed space), m's among them (Psi_m of D1 x Z1 fixes U); a mode
+        # above MAX_HEAD is refused for m alone, before its heads are walked
+        needed = (ctx.fixed_point_heads(rep) if 0 < rep.m <= MAX_HEAD
+                  else {rep.m} - {0})
+        if max(needed, default=0) > MAX_HEAD:
+            raise ValueError(f"{rep} needs head D{max(needed)}, beyond the "
+                             f"largest supported head D{MAX_HEAD}")
+        if missing := sorted(needed - set(cat.heads)):
             raise ValueError(f"{rep} needs catalog heads {missing}, missing "
                              f"from the heads {cat.heads}")
     dims = sum(map(ctx.fixed_dims, reps), np.zeros(len(cat), dtype=np.int64))

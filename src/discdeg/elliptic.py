@@ -244,16 +244,11 @@ def collisions(spec: list[IsotypicEigenvalue], modes: ModeTable) -> list:
 # ---------------------------------------------------------------------------
 # counters
 
-def n_counter(modes: ModeTable, m: int, mu) -> int:
-    """n_m(mu): the number of n with s_nm < mu."""
-    return modes.count_below(m, float(mu))
-
-
 def m_counter(spec: list[IsotypicEigenvalue], modes: ModeTable,
               m: int) -> int:
     """m_m = sum over positive eigenvalues of n_m(mu) * mult(mu)."""
     sigma = spectrum_summary(spec)
-    return sum(n_counter(modes, m, mu) * mult
+    return sum(modes.count_below(m, mu) * mult
                for mu, mult in sigma.items() if mu > 0)
 
 
@@ -278,7 +273,7 @@ def class_counters(spec, modes, ctx: RepContext, cid: int) -> ClassCounters:
     odd."""
     odd = [e for e in spec
            if ctx.fixed_dims(IrrDescriptor(1, e.j, -1))[cid] % 2]
-    m_of = {nu: sum(n_counter(modes, nu, e.mu) * e.mult for e in odd)
+    m_of = {nu: sum(modes.count_below(nu, e.mu) * e.mult for e in odd)
             for nu in range(1, modes.max_mode + 1)}
     odd = [v for v, t in m_of.items() if t % 2]
     return ClassCounters(cid=cid, name=ctx.catalog.names[cid],
@@ -333,7 +328,7 @@ def odd_reps(spec, modes) -> list[IrrDescriptor]:
     No s_nm lies below an eigenvalue mu <= 0."""
     return sorted(IrrDescriptor(m, e.j, -1) for e in spec
                   for m in range(modes.max_mode + 1)
-                  if n_counter(modes, m, e.mu) * e.mult % 2)
+                  if modes.count_below(m, e.mu) * e.mult % 2)
 
 
 def existence_report(problem: CouplingProblem,

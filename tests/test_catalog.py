@@ -679,6 +679,83 @@ def test_dedupe_rounds_decide_forced_buckets(monkeypatch):
     assert rows(forced) == rows(cat)
 
 
+def _per_head_dedupe(cat, ktable) -> dict:
+    """The D-headed classes as a dedupe run on every head finds them: on
+    each D_h, every gluing of each period q | h in step and isomorphism
+    order, dropped when a conjugate of it lies in a gluing kept before it
+    (of the same size, so the conjugate is that gluing), else kept with
+    |N(U)| its count into itself on the grid D_{2h}.  By (head, step,
+    isomorphism): kind, head, K', kernel, size, |N(U)| and Weyl order."""
+    steps = catalog.gluing_steps(ktable)
+    r_row = np.flatnonzero(cat.rows[:, 0])          # R's row of each step
+    gluings = sorted(
+        (i, j, r_row[i] + np.asarray(row))
+        for i, (_, _, cosets, _, isos) in enumerate(steps)
+        for j, row in list(enumerate(isos)) + (
+            [(-1, np.tile(np.arange(len(cosets)), 2))]
+            if len(cosets) <= 2 else []))
+    first = np.argmax(cat.rows, axis=1)      # a coset's first element
+    out = {}
+    for h in cat.heads:
+        model, kept = O2Model(2 * h, cat.K), []
+        for i, j, row in gluings:
+            q = len(row) // 2
+            if h % q:
+                continue
+            labels = catalog.on_head(row[None], h)[0]
+            rowid = np.zeros((2, h, 2), dtype=np.int32)
+            rowid[:, :, 0] = labels.reshape(2, h)          # k at grid 2k
+            r = np.flatnonzero(cat.rows[r_row[i]])
+            lo2 = np.r_[2 % (2 * h), 2 * h, np.zeros(len(r), dtype=int)]
+            lk = np.r_[first[labels[1 % h]], first[labels[h]], r]
+            size, kp = 2 * h * len(r), steps[i][0].cid
+            alike = [u for u in kept if u[:3] == (kp, size, q)]
+            if alike and model.count_conj_into(
+                    *(np.tile(g, (len(alike), 1)) for g in (lo2, lk)),
+                    (np.array([u[3] for u in alike]), cat.rows)).any():
+                continue
+            kept.append((kp, size, q, rowid.ravel()))
+            n = int(model.count_conj_into(lo2[None], lk[None],
+                                          (kept[-1][3], cat.rows))[0])
+            rot_kernel = not cat.rows[labels[h:], 0].any()
+            out[h, i, j] = (0, h, kp, h // q, size, n,
+                            n // size // (2 if rot_kernel else 1))
+    return out
+
+
+@pytest.mark.parametrize("group, heads", [
+    (3, [1, 2, 3, 4, 6, 12]), (4, [1, 2, 3, 4, 6, 8, 12, 24])],
+    ids=["S3*Z2", "S4*Z2"])
+def test_per_period_dedupe_matches_a_per_head_dedupe(group, heads):
+    """Each gluing deduped once, on the head of its period, and put on
+    every head its period divides, gives class for class the D-headed
+    classes a dedupe of every gluing on every head finds."""
+    K = direct_product(symmetric_group(group), cyclic_group(2))
+    ktable = SubgroupClassTable(K)
+    cat = ProductCatalog(K, heads, ktable=ktable)
+    cols = cat.classes[cat.classes["head"] > 0]
+    got = {(h, i, j): (k, h, kp, b, s, n, w) for k, h, kp, b, s, n, w, i, j
+           in cols[["kind", "head", "kp_cid", "bucket", "size", "n_model",
+                    "weyl_order", "glue_step", "glue_iso"]].tolist()}
+    assert got == _per_head_dedupe(cat, ktable)
+
+
+def test_the_build_counts_on_period_heads_only(s4z2, s4z2_table,
+                                               monkeypatch):
+    """S4 x Z2 has gluings of the periods 1, 2, 3, 4 and 6 only, so its
+    build on the cube heads counts on those heads (and on D_2 for the
+    SO(2)- and O(2)-headed classes), never on 8, 9, 12 or 18."""
+    heads, count_once = [], ProductCatalog._count
+
+    def count(self, gens, head, rowid):
+        heads.append(head)
+        return count_once(self, gens, head, rowid)
+
+    monkeypatch.setattr(ProductCatalog, "_count", count)
+    ProductCatalog(s4z2, CUBE_HEADS, ktable=s4z2_table)
+    assert set(heads) == {0, 1, 2, 3, 4, 6}
+
+
 def _sparse_tuple(row) -> tuple:
     return tuple((j, c) for j, c in enumerate(row) if c)
 

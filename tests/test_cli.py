@@ -339,6 +339,15 @@ def test_basic_degree_of_a_mode_beyond_the_largest_head_exits_2_at_once(
                         f"largest supported head D360\n")
 
 
+def test_basic_degree_needing_a_head_beyond_the_largest_exits_2(run):
+    """W360 (x) U0- fixes vectors on D720, a head no catalog can hold: it
+    is refused with the bound and that head, not told to add heads."""
+    r = run("basic-degree", "360", "0", "-1")
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == ("error: W360 (x) U0- needs head D720, beyond the "
+                        "largest supported head D360\n")
+
+
 @pytest.mark.parametrize("rep, extra", [
     (("3", "0", "1"), "9,18"), (("3", "0", "-1"), "9,18"),
     (("3", "1", "1"), "9,18"), (("3", "1", "-1"), "9,18"),
@@ -521,6 +530,25 @@ def test_no_positive_eigenvalue_beyond_any_float_reports_as_small_ones(
         return [r | {"mu": str(Fraction(r["mu"]) - Fraction(c))} if "mu" in r
                 else r for r in recs]
     assert shifted("-1e400") == shifted("-4")
+
+
+def test_a_huge_negative_eigenvalue_beside_a_positive_one_exits_0(
+        tmp_path, monkeypatch, capsys):
+    """[[a, b], [b, a]] with a = -5 10^399 + 1 and b = 5 10^399 + 2 has the
+    eigenvalues 3 and -10^400 - 1, beyond any float: every record but the
+    eigenvalues is that of [[1, 2], [2, 1]] (3 and -1, one radial type)."""
+    def solve(a, b):
+        prob = tmp_path / "swap.json"
+        prob.write_text(json.dumps({"group": "S2", "action_generators": [
+            [1, 0]], "matrix": [[a, b], [b, a]]}))
+        monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+        rc = cli.main(["--format", "json", "solve", str(prob)])
+        out, err = capsys.readouterr()
+        assert rc == 0 and err == ""
+        return [r for r in jlines(out) if r["record"] != "eigenvalue"]
+    big, small = solve(-5 * 10 ** 399 + 1, 5 * 10 ** 399 + 2), solve(1, 2)
+    assert big == small
+    assert [r["record"] for r in small].count("radial") == 1
 
 
 # -- the full solve --------------------------------------------------------------

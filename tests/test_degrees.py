@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from discdeg.burnside import BurnsideRing
 from discdeg.catalog import KINDS, ProductCatalog, dihedral_quotient_orders
 from discdeg.degrees import basic_degree, linear_degree
-from discdeg.elliptic import n_counter, odd_reps
+from discdeg.elliptic import odd_reps
 from discdeg.permgroup import (SubgroupClassTable, build_group, cyclic_group,
                                direct_product)
 from discdeg.reps import (IrrDescriptor, RepContext, _maximal,
@@ -151,7 +151,7 @@ def test_gdeg_linear_even_exponents_drop_out(cube_pipeline, cube41_spectrum,
     keeps the odd ones, and -id on every rep taken as often as its exponent
     has the degree of -id on those alone."""
     spec, modes = cube41_spectrum, cube41_modes
-    exponents = {(m, e.j): n_counter(modes, m, e.mu) * e.mult
+    exponents = {(m, e.j): modes.count_below(m, e.mu) * e.mult
                  for e in spec for m in range(modes.max_mode + 1)}
     assert {r: e for r, e in exponents.items() if e} == CUBE_EXPONENTS
     odd = odd_reps(spec, modes)

@@ -16,7 +16,7 @@ from discdeg.elliptic import (CUBE_ADJACENCY, CUBE_GENERATOR_IMAGES,
                               class_counters, collisions,
                               cube_action, cube_matrix,
                               cube_problem, existence_report,
-                              isotypic_spectrum, m_counter, n_counter,
+                              isotypic_spectrum, m_counter,
                               odd_reps, spectrum_summary)
 from discdeg.reps import IrrDescriptor, maximal_orbit_types_union
 
@@ -163,10 +163,10 @@ def _fake_eig(mu, m=0):
 
 def test_mode_counters_cube41(cube41_spectrum, cube41_modes):
     # n_m(mu) for the published zeros
-    assert n_counter(cube41_modes, 0, 7) == 2
-    assert n_counter(cube41_modes, 1, 7) == 1
-    assert n_counter(cube41_modes, 1, 1) == 0
-    assert n_counter(cube41_modes, 4, 7) == 0
+    assert cube41_modes.count_below(0, 7) == 2
+    assert cube41_modes.count_below(1, 7) == 1
+    assert cube41_modes.count_below(1, 1) == 0
+    assert cube41_modes.count_below(4, 7) == 0
     # m_m aggregates with algebraic multiplicities
     assert m_counter(cube41_spectrum, cube41_modes, 0) == 8
     assert m_counter(cube41_spectrum, cube41_modes, 1) == 4
@@ -469,7 +469,7 @@ def _class_counters_by_fold(spec, modes, ring, ctx, cid) -> ClassCounters:
     cat = ctx.catalog
     m_of = {}
     for nu in range(1, modes.max_mode + 1):
-        raw = {e.j: (n_counter(modes, nu, e.mu) if float(e.mu) > 0 else 0)
+        raw = {e.j: (modes.count_below(nu, e.mu) if float(e.mu) > 0 else 0)
                for e in spec}
         if not any(raw.values()):
             m_of[nu] = 0
