@@ -18,8 +18,8 @@ the grid of H's own head: D_{2h} = N(D_h) for a D_h head, with point k
 of D_h at grid point 2k, and D_2 for SO(2) and O(2).
 
 Each class also has a small generating set, read off its labels
-(``_generators``): lifts of the head's rotation step (head point 1, or a
-generating grid rotation of SO(2) and O(2); none for D1) and of a
+(``_generators``): lifts of the head's rotation step (head point 1, or the
+rotation pi, D_2's step, for SO(2) and O(2); none for D1) and of a
 reflection (point n; none for SO(2)), a lift being the first element of
 the point's coset, and the generators of R, kept per step in ``r_gens``.
 These generate a subgroup S of the class that projects onto the head and
@@ -48,12 +48,10 @@ conjugates of the generators of L do, so
     n(L, H) = #{g : g gens(L) g^-1 in H} / |N(H)|,
     |N(H)|  = #{g : g gens(H) g^-1 in H},
 
-counted over g in D_P x K, P = 2 lcm(heads), and the Weyl order is
-|N(H)| / |H|.  Under a D_h head such a g takes the reflection (1, 0) of L
-into D_h, so it lies in D_{2h} x K: the count on H's grid is the one on
-D_P.  An SO(2)- or O(2)-headed class is the same over every rotation and
-every reflection, so its count on D_P is P/2 times the one on D_2; sizes
-and |N(H)| are given as on D_P.
+counted over g in D_{2h} x K for H on D_h (such a g takes the reflection
+(1, 0) of L into D_h), and the Weyl order is |N(H)| / |H|.  An SO(2)- or
+O(2)-headed class is the same over every rotation and every reflection,
+so it is counted, and sized, on D_2 x K: each class on its own head.
 
 A query takes the whole column of H at once, on first use in a process.
 Under H = O(2) x K' it counts nothing: L lies in a conjugate of H iff
@@ -70,7 +68,7 @@ n(L, H) by L.
 The catalog is its columns, with no object per class: ``classes`` has a
 row of the integers COLUMNS per class, each in the smallest dtype that
 holds it.  The stored state (the attributes STORED) is these, the heads,
-P, the names as one string, and ``rows``, ``gluings``, ``r_gens`` and
+the names as one string, and ``rows``, ``gluings``, ``r_gens`` and
 the K-lattice counts ``nk``, which depend on K alone: arrays, ints and
 strings, no group, no subgroup table and nothing more per class.  K's
 subgroup table is read only while a catalog is built, and
@@ -79,8 +77,8 @@ cache key names.  A load and a build both end in ``_register``, which
 finds the gluing of each class (``_gluing``), checking that the columns
 fit, and makes ``by_name`` and the lists ``names`` and ``weyl_orders``
 that the ring reads, of Python ints that never wrap.  Class ids ascend
-with size, so the ring orders classes by id.  Labels, generators, grid
-models and histograms are derived per process.
+with size on D_P (``P``), so the ring orders classes by id.  Labels,
+generators, grid models and histograms are derived per process.
 """
 from __future__ import annotations
 
@@ -97,11 +95,11 @@ from .naming import name_subgroup_classes
 MAX_HEAD = 360   # largest head h: its grid D_{2h} has a (4h)^2 table
 KINDS = ("D", "O2", "O2amalg", "SO2")   # sorted: codes order as names do
 # per class: kind code, head (h for D_h, else 0), K-projection's class in the
-# K table, |U ^ (SO(2) x 1)| (d for a kernel Z_d), grid elements, reported
-# Weyl order, |N(U)/U|, |N(U)| in D_P x K, gluing (step, isomorphism or -1)
+# K table, |U ^ (SO(2) x 1)| (d for a kernel Z_d), elements and |N(U)| on its
+# head's grid, reported and plain Weyl orders, gluing (step, iso or -1)
 COLUMNS = ("kind", "head", "kp_cid", "bucket", "size", "weyl_order",
            "normalizer_weyl_order", "n_model", "glue_step", "glue_iso")
-STORED = ("heads", "P", "rows", "gluings", "r_gens", "full_cid", "classes",
+STORED = ("heads", "rows", "gluings", "r_gens", "full_cid", "classes",
           "nk", "names")
 
 
@@ -176,11 +174,9 @@ class ProductCatalog:
     def __init__(self, K: FiniteGroup, heads: list[int],
                  ktable: SubgroupClassTable | None = None):
         heads = sorted(set(heads))
-        P = 2 * math.lcm(*heads) if heads else 4
-        if max(heads, default=1) > MAX_HEAD or 2 * P * K.order >= 2 ** 63:
+        if max(heads, default=1) > MAX_HEAD:
             raise ValueError(f"head set {heads} not supported: it needs heads "
-                             f"up to {MAX_HEAD} and grid sizes 2P|K| below "
-                             f"2^63 (P = 2 lcm(heads) = {P})")
+                             f"up to {MAX_HEAD}")
         if any(h % d == 0 and d not in heads for h in heads
                for d in range(1, h)):
             raise ValueError("head set must be divisor-closed")
@@ -189,10 +185,14 @@ class ProductCatalog:
         ktable = ktable if ktable is not None else SubgroupClassTable(K)
         if not any(r.name for r in ktable.classes):
             name_subgroup_classes(ktable)
-        self.P = P
         self.nk = _small(ktable.nk)
         self._ncount, self._models = {}, {}
         self._build(ktable)
+
+    @property
+    def P(self) -> int:
+        """2 lcm(heads), 4 with no heads: D_P holds every class."""
+        return 2 * math.lcm(*self.heads) if self.heads else 4
 
     def __getstate__(self):
         """The stored state: the attributes STORED, names as one string."""
@@ -207,14 +207,16 @@ class ProductCatalog:
         self._register(state["names"])
 
     def _register(self, names: str):
-        """Check that the columns fit ``names``, one a line, and make the
-        lists ``names`` and ``weyl_orders``, ``by_name`` and the gluing of
-        each class; no loop runs over the classes (see the module notes)."""
+        """Check that the columns fit ``names``, one a line, and the gluing
+        tables their steps, and make the lists ``names`` and
+        ``weyl_orders``, ``by_name`` and the gluing of each class; no loop
+        runs over the classes (see the module notes)."""
         self.names, cols = names.split("\n"), self.classes
         try:
             if (cols.dtype.names != COLUMNS or len(cols) != len(self.names)
                     or len(self.r_gens) != self.rows[:, 0].sum()):
                 raise IndexError
+            self._check_runs()
             self._glue = self._gluing(*(cols[f] for f in (
                 "head", "bucket", "glue_step", "glue_iso")))
         except (IndexError, KeyError):
@@ -223,6 +225,26 @@ class ProductCatalog:
         self.weyl_orders = cols["weyl_order"].tolist()
         self.by_name = dict(zip(self.names, range(len(self.names))))
         self._cols = None
+
+    def _check_runs(self):
+        """Raise IndexError unless each table ``gluings[p]`` is sorted and
+        holds, for each step it glues, as many rows as that step has
+        gluings of period p: one onto a quotient of order q = p <= 2 (the
+        trivial one, or Z2 by parity), else the isomorphisms of D_p onto
+        K'/R (q = 2p): 1 for p = 1, 6 for p = 2, p phi(p) from p = 3.  q is
+        the number of rows from the step's R row to the next one's."""
+        r_row = np.flatnonzero(self.rows[:, 0])
+        quo = np.diff(np.r_[r_row, len(self.rows)])
+        for p, t in self.gluings.items():
+            starts, runs = np.unique(t[:, 0], return_counts=True)
+            step = np.searchsorted(r_row, starts)
+            q = quo[step]                   # IndexError past the last step
+            auts = 6 if p == 2 else p * sum(math.gcd(p, k) == 1
+                                            for k in range(p))
+            want = np.select([(q == p) & (p <= 2), q == 2 * p], [1, auts])
+            if ((r_row[step] != starts).any() or (runs != want).any()
+                    or (np.diff(t[:, 0]) < 0).any()):
+                raise IndexError(f"the gluing table of period {p} is cut")
 
     def _gluing(self, head, bucket, step, iso):
         """(q, at): the period and the row in ``gluings[q]`` of each gluing
@@ -310,8 +332,7 @@ class ProductCatalog:
             counts = _binned(labels, _dihedral_bins(self.heads, h),
                              rowhist) if h else _binned(
                 labels[:, [0, 0, 1, 1]], np.arange(4), rowhist)
-            rec["size"][ids] = counts.sum(axis=(1, 2)) * (
-                1 if h else self.P // 2)
+            rec["size"][ids] = counts.sum(axis=(1, 2))
             rec["fp"][ids] = _sparse_rank(counts.reshape(len(ids), -1))
             rec["rot_kernel"][ids] = counts[:, -1, 0] == 0
             points[ids] = labels[:, [h > 1, max(h, 1)]]
@@ -339,15 +360,15 @@ class ProductCatalog:
     def _generators(self, kind, head, step, points):
         """The generating sets of records or classes (``kind`` codes, head,
         gluing step) whose labels over the rotation step and the first
-        reflection are ``points``, as a (2, m, w) stack of D_P and K indices
-        padded by repeating the first generator (no count changes), and
-        their lengths: the rotation step (P/h, or 1 off D_h; none on D1) and
-        a reflection (P; none for SO(2)) over the first elements of those
-        labels' rows, then (0, g) for R's generators g."""
+        reflection are ``points``, as a (2, m, w) stack of O(2) parts (n > 0
+        the rotation 2 pi / n, -1 a reflection) and K indices padded by
+        repeating the first generator, and their lengths: the rotation step
+        (h on D_h, 2 off D_h; none on D1) and a reflection (none for SO(2))
+        over the first elements of those labels' rows, then (0, g) for R's
+        generators g."""
         head, r = head.astype(np.int64), self.r_gens[step].astype(np.intp)
-        gens = np.stack([np.c_[np.where(head > 0, self.P // np.maximum(
-            head, 1), 1), np.full_like(head, self.P), 0 * r],
-            np.c_[np.argmax(self.rows, axis=1)[points], r]])
+        gens = np.stack([np.c_[np.where(head > 0, head, 2), -np.ones_like(
+            head), 0 * r], np.c_[np.argmax(self.rows, axis=1)[points], r]])
         has = np.c_[head != 1, kind != KINDS.index("SO2"), r >= 0]
         n, j = has.sum(axis=1), np.argsort(~has, axis=1, kind="stable")
         j = np.where(np.arange(has.shape[1]) < n[:, None], j, j[:, :1])
@@ -365,20 +386,19 @@ class ProductCatalog:
 
     def _count(self, gens: np.ndarray, head: int,
                rowid: np.ndarray) -> np.ndarray:
-        """#{g in D_P x K : g x g^-1 in H for each x in gens[:, i]} for each
+        """#{g in D_p x K : g x g^-1 in H for each x in gens[:, i]} for each
         i, for H on ``head`` with ``rowid`` (or one H per i, with rowid
-        (m, 2p)), counted on the grid D_p of the head: the D_P point (f, t)
-        is (f, t p / P) there, and under SO(2) or O(2) any rotation t > 0
-        is rotation 1 (see the module notes).  ``gens`` is a (2, m, n)
-        stack of generating sets (see ``_generators``)."""
+        (m, 2p)), counted on the grid D_p of the head: the rotation 2 pi / n
+        is p/n steps there, and under SO(2) or O(2) any rotation is
+        rotation 1 (see the module notes).  ``gens`` is a (2, m, n) stack
+        of generating sets (see ``_generators``)."""
         p = 2 * (head or 1)
         if p not in self._models:
             self._models[p] = O2Model(p, self.K)
-        f, t = np.divmod(gens[0], self.P)
-        t = t // (self.P // p) if head else np.minimum(t, 1)
-        n = self._models[p].count_conj_into(f * p + t, gens[1],
-                                            (rowid, self.rows))
-        return n if head else n * (self.P // 2)
+        c = gens[0]
+        t = np.where(c > 0, p // np.maximum(c, 1) if head else 1, 0)
+        return self._models[p].count_conj_into(np.where(c < 0, p, t), gens[1],
+                                               (rowid, self.rows))
 
     def _rowid(self, cid: int) -> np.ndarray:
         """Class ``cid`` on the grid of its head."""
@@ -426,9 +446,12 @@ class ProductCatalog:
         nu = np.maximum(heads[at], 1) // np.maximum(q[src], 1)
         c = {f: v[src] * (nu if f in ("size", "bucket", "n_model") else 1)
              for f, v in rec.items()} | {"head": heads[at]}
+        # ids ascend with the size on D_P, P/2 times the size on D_2 off D_h;
+        # min(P/2, largest size + 1) in its place gives the same order
+        scale = min(self.P // 2, int(c["size"].max()) + 1)
         cls = np.lexsort([c[f] for f in (
-            "glue_iso", "glue_step", "fp", "kp_cid", "bucket", "head", "kind",
-            "size")])
+            "glue_iso", "glue_step", "fp", "kp_cid", "bucket", "head", "kind")]
+            + [c["size"] * np.where(c["head"] > 0, 1, scale)])
         c = {f: v[cls] for f, v in c.items()}
         # reported convention: dihedral-headed classes whose O(2)-side
         # kernel is rotation-only get half the plain normalizer quotient
@@ -525,14 +548,15 @@ class ProductCatalog:
 
     def _candidates(self, h: int) -> np.ndarray:
         """Mask of the l passing necessary tests for (l) <= (h): |l| divides
-        |h|, K-projections are subconjugate, and under a D-headed h only
+        |h| (both on one grid: skipped for a D-headed l under SO(2) or O(2)
+        heads), K-projections are subconjugate, and under a D-headed h only
         D-headed l whose head and rotation kernel divide h's."""
         nk, (size, dihedral, head, bucket, kp), _, _, _ = self._index()
-        ok = (size[h] % size == 0) & (nk[kp, kp[h]] > 0)
+        ok, divides = nk[kp, kp[h]] > 0, size[h] % size == 0
         if dihedral[h]:
-            ok &= ((dihedral == 1) & (head[h] % head == 0)
-                   & (bucket[h] % bucket == 0))
-        return ok
+            return ok & divides & ((dihedral == 1) & (head[h] % head == 0)
+                                   & (bucket[h] % bucket == 0))
+        return ok & (divides | (dihedral == 1))
 
     def _within_histogram(self, h: int, ls: np.ndarray) -> np.ndarray:
         """The D-headed l of ``ls`` whose element histogram is at most that

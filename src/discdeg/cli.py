@@ -17,8 +17,8 @@ from pickle import UnpicklingError   # perfbench/tracer.py swaps out `pickle`
 
 SCHEMA = 1
 CACHE_ENV = "DISCDEG_CACHE_DIR"
-# format 13: a catalog stores each class as its gluing, no labels or generators
-CACHE_FORMAT = 13
+# format 14: a catalog stores each class's sizes and generators on its head
+CACHE_FORMAT = 14
 
 
 class Refusal(Exception):

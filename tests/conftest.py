@@ -2,7 +2,8 @@
 
 ``grid_rowid`` is the reference form of a catalog class for the
 element-wise oracles: the class spread over the catalog-wide grid D_P.
-``class_gens`` is a class's generating set, and ``kinds`` the kind names
+``class_gens`` is a class's generating set and ``grid_sizes`` the sizes
+or |N(H)| of all classes, both on D_P x K, and ``kinds`` the kind names
 of all classes, read off the catalog's columns."""
 import numpy as np
 import pytest
@@ -32,9 +33,22 @@ def grid_rowid(cat, cid: int) -> np.ndarray:
 
 
 def class_gens(cat, cid: int) -> np.ndarray:
-    """The (2, g) generating set of class ``cid``: D_P and K indices."""
+    """The (2, g) generating set of class ``cid``: D_P and K indices.  The
+    catalog names the rotation 2 pi / n by n (D_h's step by h, and SO(2)'s
+    and O(2)'s by 2), a reflection by -1 and the identity by 0; on D_P
+    the rotation is P/h steps, or 1 off D_h, and the reflection is P."""
     pads, ngens = cat._index()[3:]
-    return pads[:, cid, :ngens[cid]]
+    n, k = pads[:, cid, :ngens[cid]]
+    rotation = cat.P // np.maximum(n, 1) if cat.classes["head"][cid] else 1
+    return np.stack([np.where(n < 0, cat.P, np.where(n > 0, rotation, 0)), k])
+
+
+def grid_sizes(cat, field: str = "size") -> list[int]:
+    """Each class's size, or |N(H)| with ``field`` "n_model", on D_P x K,
+    as Python ints: an SO(2)- or O(2)-headed class is the same over every
+    rotation and reflection, so it has P/2 times its value on D_2."""
+    return [v if h else v * (cat.P // 2) for v, h in zip(
+        cat.classes[field].tolist(), cat.classes["head"].tolist())]
 
 
 def kinds(cat) -> list[str]:

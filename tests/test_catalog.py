@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CUBE_HEADS, class_gens, grid_rowid, kinds
+from conftest import (CUBE_HEADS, class_gens, grid_rowid, grid_sizes,
+                      kinds)
 from discdeg import catalog, cli
 from discdeg.catalog import ProductCatalog
 from discdeg.elliptic import fold_family_name
@@ -155,7 +156,8 @@ def test_folds_match_golden(cube_pipeline):
 
 # every stored per-class value, digested over the classes in cid order, and
 # what is derived from them: "glue" is (glue_step, glue_iso), "rowid" the
-# class spread over the grid (its labels) and "gens" its generating set
+# class spread over the grid (its labels) and "gens" its generating set;
+# sizes, |N(H)| and generators as on the grid D_P
 DIGEST_FIELDS = ("name", "kind", "head", "kp_cid", "bucket", "size",
                  "weyl_order", "normalizer_weyl_order", "n_model", "glue",
                  "rowid", "gens")
@@ -173,6 +175,7 @@ def catalog_digests(cat) -> dict[str, str]:
     values = {f: cat.classes[f].tolist() for f in DIGEST_FIELDS
               if f in cat.classes.dtype.names}
     values |= {"name": cat.names, "kind": kinds(cat),
+               "size": grid_sizes(cat), "n_model": grid_sizes(cat, "n_model"),
                "glue": cat.classes[["glue_step", "glue_iso"]].tolist(),
                "rowid": [grid_rowid(cat, c).tolist() for c in cids],
                "gens": [class_gens(cat, c).tolist() for c in cids]}
@@ -275,13 +278,13 @@ def test_stored_state_is_a_few_flat_columns(cube_pipeline, s4z2_table):
 def test_stored_state_beside_the_classes_depends_on_k_only(cube_pipeline,
                                                            s4z2_table):
     """What a stored catalog keeps besides its per-class columns, its names,
-    heads, P and full class (``rows``, the gluing tables, R's generators and
+    heads and full class (``rows``, the gluing tables, R's generators and
     ``nk``) is the same for S4 x Z2 on the cube heads and on heads 1, 2, 3,
     4, 6, 8, 12, 16, 24, 48: the labels of a class come from its gluing."""
     cat = cube_pipeline.catalog
     other = ProductCatalog(cat.K, [1, 2, 3, 4, 6, 8, 12, 16, 24, 48],
                            ktable=s4z2_table)
-    per_class = {"classes", "names", "heads", "P", "full_cid"}
+    per_class = {"classes", "names", "heads", "full_cid"}
     a, b = cat.__getstate__(), other.__getstate__()
     assert set(catalog.STORED) - per_class == {"rows", "gluings", "r_gens",
                                                "nk"}
@@ -334,7 +337,7 @@ def test_stored_layout_is_pinned_to_its_cache_format():
     written with, so a change to its attributes or columns must come with
     a new format; this pins the three together."""
     assert (cli.CACHE_FORMAT, catalog.STORED, catalog.COLUMNS) == (
-        13, ("heads", "P", "rows", "gluings", "r_gens", "full_cid",
+        14, ("heads", "rows", "gluings", "r_gens", "full_cid",
              "classes", "nk", "names"),
         ("kind", "head", "kp_cid", "bucket", "size", "weyl_order",
          "normalizer_weyl_order", "n_model", "glue_step", "glue_iso"))
@@ -343,9 +346,11 @@ def test_stored_layout_is_pinned_to_its_cache_format():
 @GOLDEN_CATALOGS
 def test_class_ids_ascend_with_size(group, heads, request):
     """The ring walks classes by id as it would by size: ids ascend with
-    size in every golden catalog and in the subgroup table of its K."""
+    size on D_P in every golden catalog and in the subgroup table of its
+    K."""
     cat, _ = _golden_catalog(group, heads, request)
-    assert (np.diff(cat.classes["size"].astype(np.int64)) >= 0).all()
+    sizes = grid_sizes(cat)
+    assert sizes == sorted(sizes)
     orders = [r.order for r in SubgroupClassTable(cat.K).classes]
     assert orders == sorted(orders)
 
@@ -405,8 +410,8 @@ def test_generators_and_counts_match_brute_force(heads):
     P = cat.P
     assert set(kinds(cat)) == {"D", "SO2", "O2", "O2amalg"}
     cids = range(len(cat))
-    head, kp_cid, n_model, size = (cat.classes[f].tolist() for f in (
-        "head", "kp_cid", "n_model", "size"))
+    head, kp_cid = (cat.classes[f].tolist() for f in ("head", "kp_cid"))
+    n_model, size = grid_sizes(cat, "n_model"), grid_sizes(cat)
     G = [(o2, k) for o2 in range(2 * P) for k in K.elements]
 
     def mul(x, y):
@@ -636,7 +641,7 @@ def test_local_grid_counts_match_the_catalog_grid():
     cat = ProductCatalog(
         direct_product(symmetric_group(3), cyclic_group(2)), [1, 2, 3, 6])
     ref = O2Model(cat.P, cat.K)
-    for h, n_model in enumerate(cat.classes["n_model"].tolist()):
+    for h, n_model in enumerate(grid_sizes(cat, "n_model")):
         table = (grid_rowid(cat, h), cat.rows)
         assert n_model == ref.count_conj_into(
             *class_gens(cat, h)[:, None], table)[0], cat.names[h]

@@ -9,7 +9,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import grid_sizes
 from discdeg import cli, permgroup
+from discdeg.catalog import ProductCatalog
 
 CUBE_PROBLEM = {"cube": {"c": 4, "d": 1},
                 "growth": {"alpha": 0.5, "beta": 2.0}}
@@ -224,19 +226,14 @@ def test_s2_transposition_listed_once_and_legacy_form_accepted(tmp_path,
     assert out[2] == (2, "")        # two different images for one generator
 
 
-PRIMES_TO_53 = "1,2,3,5,7,11,13,17,19,23,29,31,37,41,43,47,53"
-
-
 @pytest.mark.parametrize("argv", [
     ["ccs", "S4*Z2"], ["basic-degree", "1", "0", "-1"],
     ["fold", "2", "D1 x Z1"]])
-@pytest.mark.parametrize("heads", ["1,2,4,8,16,32,64,128,256,512",
-                                   PRIMES_TO_53])
+@pytest.mark.parametrize("heads", ["1,2,4,8,16,32,64,128,256,512"])
 def test_head_list_beyond_the_grid_cap_exits_2(argv, heads, monkeypatch,
                                                capsys):
-    """A largest head of 512, above the bound of 360, and a grid period
-    P = 2 lcm(heads) of about 6.5e19, whose class sizes overflow 64-bit
-    integers; the catalog refuses before it builds any grid model."""
+    """A largest head of 512, above the bound of 360: the catalog refuses
+    before it builds any grid model."""
     from discdeg import o2model
 
     def no_grid(*args, **kwargs):
@@ -260,6 +257,33 @@ def test_head_list_with_a_large_grid_period_answers(argv, rc, want, capsys):
     assert cli.main([*argv, "--heads", "1,7,11,13,17"]) == rc
     out, err = capsys.readouterr()
     assert want in (err if rc else out)
+
+
+PRIMES_TO_53 = "1,2,3,5,7,11,13,17,19,23,29,31,37,41,43,47,53"
+
+
+def test_head_list_whose_grid_period_passes_2_to_the_63_answers(
+        monkeypatch, capsys):
+    """Heads 1, 2 and the primes up to 53 have P = 2 lcm(heads) of about
+    6.5e19, past 2^63, but no size, count or generator is taken on D_P:
+    the catalog answers, its ids ascend with the sizes on D_P, its Weyl
+    orders are those of the catalog on heads 1, 2, 3, 5, name for name,
+    and D1 x Z1 folds 53 times onto D53 x Z1."""
+    heads = [int(h) for h in PRIMES_TO_53.split(",")]
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    assert cli.main(["--format", "json", "ccs", "S4*Z2", "--heads",
+                     PRIMES_TO_53]) == 0
+    recs = jlines(capsys.readouterr().out)
+    K = permgroup.build_group("S4*Z2")
+    cat, small = ProductCatalog(K, heads), ProductCatalog(K, [1, 2, 3, 5])
+    assert cat.P == 65_178_316_954_380_089_460 > 2 ** 63
+    assert [(r["name"], r["weyl"]) for r in recs] == list(zip(
+        cat.names, cat.weyl_orders))
+    assert grid_sizes(cat) == sorted(grid_sizes(cat))
+    assert [cat.weyl_orders[cat.by_name[n]] for n in small.names] == \
+        small.weyl_orders
+    assert cli.main(["fold", "53", "D1 x Z1", "--heads", PRIMES_TO_53]) == 0
+    assert capsys.readouterr().out.strip() == "D53 x Z1"
 
 
 @pytest.mark.parametrize("group, images, matrix", [
@@ -475,20 +499,18 @@ def test_resonant_problem_refused_exit_3(run, tmp_path):
 
 @pytest.mark.parametrize("c, want", [
     (62, "error: largest eigenvalue mu = 65.0 needs Bessel modes 0..65, "
-         "beyond the supported 0..64 (mu <= sqrt(64*66) = 64.99)"),
-    (61, "not supported: it needs heads up to 360")], ids=["modes", "heads"])
+         "beyond the supported 0..64 (mu <= sqrt(64*66) = 64.99)")],
+    ids=["modes"])
 def test_cube_beyond_the_supported_bounds_exits_2(c, want, tmp_path,
                                                   monkeypatch, capsys):
     """cube(62, 1) has mu = 65 > sqrt(64 * 66), so it needs Bessel mode 65,
     beyond the evaluator: it is refused before any zero is walked, with
-    the bound, not by the evaluator's order check.  cube(61, 1) fits the
-    modes but needs heads beyond 360."""
+    the bound, not by the evaluator's order check."""
     from discdeg import bessel
     prob = tmp_path / "cube.json"
     prob.write_text(json.dumps({"cube": {"c": c, "d": 1}}))
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
-    if c == 62:
-        monkeypatch.setattr(bessel, "_zero_levels", None)
+    monkeypatch.setattr(bessel, "_zero_levels", None)
     assert cli.main(["solve", str(prob)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and want in err
@@ -632,6 +654,29 @@ def test_catalog_cache_roundtrip(run, cache_dir):
 
 # -- the catalog cache ----------------------------------------------------------
 
+def test_the_benchmark_tracer_sees_builds_loads_and_stores(tmp_path):
+    """``perfbench/tracer.py`` reads each catalog built (its class count
+    and ``P``) and the cache's loads and stores through ``cli.pickle``:
+    on ``ccs S2*Z2 --heads 1,2`` a cold run records one build of 47
+    classes with P = 4 and one store, and a warm run one load and no
+    build or store."""
+    tracer = os.path.join(os.path.dirname(__file__), "..", "perfbench",
+                          "tracer.py")
+    env = dict(os.environ, DISCDEG_CACHE_DIR=str(tmp_path / "cache"))
+    runs = []
+    for run in ("cold", "warm"):
+        prefix = str(tmp_path / run)
+        r = subprocess.run([sys.executable, tracer, prefix, "ccs", "S2*Z2",
+                            "--heads", "1,2"], capture_output=True,
+                           text=True, env=env, timeout=600)
+        assert r.returncode == 0, r.stderr
+        with open(prefix + ".json") as fh:
+            doc = json.load(fh)
+        runs.append((doc["catalogs"], doc["calls"].get("cli.cache_load", 0),
+                     doc["calls"].get("cli.cache_store", 0)))
+    assert runs == [([[47, 4]], 0, 1), ([], 1, 0)]
+
+
 def test_cache_key_is_versioned_and_write_leaves_no_temp_file(tmp_path,
                                                               monkeypatch):
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
@@ -664,14 +709,17 @@ def test_unreadable_cache_file_exits_2_naming_it(garble, tmp_path,
 
 @pytest.mark.parametrize("column, garble, why", [
     ("gluings", lambda g: g | {1: g[1][:-1]}, "columns do not fit"),
+    ("gluings", lambda g: g | {3: g[3][:-1]}, "columns do not fit"),
+    ("gluings", lambda g: g | {6: g[6][:-1]}, "columns do not fit"),
     ("names", None, "'names'"), ("nk", None, "'nk'")],
-    ids=["gluing-dropped", "names-missing", "nk-missing"])
+    ids=["gluing-dropped", "unused-period-3-gluing-dropped",
+         "unused-period-6-gluing-dropped", "names-missing", "nk-missing"])
 def test_stored_catalog_whose_columns_do_not_fit_exits_2(
         column, garble, why, tmp_path, monkeypatch, capsys):
     """A stored catalog state with the last gluing of period 1 dropped, or
-    with a column missing, is refused on load as an unreadable cache file,
-    and the file is left as it was."""
-    from discdeg.catalog import ProductCatalog
+    of period 3 or 6, which no class on heads 1, 2 uses but whose tables
+    choose the heads a rep needs, or with a column missing, is refused on
+    load as an unreadable cache file, and the file is left as it was."""
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
     argv = ["ccs", "S3*Z2", "--heads", "1,2"]
     assert cli.main(argv) == 0

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import grid_sizes
 from discdeg.burnside import BurnsideRing
 from discdeg.catalog import KINDS, ProductCatalog, dihedral_quotient_orders
 from discdeg.degrees import basic_degree, linear_degree
@@ -266,7 +267,7 @@ def test_ordered_maximal_matches_the_definition(gamma, cube_pipeline):
             down = tuple(cat.column(t))
             ots.update(rng.sample(down, min(len(down), 6)))
         ots = sorted(ots)
-        size = cat.classes["size"].tolist()
+        size = grid_sizes(cat)
         want = [u for u in ots if not any(
             t != u and size[t] > size[u] and size[t] % size[u] == 0
             and u in cat.column(t) for t in ots)]
