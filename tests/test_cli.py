@@ -226,13 +226,18 @@ def test_s2_transposition_listed_once_and_legacy_form_accepted(tmp_path,
     assert out[2] == (2, "")        # two different images for one generator
 
 
+PRIMES_TO_53 = "1,2,3,5,7,11,13,17,19,23,29,31,37,41,43,47,53"
+
+
 @pytest.mark.parametrize("argv", [
     ["ccs", "S4*Z2"], ["basic-degree", "1", "0", "-1"],
     ["fold", "2", "D1 x Z1"]])
-@pytest.mark.parametrize("heads", ["1,2,4,8,16,32,64,128,256,512"])
+@pytest.mark.parametrize("heads", ["1,2,4,8,16,32,64,128,256,512",
+                                   PRIMES_TO_53 + ",367"])
 def test_head_list_beyond_the_grid_cap_exits_2(argv, heads, monkeypatch,
                                                capsys):
-    """A largest head of 512, above the bound of 360: the catalog refuses
+    """A largest head above the bound of 360 (512, or the prime 367 on top
+    of heads whose P = 2 lcm(heads) passes 2^63): the catalog refuses
     before it builds any grid model."""
     from discdeg import o2model
 
@@ -257,9 +262,6 @@ def test_head_list_with_a_large_grid_period_answers(argv, rc, want, capsys):
     assert cli.main([*argv, "--heads", "1,7,11,13,17"]) == rc
     out, err = capsys.readouterr()
     assert want in (err if rc else out)
-
-
-PRIMES_TO_53 = "1,2,3,5,7,11,13,17,19,23,29,31,37,41,43,47,53"
 
 
 def test_head_list_whose_grid_period_passes_2_to_the_63_answers(
@@ -499,18 +501,24 @@ def test_resonant_problem_refused_exit_3(run, tmp_path):
 
 @pytest.mark.parametrize("c, want", [
     (62, "error: largest eigenvalue mu = 65.0 needs Bessel modes 0..65, "
-         "beyond the supported 0..64 (mu <= sqrt(64*66) = 64.99)")],
-    ids=["modes"])
+         "beyond the supported 0..64 (mu <= sqrt(64*66) = 64.99)"),
+    (61, "not supported: it needs heads up to 335")], ids=["modes", "heads"])
 def test_cube_beyond_the_supported_bounds_exits_2(c, want, tmp_path,
                                                   monkeypatch, capsys):
     """cube(62, 1) has mu = 65 > sqrt(64 * 66), so it needs Bessel mode 65,
     beyond the evaluator: it is refused before any zero is walked, with
-    the bound, not by the evaluator's order check."""
-    from discdeg import bessel
+    the bound, not by the evaluator's order check.  cube(61, 1) fits the
+    modes and needs heads up to 336, within the bound of 360; with the
+    head bound set to 335 its solve is refused by that bound, in one line,
+    before the catalog is built."""
+    from discdeg import bessel, catalog
     prob = tmp_path / "cube.json"
     prob.write_text(json.dumps({"cube": {"c": c, "d": 1}}))
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
-    monkeypatch.setattr(bessel, "_zero_levels", None)
+    if c == 62:
+        monkeypatch.setattr(bessel, "_zero_levels", None)
+    else:
+        monkeypatch.setattr(catalog, "MAX_HEAD", 335)
     assert cli.main(["solve", str(prob)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and want in err
