@@ -68,22 +68,23 @@ n(L, H) by L.
 The catalog is its columns, with no object per class: ``classes`` has a
 row of the integers COLUMNS per class, each in the smallest dtype that
 holds it.  The stored state (the attributes STORED) is these, the heads,
-the names as one string, and ``rows``, ``gluings``, ``r_gens`` and
-the K-lattice counts ``nk``, which depend on K alone: arrays, ints and
-strings, no group, no subgroup table and nothing more per class.  K's
+and ``rows``, ``gluings``, ``r_gens``, the name tail " x_{L}^{R} K'" of
+each step (``tails``) and the K-lattice counts ``nk``, which depend on K
+alone: no group, no subgroup table, no name and no Weyl order.  K's
 subgroup table is read only while a catalog is built, and
 ``cached_catalog``, which loads every stored catalog, gives it the K its
-cache key names.  A load and a build both end in ``_register``, which
-finds the gluing of each class (``_gluing``), checking that the columns
-fit, and makes ``by_name`` and the lists ``names`` and ``weyl_orders``
-that the ring reads, of Python ints that never wrap.  Class ids ascend
-with size on D_P (``P``), so the ring orders classes by id.  Labels,
-generators, grid models and histograms are derived per process.
+cache key names.  A load and a build both end in ``_register``, the one
+place that derives, checking that the columns fit, the gluing of each
+class (``_gluing``), the ring's lists ``names`` and ``weyl_orders`` (of
+Python ints that never wrap), ``by_name`` and ``full_cid`` (O(2) x K).
+Class ids ascend with size on D_P (``P``), so the ring orders classes by
+id.  Labels, generators, grid models and histograms are derived per
+process.
 """
 from __future__ import annotations
 
 import math
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -96,11 +97,10 @@ MAX_HEAD = 360   # largest head h: its grid D_{2h} has a (4h)^2 table
 KINDS = ("D", "O2", "O2amalg", "SO2")   # sorted: codes order as names do
 # per class: kind code, head (h for D_h, else 0), K-projection's class in the
 # K table, |U ^ (SO(2) x 1)| (d for a kernel Z_d), elements and |N(U)| on its
-# head's grid, reported and plain Weyl orders, gluing (step, iso or -1)
-COLUMNS = ("kind", "head", "kp_cid", "bucket", "size", "weyl_order",
-           "normalizer_weyl_order", "n_model", "glue_step", "glue_iso")
-STORED = ("heads", "rows", "gluings", "r_gens", "full_cid", "classes",
-          "nk", "names")
+# head's grid, gluing (step, iso or -1)
+COLUMNS = ("kind", "head", "kp_cid", "bucket", "size", "n_model",
+           "glue_step", "glue_iso")
+STORED = ("heads", "rows", "gluings", "r_gens", "tails", "classes", "nk")
 
 
 def _dihedral_isos(mul: np.ndarray, q: int):
@@ -195,34 +195,61 @@ class ProductCatalog:
         return 2 * math.lcm(*self.heads) if self.heads else 4
 
     def __getstate__(self):
-        """The stored state: the attributes STORED, names as one string."""
-        return {k: getattr(self, k) for k in STORED} | {
-            "names": "\n".join(self.names)}
+        """The stored state: the attributes STORED."""
+        return {k: getattr(self, k) for k in STORED}
 
     def __setstate__(self, state):
         """Set the stored state; the per-process memos start empty.  K is
         not stored: ``cached_catalog`` sets it."""
-        self.__dict__.update({k: state[k] for k in STORED if k != "names"})
+        self.__dict__.update({k: state[k] for k in STORED})
         self._ncount, self._models = {}, {}
-        self._register(state["names"])
+        self._register()
 
-    def _register(self, names: str):
-        """Check that the columns fit ``names``, one a line, and the gluing
-        tables their steps, and make the lists ``names`` and
-        ``weyl_orders``, ``by_name`` and the gluing of each class; no loop
-        runs over the classes (see the module notes)."""
-        self.names, cols = names.split("\n"), self.classes
+    def _register(self):
+        """Check that the columns fit the steps, the name tails and the
+        gluing tables, and derive each class's gluing, ``names``,
+        ``weyl_orders``, ``by_name`` and ``full_cid``: see the module notes."""
+        cols, steps = self.classes, self.rows[:, 0].sum()
         try:
-            if (cols.dtype.names != COLUMNS or len(cols) != len(self.names)
-                    or len(self.r_gens) != self.rows[:, 0].sum()):
+            if (cols.dtype.names != COLUMNS or len(self.r_gens) != steps
+                    or len(self.tails) != steps):
                 raise IndexError
             self._check_runs()
-            self._glue = self._gluing(*(cols[f] for f in (
+            self._glue = q, at = self._gluing(*(cols[f] for f in (
                 "head", "bucket", "glue_step", "glue_iso")))
-        except (IndexError, KeyError):
+            # reported convention: a D-headed class with no reflection over
+            # K's identity gets half of |N(H)| / |H|: the central coset is
+            # not counted
+            e_refl = np.zeros(len(cols), dtype=bool)
+            for p in set(q.tolist()):
+                e_refl[q == p] = self.rows[self.gluings[p][at[q == p], p:],
+                                           0].any(axis=1)
+            nw = cols["n_model"].astype(np.int64) // cols["size"]
+            self.weyl_orders = np.where((cols["head"] > 0) & ~e_refl,
+                                        nw // 2, nw).tolist()
+            # names: head and kernel (Z_d, or D_d by parity; none for the
+            # trivial quotient and the kernel Z1), each made once, then the
+            # step's tail; the notation does not always pin the class, so
+            # the k-th repeat gets " ~k"
+            kind, head, bucket, iso = parts = np.stack([cols[f].astype(
+                np.int64) for f in ("kind", "head", "bucket", "glue_iso")])
+            _, first, code = np.unique((head * 8 + kind * 2 + (iso < 0)) * (
+                bucket.max() + 1) + bucket, return_index=True,
+                return_inverse=True)
+            pre = [(("", "O(2)", "O(2)^{SO(2)}", "SO(2)")[k] or f"D{h}") + (
+                "" if b == (h if i < 0 else 1) else
+                f"^{{{'D' if i < 0 else 'Z'}{b}}}")
+                for k, h, b, i in parts[:, first].T.tolist()]
+            self.names, seen = [pre[c] + self.tails[s] for c, s in zip(
+                code.tolist(), cols["glue_step"].tolist())], {}
+            for j, name in enumerate(self.names):
+                seen[name] = k = seen.get(name, 0) + 1
+                self.names[j] = f"{name} ~{k}" if k > 1 else name
+            [self.full_cid] = np.flatnonzero((kind == KINDS.index("O2")) & (
+                cols["kp_cid"] == len(self.nk) - 1)).tolist()
+        except (IndexError, KeyError, ValueError):
             raise ValueError(f"stored catalog columns do not fit its "
-                             f"{len(self.names)} classes") from None
-        self.weyl_orders = cols["weyl_order"].tolist()
+                             f"{len(cols)} classes") from None
         self.by_name = dict(zip(self.names, range(len(self.names))))
         self._cols = None
 
@@ -278,7 +305,7 @@ class ProductCatalog:
         quo = np.array([len(cosets) for _, _, cosets, _, _ in steps])
         base = np.cumsum(quo) - quo + 1                       # row 0: empty
         self.rows = np.zeros((1 + quo.sum(), self.K.order), dtype=bool)
-        glue, tails, r_gens = {}, [], []
+        glue, self.tails, r_gens = {}, [], []
         for i, (kp, r, cosets, mul, isos) in enumerate(steps):
             self.rows[base[i] + np.arange(quo[i])[:, None], cosets] = True
             # the gluings by period q: (rows, step, isomorphism or -1 for
@@ -290,8 +317,8 @@ class ProductCatalog:
             rname = ktable.classes[ktable._cid[r]].name
             rname = f"^{{{rname}}}" if rname not in ("", "Z1") else ""
             lname = "Z2" if quo[i] == 2 else f"D{quo[i] // 2}"
-            tails.append(f" x {kp.name}" if quo[i] == 1
-                         else f" x_{{{lname}}}{rname} {kp.name}")
+            self.tails.append(f" x {kp.name}" if quo[i] == 1
+                              else f" x_{{{lname}}}{rname} {kp.name}")
             # R's generators: by decreasing element order, each one outside
             # the subgroup generated by those kept before it
             gens, span = [], np.arange(1)
@@ -321,10 +348,10 @@ class ProductCatalog:
         rec["kp_cid"] = np.array([s[0].cid for s in steps])[rec["glue_step"]]
         # per record: as COLUMNS, its fingerprint's rank on its head (its grid
         # elements by reflection bit, rotation order or reflection parity and
-        # canonical K-class; on D_h all reflections are even), whether no
-        # reflection holds K's identity (class 0), the labels its gens lift
+        # canonical K-class; on D_h all reflections are even), the labels its
+        # gens lift
         rowhist = self._rowhist()
-        for f in ("size", "fp", "rot_kernel"):
+        for f in ("size", "fp"):
             rec[f] = np.zeros(len(head), dtype=np.int64)
         points = np.zeros((len(head), 2), dtype=np.intp)
         for h, ids, labels in self._blocks(np.arange(len(head)), head, kind,
@@ -334,9 +361,8 @@ class ProductCatalog:
                 labels[:, [0, 0, 1, 1]], np.arange(4), rowhist)
             rec["size"][ids] = counts.sum(axis=(1, 2))
             rec["fp"][ids] = _sparse_rank(counts.reshape(len(ids), -1))
-            rec["rot_kernel"][ids] = counts[:, -1, 0] == 0
             points[ids] = labels[:, [h > 1, max(h, 1)]]
-        self._dedupe_and_register(rec, points, np.array(tails), ktable)
+        self._dedupe_and_register(rec, points)
 
     def _blocks(self, ids, head, kind, q, at):
         """(h, the ids on h, their labels) for each head h of the records or
@@ -405,11 +431,10 @@ class ProductCatalog:
         return self._on_grid(int(self.classes["head"][cid]),
                              self.labels_of(cid))
 
-    def _dedupe_and_register(self, rec: dict, points: np.ndarray,
-                             tails: np.ndarray, ktable: SubgroupClassTable):
+    def _dedupe_and_register(self, rec: dict, points: np.ndarray):
         """Keep one record of each class, on every head its period divides,
-        and write the columns in the class order from the records' columns,
-        their generators' labels, each step's name tail and K's table."""
+        and write the columns in the class order from the records' columns
+        and their generators' labels."""
         head, kind, step, iso = (rec[f] for f in (
             "head", "kind", "glue_step", "glue_iso"))
         pads, ngens = self._generators(kind, head, step, points)
@@ -453,39 +478,12 @@ class ProductCatalog:
             "glue_iso", "glue_step", "fp", "kp_cid", "bucket", "head", "kind")]
             + [c["size"] * np.where(c["head"] > 0, 1, scale)])
         c = {f: v[cls] for f, v in c.items()}
-        # reported convention: dihedral-headed classes whose O(2)-side
-        # kernel is rotation-only get half the plain normalizer quotient
-        # (the central coset is not counted)
-        nw = c["normalizer_weyl_order"] = c["n_model"] // c["size"]
-        c["weyl_order"] = np.where((c["head"] > 0) & c["rot_kernel"],
-                                   nw // 2, nw)
         cols = [_small(c[f]) for f in COLUMNS]
         self.classes = np.empty(len(cls), dtype=[
             (f, col.dtype) for f, col in zip(COLUMNS, cols)])
         for f, col in zip(COLUMNS, cols):
             self.classes[f] = col
-
-        # names: head, kernel (Z_d, or D_d by parity; none for the trivial
-        # quotient and the kernel Z1) and the step's tail; the amalgamated
-        # notation does not always pin the class (several non-conjugate
-        # gluings can share it), so repeats get " ~k" in the class order
-        plain = np.where(c["glue_iso"] < 0, c["bucket"] == c["head"],
-                         c["bucket"] == 1)
-        names = reduce(np.char.add, (
-            np.where(c["head"] > 0, np.char.mod("D%d", c["head"]), np.array(
-                ["", "O(2)", "O(2)^{SO(2)}", "SO(2)"])[c["kind"]]),
-            np.where(plain, "", np.char.mod(np.where(
-                c["glue_iso"] < 0, "^{D%d}", "^{Z%d}"), c["bucket"])),
-            tails[c["glue_step"]]))
-        srt = np.argsort(names, kind="stable")
-        new = np.r_[True, names[srt][1:] != names[srt][:-1]]
-        k = np.empty(len(cls), dtype=np.intp)
-        k[srt] = np.arange(len(cls)) - np.flatnonzero(new)[np.cumsum(new) - 1]
-        names = np.where(k > 0, reduce(np.char.add, (
-            names, " ~", (k + 1).astype(str))), names).tolist()
-        self.full_cid = names.index(
-            f"O(2) x {ktable.classes[ktable.full_cid].name}")
-        self._register("\n".join(names))
+        self._register()
 
     # -- lattice queries -----------------------------------------------------
 

@@ -17,8 +17,8 @@ from pickle import UnpicklingError   # perfbench/tracer.py swaps out `pickle`
 
 SCHEMA = 1
 CACHE_ENV = "DISCDEG_CACHE_DIR"
-# format 14: a catalog stores each class's sizes and generators on its head
-CACHE_FORMAT = 14
+# format 15: a catalog stores gluings and counts, not names or Weyl orders
+CACHE_FORMAT = 15
 
 
 class Refusal(Exception):
@@ -99,7 +99,7 @@ def _parse_heads(s: str) -> list[int]:
 # subcommands
 
 def cmd_ccs(args) -> int:
-    if args.heads:
+    if args.heads is not None:
         from .catalog import KINDS, cached_catalog
         cat = cached_catalog(_build_group(args.group),
                              _parse_heads(args.heads), _cached)

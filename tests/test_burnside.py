@@ -86,7 +86,7 @@ def _true_generator(ring, cid):
     """
     lat = ring.lattice
     w = lat.weyl_orders[cid]
-    scale = (int(lat.classes["normalizer_weyl_order"][cid])
+    scale = (int(lat.classes["n_model"][cid] // lat.classes["size"][cid])
              if isinstance(lat, ProductCatalog) else w)
     return ring.generator(cid) * (scale // w)
 

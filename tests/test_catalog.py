@@ -53,7 +53,7 @@ def test_catalog_shape(cube_pipeline):
 
 def test_catalog_weyl_positive_and_reported_convention(cube_pipeline):
     cat = cube_pipeline.catalog
-    nws = cat.classes["normalizer_weyl_order"].tolist()
+    nws = (cat.classes["n_model"] // cat.classes["size"]).tolist()
     for cid, (kind, w, nw) in enumerate(zip(kinds(cat), cat.weyl_orders,
                                             nws)):
         assert w >= 1
@@ -175,6 +175,8 @@ def catalog_digests(cat) -> dict[str, str]:
     values = {f: cat.classes[f].tolist() for f in DIGEST_FIELDS
               if f in cat.classes.dtype.names}
     values |= {"name": cat.names, "kind": kinds(cat),
+               "weyl_order": cat.weyl_orders, "normalizer_weyl_order": (
+                   cat.classes["n_model"] // cat.classes["size"]).tolist(),
                "size": grid_sizes(cat), "n_model": grid_sizes(cat, "n_model"),
                "glue": cat.classes[["glue_step", "glue_iso"]].tolist(),
                "rowid": [grid_rowid(cat, c).tolist() for c in cids],
@@ -218,6 +220,7 @@ def test_stored_catalog_matches_golden_digests(group, heads, request,
     cat, want = _golden_catalog(group, heads, request)
     loaded = _stored_and_loaded(cat, tmp_path, monkeypatch)
     assert loaded is not cat and catalog_digests(loaded) == want
+    assert loaded.full_cid == cat.full_cid and loaded.by_name == cat.by_name
 
 
 def _stored_and_loaded(cat, cache_dir, monkeypatch):
@@ -277,17 +280,17 @@ def test_stored_state_is_a_few_flat_columns(cube_pipeline, s4z2_table):
 
 def test_stored_state_beside_the_classes_depends_on_k_only(cube_pipeline,
                                                            s4z2_table):
-    """What a stored catalog keeps besides its per-class columns, its names,
-    heads and full class (``rows``, the gluing tables, R's generators and
-    ``nk``) is the same for S4 x Z2 on the cube heads and on heads 1, 2, 3,
-    4, 6, 8, 12, 16, 24, 48: the labels of a class come from its gluing."""
+    """What a stored catalog keeps besides its per-class columns and heads
+    (``rows``, the gluing tables, R's generators, the name tails and ``nk``)
+    is the same for S4 x Z2 on the cube heads and on heads 1, 2, 3, 4, 6, 8,
+    12, 16, 24, 48: the labels of a class come from its gluing."""
     cat = cube_pipeline.catalog
     other = ProductCatalog(cat.K, [1, 2, 3, 4, 6, 8, 12, 16, 24, 48],
                            ktable=s4z2_table)
-    per_class = {"classes", "names", "heads", "full_cid"}
+    per_class = {"classes", "heads"}
     a, b = cat.__getstate__(), other.__getstate__()
     assert set(catalog.STORED) - per_class == {"rows", "gluings", "r_gens",
-                                               "nk"}
+                                               "tails", "nk"}
     for k in set(catalog.STORED) - per_class:
         assert pickle.dumps(a[k]) == pickle.dumps(b[k]), k
 
@@ -337,10 +340,9 @@ def test_stored_layout_is_pinned_to_its_cache_format():
     written with, so a change to its attributes or columns must come with
     a new format; this pins the three together."""
     assert (cli.CACHE_FORMAT, catalog.STORED, catalog.COLUMNS) == (
-        14, ("heads", "rows", "gluings", "r_gens", "full_cid",
-             "classes", "nk", "names"),
-        ("kind", "head", "kp_cid", "bucket", "size", "weyl_order",
-         "normalizer_weyl_order", "n_model", "glue_step", "glue_iso"))
+        15, ("heads", "rows", "gluings", "r_gens", "tails", "classes", "nk"),
+        ("kind", "head", "kp_cid", "bucket", "size", "n_model", "glue_step",
+         "glue_iso"))
 
 
 @GOLDEN_CATALOGS
@@ -669,8 +671,9 @@ def test_dedupe_rounds_decide_forced_buckets(monkeypatch):
         return count_once(self, *args)
 
     def rows(cat):
-        return sorted(cat.classes[["kind", "head", "kp_cid", "bucket", "size",
-                                   "n_model", "weyl_order"]].tolist())
+        return sorted(c + (w,) for c, w in zip(cat.classes[[
+            "kind", "head", "kp_cid", "bucket", "size", "n_model"]].tolist(),
+            cat.weyl_orders))
 
     count_once = ProductCatalog._count
     monkeypatch.setattr(ProductCatalog, "_count", count)
@@ -738,10 +741,10 @@ def test_per_period_dedupe_matches_a_per_head_dedupe(group, heads):
     K = direct_product(symmetric_group(group), cyclic_group(2))
     ktable = SubgroupClassTable(K)
     cat = ProductCatalog(K, heads, ktable=ktable)
-    cols = cat.classes[cat.classes["head"] > 0]
-    got = {(h, i, j): (k, h, kp, b, s, n, w) for k, h, kp, b, s, n, w, i, j
-           in cols[["kind", "head", "kp_cid", "bucket", "size", "n_model",
-                    "weyl_order", "glue_step", "glue_iso"]].tolist()}
+    cols = cat.classes[["kind", "head", "kp_cid", "bucket", "size",
+                        "n_model", "glue_step", "glue_iso"]].tolist()
+    got = {(h, i, j): (k, h, kp, b, s, n, w) for (k, h, kp, b, s, n, i, j), w
+           in zip(cols, cat.weyl_orders) if h}
     assert got == _per_head_dedupe(cat, ktable)
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import grid_sizes
-from discdeg import cli, permgroup
+from discdeg import catalog, cli, permgroup
 from discdeg.catalog import ProductCatalog
 
 CUBE_PROBLEM = {"cube": {"c": 4, "d": 1},
@@ -146,6 +146,17 @@ def test_non_divisor_closed_heads_exit_2(run):
     r = run("ccs", "Z2*Z2", "--heads", "4")
     assert r.returncode == 2
     assert "divisor" in r.stderr
+
+
+@pytest.mark.parametrize("heads", ["", ",", "0"],
+                         ids=["empty", "comma", "zero"])
+def test_head_list_without_a_positive_head_exits_2(heads, capsys):
+    """An empty head list is refused in one line, as one of no positive
+    integer is, and not read as no head list (the subgroup table)."""
+    assert cli.main(["ccs", "S3*Z2", "--heads", heads]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "positive integers" in err
 
 
 def test_unknown_class_name_exits_2(run):
@@ -715,19 +726,34 @@ def test_unreadable_cache_file_exits_2_naming_it(garble, tmp_path,
     assert len(err.splitlines()) == 1
     assert path.read_bytes() == bad              # left as it was, not rebuilt
 
+
+def _full_class_as_so2(classes):
+    """The columns with the kind of O(2) x K, K's class being the last of
+    its table, set to SO(2)."""
+    c, kinds = classes.copy(), catalog.KINDS
+    c["kind"][(c["kind"] == kinds.index("O2"))
+              & (c["kp_cid"] == c["kp_cid"].max())] = kinds.index("SO2")
+    return c
+
+
 @pytest.mark.parametrize("column, garble, why", [
     ("gluings", lambda g: g | {1: g[1][:-1]}, "columns do not fit"),
     ("gluings", lambda g: g | {3: g[3][:-1]}, "columns do not fit"),
     ("gluings", lambda g: g | {6: g[6][:-1]}, "columns do not fit"),
-    ("names", None, "'names'"), ("nk", None, "'nk'")],
+    ("tails", None, "'tails'"), ("nk", None, "'nk'"),
+    ("tails", lambda t: t[:-1], "columns do not fit"),
+    ("classes", _full_class_as_so2, "columns do not fit")],
     ids=["gluing-dropped", "unused-period-3-gluing-dropped",
-         "unused-period-6-gluing-dropped", "names-missing", "nk-missing"])
+         "unused-period-6-gluing-dropped", "tails-missing", "nk-missing",
+         "tail-dropped", "full-class-as-so2"])
 def test_stored_catalog_whose_columns_do_not_fit_exits_2(
         column, garble, why, tmp_path, monkeypatch, capsys):
     """A stored catalog state with the last gluing of period 1 dropped, or
     of period 3 or 6, which no class on heads 1, 2 uses but whose tables
-    choose the heads a rep needs, or with a column missing, is refused on
-    load as an unreadable cache file, and the file is left as it was."""
+    choose the heads a rep needs, with a column missing, with one name
+    tail short, or with no O(2) x K class to be the ring's identity, is
+    refused on load as an unreadable cache file, and the file is left as
+    it was."""
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
     argv = ["ccs", "S3*Z2", "--heads", "1,2"]
     assert cli.main(argv) == 0
